@@ -181,6 +181,34 @@ class TestRunSweep:
         assert sha256(h) != sha256(s)
 
 
+# sha256 of run_sweep output, pinned before any change to the sweep kernel;
+# the first two are the benchmark's golden shapes
+GOLDEN_SWEEPS = [
+    pytest.param(dict(dims=(2, 4, 6, 8), samples=250, seed=1, measure="haar"),
+                 "c5fbfe673f5906bf5c498085d86fb5adc2de6ace0f26e0ad7cf2bccaacafe793",
+                 id="haar-even"),
+    pytest.param(dict(dims=(3, 9, 33), samples=250, seed=1, measure="simplex"),
+                 "fe1db2e5b4b5ef11b1ef133cd2876295d18d17e0a369caca57341d66397f78eb",
+                 id="simplex-odd"),
+    pytest.param(dict(dims=(2, 3, 5), samples=120, seed=7, measure="haar",
+                      second_dim_offset=2),
+                 "14c00763f1bcf1889b94fa5d0a6530162822e922ccd72d6b5bec41e60cddae9b",
+                 id="haar-offset-2"),
+    pytest.param(dict(dims=(1,), samples=60, seed=3, measure="haar"),
+                 "5b00f17f2cd7bc8a9cf13877801535ce3e5e29e6f766b640cf93c2edb90ac844",
+                 id="m-one"),
+]
+
+
+class TestGoldenSweeps:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kwargs,digest", GOLDEN_SWEEPS)
+    def test_output_bytes_are_pinned(self, tmp_path, kwargs, digest, workers):
+        out = tmp_path / "golden.jsonl"
+        run_sweep(ExperimentConfig(output_path=str(out), **kwargs), workers=workers)
+        assert sha256(out) == digest
+
+
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("BELLBOUND_THREADS", "7")
