@@ -43,7 +43,6 @@ from .harness import (
     MEASURES,
     ExperimentConfig,
     OracleSummary,
-    SampleRecord,
     SweepSummary,
     run_sweep,
     scatter_cb,
@@ -98,7 +97,6 @@ __all__ = [
     "bound_report",
     "MEASURES",
     "ExperimentConfig",
-    "SampleRecord",
     "SweepSummary",
     "OracleSummary",
     "run_sweep",

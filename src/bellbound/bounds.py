@@ -30,6 +30,7 @@ __all__ = [
     "theta_star",
     "upper_bound",
     "lower_bound",
+    "closed_forms",
     "core_inequalities",
     "classical_bound",
     "classical_bound_naive",
@@ -79,6 +80,35 @@ def lower_bound(c: float) -> float:
     if c < 0.0:
         raise NegativeInputError(f"concurrence must be nonnegative, got {c!r}")
     return math.sqrt(2.0) * math.hypot(1.0, c)
+
+
+def closed_forms(rows: np.ndarray) -> tuple[list, ...]:
+    """Every closed form of a sweep record, for a block of canonical rows.
+
+    ``rows`` is an ``(N, m)`` array of validated Schmidt coefficients.
+    Returns the columns ``(concurrence, k, gamma, bell_value, upper, lower,
+    certified_nonlocal)`` as lists of Python floats and bools, each entry
+    bit-identical to the scalar function of that name on the row.  The row
+    sums go through ``sum(axis=1)`` and ``np.vecdot``, which reduce each row
+    exactly as ``sum()`` and ``np.dot`` reduce a vector; the scalar steps
+    stay on Python floats, because ``np.hypot`` need not match
+    ``math.hypot`` to the last ulp.
+    """
+    m = rows.shape[1]
+    p = rows * rows
+    paired = 2 * (m // 2)
+    k = (2.0 * np.vecdot(rows[:, 0:paired:2], rows[:, 1:paired:2])).tolist()
+    # Python's float ** calls libm pow, as the scalar gamma_value does;
+    # numpy's array ** 2 squares, which differs in the last ulp
+    gamma = [x ** 2 for x in rows[:, -1].tolist()] if m % 2 else [0.0] * len(rows)
+    c = [2.0 * math.sqrt(max(0.5 * (t ** 2 - q), 0.0))
+         for t, q in zip(p.sum(axis=1).tolist(), np.vecdot(p, p).tolist())]
+    b = [2.0 * math.hypot(1.0 - g, k_i) + 2.0 * g for k_i, g in zip(k, gamma)]
+    h = [math.hypot(1.0, c_i) for c_i in c]
+    root2 = math.sqrt(2.0)
+    even = m % 2 == 0
+    cert = [(even and c_i > 1.0) or b_i > 2.0 + CERT_MARGIN for c_i, b_i in zip(c, b)]
+    return c, k, gamma, b, [2.0 * x for x in h], [root2 * x for x in h], cert
 
 
 def core_inequalities(s: SchmidtVector) -> tuple[float, float, float, float]:

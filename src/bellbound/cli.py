@@ -8,6 +8,7 @@ the output reproduces the value bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -60,6 +61,28 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _tolerance_flag(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--tolerance expects a real, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"--tolerance must be finite and positive, got {text!r}"
+        )
     return value
 
 
@@ -212,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_flag, required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
     p.add_argument("--out", required=True, help="JSONL output path")
-    p.add_argument("--offset", type=int, default=0,
+    p.add_argument("--offset", type=_nonnegative_int, default=0,
                    help="n = m + offset for the second factor (default 0)")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance_flag, default=None,
                    help="theorem margin tolerance (default shared config)")
     p.set_defaults(func=_cmd_sweep)
 

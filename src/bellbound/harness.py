@@ -9,8 +9,10 @@ is collected into the summary and surfaced, never averaged away.
 
 from __future__ import annotations
 
-import json
+import contextlib
+import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,24 +22,17 @@ import numpy as np
 from . import bounds
 from .bell_operators import max_expectation_grid
 from .errors import (
-    BellboundError,
     InvalidDimensionError,
+    InvariantError,
     IoFailureError,
     TooLargeError,
 )
-from .schmidt_state import (
-    SchmidtVector,
-    concurrence,
-    effective_rank,
-    sample_haar,
-    sample_simplex,
-)
-from .tolerances import MAX_ORACLE_DIM, THEOREM_TOL
+from .schmidt_state import SchmidtVector, sample_haar, sample_simplex, validate_rows
+from .tolerances import MAX_ORACLE_DIM, THEOREM_TOL, ZERO_TOL
 
 __all__ = [
     "MEASURES",
     "ExperimentConfig",
-    "SampleRecord",
     "DimensionSummary",
     "Violation",
     "SweepSummary",
@@ -51,8 +46,6 @@ __all__ = [
 ]
 
 MEASURES = ("haar", "simplex")
-
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -87,43 +80,12 @@ class ExperimentConfig:
         if int(self.second_dim_offset) < 0:
             raise InvalidDimensionError("second_dim_offset must be nonnegative")
         object.__setattr__(self, "second_dim_offset", int(self.second_dim_offset))
-        if not self.tolerance > 0.0:
-            raise InvalidDimensionError(f"tolerance must be positive, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise InvalidDimensionError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
         if self.output_path is not None:
             object.__setattr__(self, "output_path", str(self.output_path))
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One sweep datum; serialized as a single JSON line.
-
-    ``theorem1_ok`` / ``theorem2_ok`` are None (JSON null) for odd m, where
-    the bounds make no claim.  ``oracle_value`` / ``oracle_gap`` are filled
-    only by oracle verification runs.
-    """
-
-    m: int
-    n: int
-    index: int
-    coeffs: list[float]
-    effective_rank: int
-    concurrence: float
-    k: float
-    gamma: float
-    bell_value: float
-    upper: float
-    lower: float
-    theorem1_ok: bool | None
-    theorem2_ok: bool | None
-    certified_nonlocal: bool
-    oracle_value: float | None = None
-    oracle_gap: float | None = None
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-    def to_json(self) -> str:
-        return _dumps(self.as_dict())
 
 
 @dataclass(frozen=True)
@@ -193,51 +155,84 @@ def _draw(seed: int, measure: str, offset: int, m: int, index: int) -> SchmidtVe
     return sample_simplex(m, rng)
 
 
-def _record_for(
-    s: SchmidtVector,
-    m: int,
-    n: int,
-    index: int,
-    tolerance: float,
-    oracle_value: float | None = None,
-) -> SampleRecord:
-    c = concurrence(s)
-    b = bounds.bell_value_formula(s)
-    up = bounds.upper_bound(c)
-    lo = bounds.lower_bound(c)
-    even = m % 2 == 0
-    return SampleRecord(
-        m=m,
-        n=n,
-        index=index,
-        coeffs=s.coeffs.tolist(),
-        effective_rank=effective_rank(s),
-        concurrence=c,
-        k=bounds.k_value(s),
-        gamma=bounds.gamma_value(s),
-        bell_value=b,
-        upper=up,
-        lower=lo,
-        theorem1_ok=(up - b >= -tolerance) if even else None,
-        theorem2_ok=(b - lo >= -tolerance) if even else None,
-        certified_nonlocal=bounds.is_nonlocal_certified(s),
-        oracle_value=oracle_value,
-        oracle_gap=None if oracle_value is None else abs(b - oracle_value),
-    )
+def _draw_block(seed: int, measure: str, offset: int, m: int, start: int,
+                stop: int) -> np.ndarray:
+    """Validated coefficient rows of samples [start, stop) at one m.
+
+    Row by row the same draws as :func:`_draw`, one substream per sample,
+    but with one stacked SVD (bitwise equal to per-matrix calls) and the
+    normalizations done on the whole block.
+    """
+    count = stop - start
+    if measure == "haar":
+        n = m + offset
+        re, im = np.empty((2, count, m, n))
+        for row, index in enumerate(range(start, stop)):
+            rng = substream(seed, m, index)
+            rng.standard_normal(out=re[row])
+            rng.standard_normal(out=im[row])
+        sv = np.linalg.svd(re + 1j * im, compute_uv=False)  # descending by construction
+        rows = sv / np.sqrt(np.vecdot(sv, sv))[:, None]  # == sv / np.linalg.norm(sv)
+    else:
+        p = np.empty((count, m))
+        for row, index in enumerate(range(start, stop)):
+            substream(seed, m, index).standard_exponential(out=p[row])
+        p /= p.sum(axis=1)[:, None]
+        rows = np.sqrt(p)
+        rows[:, ::-1].sort(axis=1)  # descending, in place
+    try:
+        validate_rows(rows, start)
+    except InvariantError as exc:
+        exc.args = (f"sample m={m} {exc}",)
+        raise
+    return rows
 
 
-def _sweep_chunk(task: tuple) -> list[dict]:
-    """Worker body: records for sample indices [start, stop) at one m."""
+_JSON = {True: "true", False: "false", None: "null"}
+
+
+def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
+    """Worker body: the records of samples [start, stop) at one m, encoded.
+
+    Returns the JSONL text, the chunk's reduction and its violations.  One
+    line per sample, keys in this order (the record schema):
+
+    - ``m``, ``n``, ``index``; ``coeffs`` (descending, unit norm);
+      ``effective_rank`` (coefficients above ``ZERO_TOL``);
+    - ``concurrence``, ``k``, ``gamma``, ``bell_value``, ``upper``, ``lower``;
+    - ``theorem1_ok`` (``upper - bell_value >= -tolerance``) and
+      ``theorem2_ok`` (``bell_value - lower >= -tolerance``), null for odd m;
+    - ``certified_nonlocal``; ``oracle_value`` and ``oracle_gap``, always null.
+
+    Floats are written with ``repr``, as ``json.dumps`` writes finite
+    floats, and every value is finite once the rows are validated.
+    """
     seed, measure, offset, tolerance, m, start, stop = task
-    out = []
-    for index in range(start, stop):
-        try:
-            s = _draw(seed, measure, offset, m, index)
-            out.append(_record_for(s, m, m + offset, index, tolerance).as_dict())
-        except BellboundError as exc:
-            exc.args = (f"sample m={m} index={index}: {exc}",)
-            raise
-    return out
+    n = m + offset
+    rows = _draw_block(seed, measure, offset, m, start, stop)
+    ranks = np.count_nonzero(rows > ZERO_TOL, axis=1).tolist()
+    c, k, g, b, up, lo, cert = bounds.closed_forms(rows)
+    ok1 = ok2 = [None] * (stop - start)
+    margins = (None, None)
+    violations = []
+    if m % 2 == 0:
+        t1, t2 = np.subtract(up, b), np.subtract(b, lo)
+        ok1, ok2 = (t1 >= -tolerance).tolist(), (t2 >= -tolerance).tolist()
+        margins = (float(t1.min()), float(t2.min()))
+        for i in np.flatnonzero(~np.logical_and(ok1, ok2)).tolist():
+            violations += [Violation(m, start + i, check, float(t[i]))
+                           for check, t, ok in (("theorem1", t1, ok1), ("theorem2", t2, ok2))
+                           if not ok[i]]
+    text = "".join(
+        f'{{"m":{m},"n":{n},"index":{start + i},"coeffs":[{",".join(map(repr, row))}],'
+        f'"effective_rank":{ranks[i]},"concurrence":{c[i]!r},"k":{k[i]!r},"gamma":{g[i]!r},'
+        f'"bell_value":{b[i]!r},"upper":{up[i]!r},"lower":{lo[i]!r},'
+        f'"theorem1_ok":{_JSON[ok1[i]]},"theorem2_ok":{_JSON[ok2[i]]},'
+        f'"certified_nonlocal":{_JSON[cert[i]]},"oracle_value":null,"oracle_gap":null}}\n'
+        for i, row in enumerate(rows.tolist())
+    )
+    summary = DimensionSummary(m, n, stop - start, *margins, max(c), len(violations))
+    return text, summary, violations
 
 
 def resolve_workers(explicit: int | None = None) -> int:
@@ -259,99 +254,110 @@ def resolve_workers(explicit: int | None = None) -> int:
     return max(1, requested)
 
 
+MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
+
+
 def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
-    size = max(64, -(-samples // (4 * workers)))  # ceil, ~4 chunks per worker
+    size = min(MAX_CHUNK, max(64, -(-samples // (4 * workers))))  # ~4 chunks per worker
     return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
 def _iter_chunks(config: ExperimentConfig, workers: int):
-    """Yield (m, record-dict list) blocks in deterministic (m, index) order."""
-    tasks = [
-        (m, (config.seed, config.measure, config.second_dim_offset,
-             config.tolerance, m, lo, hi))
+    """Yield ``_sweep_chunk`` results in deterministic (m, index) order."""
+    ranges = _chunk_ranges(config.samples, workers)
+    tasks = (
+        (config.seed, config.measure, config.second_dim_offset, config.tolerance, m, lo, hi)
         for m in config.dims
-        for (lo, hi) in _chunk_ranges(config.samples, workers)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map() preserves submission order, so parallel output bytes
-            # match the serial ones exactly
-            for (m, _), records in zip(tasks, pool.map(_sweep_chunk, (t for _, t in tasks))):
-                yield m, records
-    else:
-        for m, task in tasks:
-            yield m, _sweep_chunk(task)
+        for (lo, hi) in ranges
+    )
+    if workers == 1 or len(config.dims) * len(ranges) == 1:
+        for task in tasks:
+            yield _sweep_chunk(task)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # results leave in submission order, so parallel output bytes match
+        # the serial ones; at most 2 * workers chunks are held at a time
+        pending = deque()
+        for task in tasks:
+            pending.append(pool.submit(_sweep_chunk, task))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-class _DimReducer:
-    """Streaming min/max/violations for one m block."""
+def _min_margin(a: float | None, b: float | None) -> float | None:
+    return b if a is None else a if b is None else min(a, b)
 
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-        self.count = 0
-        self.min_t1: float | None = None
-        self.min_t2: float | None = None
-        self.max_c = 0.0
-        self.violations: list[Violation] = []
 
-    def add(self, rec: dict) -> None:
-        self.count += 1
-        self.max_c = max(self.max_c, rec["concurrence"])
-        if rec["theorem1_ok"] is None:
-            return
-        t1 = rec["upper"] - rec["bell_value"]
-        t2 = rec["bell_value"] - rec["lower"]
-        self.min_t1 = t1 if self.min_t1 is None else min(self.min_t1, t1)
-        self.min_t2 = t2 if self.min_t2 is None else min(self.min_t2, t2)
-        if not rec["theorem1_ok"]:
-            self.violations.append(Violation(self.m, rec["index"], "theorem1", t1))
-        if not rec["theorem2_ok"]:
-            self.violations.append(Violation(self.m, rec["index"], "theorem2", t2))
+def _merge(a: DimensionSummary, b: DimensionSummary) -> DimensionSummary:
+    """Reduction of two consecutive blocks of one m."""
+    return DimensionSummary(
+        m=a.m,
+        n=a.n,
+        samples=a.samples + b.samples,
+        min_theorem1_margin=_min_margin(a.min_theorem1_margin, b.min_theorem1_margin),
+        min_theorem2_margin=_min_margin(a.min_theorem2_margin, b.min_theorem2_margin),
+        max_concurrence=max(a.max_concurrence, b.max_concurrence),
+        violations=a.violations + b.violations,
+    )
 
-    def summary(self) -> DimensionSummary:
-        return DimensionSummary(
-            m=self.m,
-            n=self.n,
-            samples=self.count,
-            min_theorem1_margin=self.min_t1,
-            min_theorem2_margin=self.min_t2,
-            max_concurrence=self.max_c,
-            violations=len(self.violations),
-        )
+
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Text file that appears at ``path`` only if the block completes.
+
+    Writes to a temporary file beside the target and moves it into place
+    with ``os.replace`` on success; on any error the temporary file is
+    removed and nothing appears at ``path``.
+    """
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target),
+                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise IoFailureError(f"cannot write {path}: not a regular file")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
 
 def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepSummary:
     """Draw, check and record `config.samples` states per dimension.
 
     Writes one JSON line per sample to ``config.output_path`` in (m, index)
-    order and returns the reduction.  ``workers`` overrides the
-    BELLBOUND_THREADS / auto worker count; output bytes do not depend on it.
+    order and returns the reduction; the record schema is documented on
+    ``_sweep_chunk``.  ``workers`` overrides the BELLBOUND_THREADS / auto
+    worker count; output bytes do not depend on it.  A run that fails
+    leaves no file at ``config.output_path``.
     """
     if config.output_path is None:
         raise IoFailureError("run_sweep needs config.output_path")
     workers = resolve_workers(workers)
-    reducers = {m: _DimReducer(m, m + config.second_dim_offset) for m in config.dims}
-    written = 0
-    try:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            for m, records in _iter_chunks(config, workers):
-                reducer = reducers[m]
-                for rec in records:
-                    reducer.add(rec)
-                    fh.write(_dumps(rec))
-                    fh.write("\n")
-                    written += 1
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {config.output_path}: {exc}") from exc
-    violations = tuple(v for m in config.dims for v in reducers[m].violations)
+    per_dim = {
+        m: DimensionSummary(m, m + config.second_dim_offset, 0, None, None, 0.0, 0)
+        for m in config.dims
+    }
+    violations: list[Violation] = []
+    with _atomic_output(config.output_path) as fh:
+        for text, block, block_violations in _iter_chunks(config, workers):
+            fh.write(text)
+            per_dim[block.m] = _merge(per_dim[block.m], block)
+            violations += block_violations
     return SweepSummary(
         measure=config.measure,
         seed=config.seed,
         samples_per_dim=config.samples,
-        records_written=written,
-        per_dim=tuple(reducers[m].summary() for m in config.dims),
-        violations=violations,
+        records_written=sum(d.samples for d in per_dim.values()),
+        per_dim=tuple(per_dim.values()),
+        violations=tuple(violations),
     )
 
 
@@ -391,24 +397,21 @@ def scatter_cb(config: ExperimentConfig) -> Path:
 
     Columns ``m,concurrence,bell_value,upper,lower``; rows sorted by
     concurrence within each m block; floats printed with shortest
-    round-trip decimals.  Returns the output path.
+    round-trip decimals.  Returns the output path.  A run that fails
+    leaves no file at ``config.output_path``.
     """
     if config.output_path is None:
         raise IoFailureError("scatter_cb needs config.output_path")
-    path = Path(config.output_path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("m,concurrence,bell_value,upper,lower\n")
-            for m in config.dims:
-                rows = []
-                for index in range(config.samples):
-                    s = _draw(config.seed, config.measure, config.second_dim_offset, m, index)
-                    c = concurrence(s)
-                    rows.append((c, bounds.bell_value_formula(s),
-                                 bounds.upper_bound(c), bounds.lower_bound(c)))
-                rows.sort(key=lambda r: r[0])
-                for c, b, up, lo in rows:
-                    fh.write(f"{m},{c!r},{b!r},{up!r},{lo!r}\n")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {path}: {exc}") from exc
-    return path
+    with _atomic_output(config.output_path) as fh:
+        fh.write("m,concurrence,bell_value,upper,lower\n")
+        for m in config.dims:
+            rows = []
+            for lo, hi in _chunk_ranges(config.samples, 1):
+                block = _draw_block(config.seed, config.measure, config.second_dim_offset,
+                                    m, lo, hi)
+                c, _, _, b, up, low, _ = bounds.closed_forms(block)
+                rows += zip(c, b, up, low)
+            rows.sort(key=lambda r: r[0])
+            for c, b, up, low in rows:
+                fh.write(f"{m},{c!r},{b!r},{up!r},{low!r}\n")
+    return Path(config.output_path)

@@ -33,6 +33,7 @@ __all__ = [
     "effective_rank",
     "sample_haar",
     "sample_simplex",
+    "validate_rows",
 ]
 
 
@@ -52,17 +53,7 @@ class SchmidtVector:
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvariantError("coeffs must be a nonempty 1-D real array")
-        if not np.all(np.isfinite(arr)):
-            raise InvariantError("coeffs must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0 + NORM_TOL):
-            raise InvariantError("every coefficient must lie in [0, 1]")
-        if np.any(arr[:-1] < arr[1:]):
-            raise InvariantError("coefficients must be nonincreasing")
-        norm_defect = abs(float(np.dot(arr, arr)) - 1.0)
-        if norm_defect > NORM_TOL:
-            raise InvariantError(
-                f"squares must sum to 1 within {NORM_TOL:g} (off by {norm_defect:.3e})"
-            )
+        validate_rows(arr[None, :])
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -77,6 +68,33 @@ class SchmidtVector:
 
     def __repr__(self) -> str:
         return f"SchmidtVector({self.coeffs.tolist()!r})"
+
+
+def validate_rows(rows: np.ndarray, first_index: int = 0) -> None:
+    """Check that every row of an ``(N, m)`` block is a canonical vector.
+
+    The :class:`SchmidtVector` invariants, stated once for one vector and
+    for a whole sweep block: finite, entrywise in [0, 1], nonincreasing,
+    squares summing to one within ``NORM_TOL``.  Raises
+    :class:`InvariantError` naming the first failing row as ``index
+    first_index + row`` and the first invariant it breaks.
+    """
+    defect = np.abs(np.vecdot(rows, rows) - 1.0)
+    checks = (
+        (~np.isfinite(rows).all(axis=1), "coeffs must be finite"),
+        (((rows < 0.0) | (rows > 1.0 + NORM_TOL)).any(axis=1),
+         "every coefficient must lie in [0, 1]"),
+        ((rows[:, :-1] < rows[:, 1:]).any(axis=1), "coefficients must be nonincreasing"),
+        (defect > NORM_TOL, "squares must sum to 1 within {tol:g} (off by {defect:.3e})"),
+    )
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if failing.any():
+        row = int(np.argmax(failing))
+        reason = next(text for bad, text in checks if bad[row])
+        raise InvariantError(
+            f"index {first_index + row}: "
+            + reason.format(tol=NORM_TOL, defect=float(defect[row]))
+        )
 
 
 def new_schmidt(raw) -> SchmidtVector:

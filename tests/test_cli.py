@@ -171,6 +171,17 @@ class TestSweep:
         assert "IoFailureError" in err
 
 
+    @pytest.mark.parametrize("flag", ["--offset=-1", "--tolerance=inf", "--tolerance=nan",
+                                      "--tolerance=0"])
+    def test_bad_flag_is_usage_error(self, tmp_path, flag):
+        out_path = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dims", "2", "--samples", "1", "--seed", "1",
+                  "--out", str(out_path), flag])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+
+
 class TestVerify:
     def test_smoke(self, capsys):
         code, out, _ = run_cli(

@@ -6,12 +6,18 @@ import hashlib
 import json
 import math
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bellbound as bb
 from bellbound import (
     ExperimentConfig,
     bell_value_formula,
+    harness,
     run_sweep,
     scatter_cb,
     substream,
@@ -19,6 +25,7 @@ from bellbound import (
 )
 from bellbound.errors import InvalidDimensionError, IoFailureError, TooLargeError
 from bellbound.harness import resolve_workers
+from bellbound.tolerances import THEOREM_TOL
 
 RECORD_FIELDS = [
     "m",
@@ -64,6 +71,11 @@ class TestExperimentConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(InvalidDimensionError):
             ExperimentConfig(dims=(2,), samples=1, seed=0, tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_tolerance(self, tolerance):
+        with pytest.raises(InvalidDimensionError):
+            ExperimentConfig(dims=(2,), samples=1, seed=0, tolerance=tolerance)
 
     def test_coerces_dims_to_ints(self):
         cfg = ExperimentConfig(dims=[2, 4], samples=3, seed=1)
@@ -172,6 +184,93 @@ class TestRunSweep:
         assert sha256(serial) == sha256(parallel)
         assert s1.per_dim == s2.per_dim
 
+    def test_violations_match_record_flags(self, tmp_path):
+        # at a tolerance far below one ulp, m=2 states that saturate the
+        # upper envelope show up as rounding-level violations
+        out = tmp_path / "tight.jsonl"
+        cfg = ExperimentConfig(dims=(2, 4), samples=200, seed=3, tolerance=1e-300,
+                               output_path=str(out))
+        summary = run_sweep(cfg, workers=2)
+        expected = []
+        for line in out.read_text().splitlines():
+            rec = json.loads(line)
+            if not rec["theorem1_ok"]:
+                expected.append((rec["m"], rec["index"], "theorem1",
+                                 rec["upper"] - rec["bell_value"]))
+            if not rec["theorem2_ok"]:
+                expected.append((rec["m"], rec["index"], "theorem2",
+                                 rec["bell_value"] - rec["lower"]))
+        assert expected
+        assert [(v.m, v.index, v.check, v.margin) for v in summary.violations] == expected
+        assert [d.violations for d in summary.per_dim] == [
+            sum(1 for v in expected if v[0] == m) for m in (2, 4)]
+        assert summary == run_sweep(cfg, workers=1)
+
+    def test_chunks_are_capped(self):
+        for workers in (1, 2, 64):
+            ranges = harness._chunk_ranges(10**6, workers)
+            assert max(hi - lo for lo, hi in ranges) <= harness.MAX_CHUNK
+            assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
+            assert ranges[0][0] == 0 and ranges[-1][1] == 10**6
+
+    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch):
+        class CountingPool:
+            """Runs tasks at submit; counts futures whose result is unread."""
+
+            in_flight = peak = 0
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                pool = type(self)
+                pool.in_flight += 1
+                pool.peak = max(pool.peak, pool.in_flight)
+                read = future.result
+
+                def result():
+                    pool.in_flight -= 1
+                    return read()
+
+                future.result = result
+                return future
+
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        kwargs = dict(dims=(2, 3), samples=64 * 12, seed=4)
+        run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=3)
+        assert CountingPool.in_flight == 0
+        assert 1 < CountingPool.peak <= 2 * 3
+        assert sha256(pooled) == sha256(serial)
+
+    @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
+                                               (scatter_cb, "_draw_block")])
+    def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, writer, kernel):
+        original = getattr(harness, kernel)
+        calls = []
+
+        def fails_on_second_chunk(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed")
+            return original(*args)
+
+        monkeypatch.setattr(harness, kernel, fails_on_second_chunk)
+        out = tmp_path / "out.jsonl"
+        cfg = ExperimentConfig(dims=(2, 4), samples=10, seed=5, output_path=str(out))
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            writer(cfg, **({"workers": 1} if writer is run_sweep else {}))
+        assert list(tmp_path.iterdir()) == []
+
     def test_measure_changes_the_draws(self, tmp_path):
         h, s = tmp_path / "h.jsonl", tmp_path / "s.jsonl"
         run_sweep(ExperimentConfig(dims=(2,), samples=5, seed=1, measure="haar",
@@ -207,6 +306,68 @@ class TestGoldenSweeps:
         out = tmp_path / "golden.jsonl"
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs), workers=workers)
         assert sha256(out) == digest
+
+
+def scalar_line(seed, measure, offset, m, index):
+    """One sweep record rebuilt from the public scalar API."""
+    n = m + offset
+    rng = substream(seed, m, index)
+    s = bb.sample_haar(m, n, rng) if measure == "haar" else bb.sample_simplex(m, rng)
+    c = bb.concurrence(s)
+    b = bb.bell_value_formula(s)
+    up, lo = bb.upper_bound(c), bb.lower_bound(c)
+    even = m % 2 == 0
+    record = {
+        "m": m, "n": n, "index": index, "coeffs": s.coeffs.tolist(),
+        "effective_rank": bb.effective_rank(s), "concurrence": c, "k": bb.k_value(s),
+        "gamma": bb.gamma_value(s), "bell_value": b, "upper": up, "lower": lo,
+        "theorem1_ok": (up - b >= -THEOREM_TOL) if even else None,
+        "theorem2_ok": (b - lo >= -THEOREM_TOL) if even else None,
+        "certified_nonlocal": bb.is_nonlocal_certified(s),
+        "oracle_value": None, "oracle_gap": None,
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+class TestSweepKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        m=st.one_of(st.integers(1, 12), st.just(33)),
+        offset=st.integers(0, 3),
+        measure=st.sampled_from(["haar", "simplex"]),
+        start=st.integers(0, 10**6),
+        count=st.integers(1, 6),
+    )
+    # gamma at m=3: libm pow(c, 2) and c * c differ in the last ulp here
+    @example(seed=7919, m=3, offset=1, measure="haar", start=49, count=1)
+    def test_records_match_scalar_api(self, seed, m, offset, measure, start, count):
+        task = (seed, measure, offset, THEOREM_TOL, m, start, start + count)
+        text, summary, violations = harness._sweep_chunk(task)
+        expected = [scalar_line(seed, measure, offset, m, i)
+                    for i in range(start, start + count)]
+        assert text.splitlines(keepends=True) == expected
+        assert summary.samples == count and violations == []
+        records = [json.loads(line) for line in expected]
+        assert summary.max_concurrence == max(r["concurrence"] for r in records)
+        if m % 2 == 0:
+            assert summary.min_theorem1_margin == min(r["upper"] - r["bell_value"]
+                                                      for r in records)
+            assert summary.min_theorem2_margin == min(r["bell_value"] - r["lower"]
+                                                      for r in records)
+
+    def test_invalid_draw_names_sample(self, monkeypatch):
+        class NanStream:
+            def standard_exponential(self, out):
+                out[:] = math.nan
+
+        def nan_at_six(seed, m, index):
+            return NanStream() if index == 6 else substream(seed, m, index)
+
+        monkeypatch.setattr(harness, "substream", nan_at_six)
+        with pytest.raises(bb.errors.InvariantError,
+                           match=r"^sample m=3 index 6: coeffs must be finite"):
+            harness._sweep_chunk((1, "simplex", 0, THEOREM_TOL, 3, 5, 8))
 
 
 class TestResolveWorkers:

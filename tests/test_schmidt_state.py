@@ -27,6 +27,7 @@ from bellbound.errors import (
     NegativeCoefficientError,
     ZeroVectorError,
 )
+from bellbound.schmidt_state import validate_rows
 
 SQ2 = math.sqrt(0.5)
 
@@ -103,6 +104,27 @@ class TestSchmidtVectorValidation:
     def test_to_json_round_trips(self):
         s = new_schmidt([1, 2, 2])
         assert json.loads(s.to_json()) == s.coeffs.tolist()
+
+
+class TestValidateRows:
+    GOOD = [0.8, 0.6, 0.0]
+
+    def test_accepts_canonical_block(self):
+        validate_rows(np.array([self.GOOD, [1.0, 0.0, 0.0], [SQ2, SQ2, 0.0]]))
+
+    @pytest.mark.parametrize("bad,reason", [
+        ([math.nan, 0.6, 0.0], "finite"),
+        ([math.inf, 0.6, 0.0], "finite"),
+        ([0.8, 0.6, -1e-3], "[0, 1]"),
+        ([1.25, 0.0, 0.0], "[0, 1]"),
+        ([0.6, 0.8, 0.0], "nonincreasing"),
+        ([0.8, 0.5, 0.0], "sum to 1"),
+    ])
+    def test_names_first_failing_index(self, bad, reason):
+        rows = np.array([self.GOOD, self.GOOD, bad, bad])
+        with pytest.raises(InvariantError, match=r"^index 42: ") as exc:
+            validate_rows(rows, first_index=40)
+        assert reason in str(exc.value)
 
 
 class TestConcurrence:
