@@ -83,16 +83,14 @@ def lower_bound(c: float) -> float:
 
 
 def closed_forms(rows: np.ndarray) -> tuple[list, ...]:
-    """Every closed form of a sweep record, for a block of canonical rows.
+    """Closed forms of every row of an ``(N, m)`` block of canonical coefficients.
 
-    ``rows`` is an ``(N, m)`` array of validated Schmidt coefficients.
     Returns the columns ``(concurrence, k, gamma, bell_value, upper, lower,
-    certified_nonlocal)`` as lists of Python floats and bools, each entry
-    bit-identical to the scalar function of that name on the row.  The row
-    sums go through ``sum(axis=1)`` and ``np.vecdot``, which reduce each row
-    exactly as ``sum()`` and ``np.dot`` reduce a vector; the scalar steps
-    stay on Python floats, because ``np.hypot`` need not match
-    ``math.hypot`` to the last ulp.
+    certified_nonlocal)`` as lists, each entry bit-identical to the scalar
+    function of that name on the row: ``sum(axis=1)`` and ``np.vecdot``
+    reduce a row exactly as ``sum()`` and ``np.dot`` reduce a vector, and
+    the scalar steps stay on Python floats (``np.hypot`` need not match
+    ``math.hypot`` to the last ulp).
     """
     m = rows.shape[1]
     p = rows * rows

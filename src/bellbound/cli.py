@@ -54,24 +54,24 @@ def _dims_flag(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """Argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+_positive_int = _int_at_least(1)
 
 
 def _tolerance_flag(text: str) -> float:
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_flag, required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
     p.add_argument("--out", required=True, help="JSONL output path")
-    p.add_argument("--offset", type=_nonnegative_int, default=0,
+    p.add_argument("--offset", type=_int_at_least(0), default=0,
                    help="n = m + offset for the second factor (default 0)")
     p.add_argument("--tolerance", type=_tolerance_flag, default=None,
                    help="theorem margin tolerance (default shared config)")

@@ -220,9 +220,10 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
         ok1, ok2 = (t1 >= -tolerance).tolist(), (t2 >= -tolerance).tolist()
         margins = (float(t1.min()), float(t2.min()))
         for i in np.flatnonzero(~np.logical_and(ok1, ok2)).tolist():
-            violations += [Violation(m, start + i, check, float(t[i]))
-                           for check, t, ok in (("theorem1", t1, ok1), ("theorem2", t2, ok2))
-                           if not ok[i]]
+            if not ok1[i]:
+                violations.append(Violation(m, start + i, "theorem1", float(t1[i])))
+            if not ok2[i]:
+                violations.append(Violation(m, start + i, "theorem2", float(t2[i])))
     text = "".join(
         f'{{"m":{m},"n":{n},"index":{start + i},"coeffs":[{",".join(map(repr, row))}],'
         f'"effective_rank":{ranks[i]},"concurrence":{c[i]!r},"k":{k[i]!r},"gamma":{g[i]!r},'
@@ -286,18 +287,16 @@ def _iter_chunks(config: ExperimentConfig, workers: int):
             yield pending.popleft().result()
 
 
-def _min_margin(a: float | None, b: float | None) -> float | None:
-    return b if a is None else a if b is None else min(a, b)
-
-
 def _merge(a: DimensionSummary, b: DimensionSummary) -> DimensionSummary:
-    """Reduction of two consecutive blocks of one m."""
+    """Reduction of two consecutive blocks of one m (margins None for odd m)."""
     return DimensionSummary(
         m=a.m,
         n=a.n,
         samples=a.samples + b.samples,
-        min_theorem1_margin=_min_margin(a.min_theorem1_margin, b.min_theorem1_margin),
-        min_theorem2_margin=_min_margin(a.min_theorem2_margin, b.min_theorem2_margin),
+        min_theorem1_margin=None if a.min_theorem1_margin is None
+        else min(a.min_theorem1_margin, b.min_theorem1_margin),
+        min_theorem2_margin=None if a.min_theorem2_margin is None
+        else min(a.min_theorem2_margin, b.min_theorem2_margin),
         max_concurrence=max(a.max_concurrence, b.max_concurrence),
         violations=a.violations + b.violations,
     )
@@ -341,23 +340,21 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepSumm
     if config.output_path is None:
         raise IoFailureError("run_sweep needs config.output_path")
     workers = resolve_workers(workers)
-    per_dim = {
-        m: DimensionSummary(m, m + config.second_dim_offset, 0, None, None, 0.0, 0)
-        for m in config.dims
-    }
-    violations: list[Violation] = []
+    per_dim: dict[int, DimensionSummary] = {}
+    violations: dict[int, list[Violation]] = {m: [] for m in config.dims}
     with _atomic_output(config.output_path) as fh:
         for text, block, block_violations in _iter_chunks(config, workers):
             fh.write(text)
-            per_dim[block.m] = _merge(per_dim[block.m], block)
-            violations += block_violations
+            m = block.m
+            per_dim[m] = _merge(per_dim[m], block) if m in per_dim else block
+            violations[m] += block_violations
     return SweepSummary(
         measure=config.measure,
         seed=config.seed,
         samples_per_dim=config.samples,
         records_written=sum(d.samples for d in per_dim.values()),
-        per_dim=tuple(per_dim.values()),
-        violations=tuple(violations),
+        per_dim=tuple(per_dim[m] for m in config.dims),
+        violations=tuple(v for m in config.dims for v in violations[m]),
     )
 
 

@@ -71,13 +71,11 @@ class SchmidtVector:
 
 
 def validate_rows(rows: np.ndarray, first_index: int = 0) -> None:
-    """Check that every row of an ``(N, m)`` block is a canonical vector.
+    """Check the :class:`SchmidtVector` invariants on every row of an ``(N, m)`` block.
 
-    The :class:`SchmidtVector` invariants, stated once for one vector and
-    for a whole sweep block: finite, entrywise in [0, 1], nonincreasing,
-    squares summing to one within ``NORM_TOL``.  Raises
-    :class:`InvariantError` naming the first failing row as ``index
-    first_index + row`` and the first invariant it breaks.
+    Rows must be finite, entrywise in [0, 1], nonincreasing, with squares
+    summing to one within ``NORM_TOL``.  Raises :class:`InvariantError`
+    naming the first failing row as ``index first_index + row``.
     """
     defect = np.abs(np.vecdot(rows, rows) - 1.0)
     checks = (

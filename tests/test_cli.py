@@ -170,7 +170,6 @@ class TestSweep:
         assert code == 1
         assert "IoFailureError" in err
 
-
     @pytest.mark.parametrize("flag", ["--offset=-1", "--tolerance=inf", "--tolerance=nan",
                                       "--tolerance=0"])
     def test_bad_flag_is_usage_error(self, tmp_path, flag):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-
 from concurrent.futures import Future
 
 import numpy as np
