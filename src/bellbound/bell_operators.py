@@ -139,14 +139,14 @@ def pauli(k: int) -> HermitianObservable:
     return HermitianObservable(_SIGMA[k])
 
 
-def _block_repeat(block: np.ndarray, dim: int) -> np.ndarray:
-    """Tile a 2x2 block down the diagonal; odd dims end in a scalar 1."""
+def _block_repeat(block: np.ndarray, dim: int, tail: float = 1.0) -> np.ndarray:
+    """Tile a 2x2 block down the diagonal; odd dims end in the scalar ``tail``."""
     out = np.zeros((dim, dim), dtype=complex)
     pairs = dim // 2
     if pairs:
         out[: 2 * pairs, : 2 * pairs] = np.kron(np.eye(pairs), block)
     if dim % 2:
-        out[-1, -1] = 1.0
+        out[-1, -1] = tail
     return out
 
 
@@ -251,6 +251,62 @@ def _golden_max(f, lo: float, hi: float, width: float) -> tuple[float, float]:
     return mid, f(mid)
 
 
+_BLOCK = 16  # angles per operator stack: at most 1 MB of operators at m*n = 64
+
+
+def _family_values(s: SchmidtVector, b_pair):
+    """Dense expectations of the family on ``s`` at a 1-d array of angles.
+
+    Built once: the tiled ``s3``/``s1`` blocks of the first party and its
+    odd-m scalar slot, the contracted second-party side ``sum_j N_ij B_j``
+    of the CHSH matrix, and the embedded state ``psi``.  Each call builds
+    the ``(G, 2, m, m)`` stack of ``A_i(theta)`` and checks it as
+    :class:`HermitianObservable` does (entrywise Hermitian defect, one
+    batched ``eigvalsh`` for the spectrum window), assembles the
+    ``(G, D, D)`` operators ``sum_i A_i (x) sum_j N_ij B_j`` with two
+    broadcast Kronecker products, checks them as :class:`BellOperator`
+    does, and takes all ``G`` expectations in one contraction with the
+    residue check of :func:`expectation`.
+    """
+    m, n = s.m, b_pair[0].dim
+    if m > n:
+        raise DimensionMismatchError(f"state rank {m} exceeds operator factors ({m}, {n})")
+    side = m * n
+    cos_part = _block_repeat(_SIGMA[3], m, tail=0.0)
+    sin_parts = np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0)
+    odd_slot = _block_repeat(np.zeros((2, 2)), m)
+    b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries, [b.entries for b in b_pair])
+    b_side = b_side[:, :, None, :]  # broadcasts as the second Kronecker factor
+    psi = np.zeros(side, dtype=complex)
+    psi[np.arange(m) * (n + 1)] = s.coeffs
+
+    def values(thetas: np.ndarray) -> np.ndarray:
+        cos = np.cos(thetas)[:, None, None, None]
+        sin = np.sin(thetas)[:, None, None, None]
+        a = cos * cos_part + sin * sin_parts + odd_slot
+        defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+        if defect > HERMITIAN_TOL:
+            raise InvariantError(f"matrix is not Hermitian (defect {defect:.3e})")
+        eigs = np.linalg.eigvalsh(a)
+        lo, hi = float(eigs[..., 0].min()), float(eigs[..., -1].max())
+        if lo < -1.0 - SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
+            raise InvariantError(f"spectrum [{lo:.6f}, {hi:.6f}] leaves [-1, 1]")
+        ops = (a[:, 0, :, None, :, None] * b_side[0]).reshape(-1, side, side)
+        ops += (a[:, 1, :, None, :, None] * b_side[1]).reshape(-1, side, side)
+        defect = float(np.abs(ops - ops.conj().swapaxes(-1, -2)).max())
+        if defect > HERMITIAN_TOL:
+            raise InvariantError(f"operator is not Hermitian (defect {defect:.3e})")
+        out = (ops @ psi) @ psi.conj()
+        residue = np.abs(out.imag)
+        if residue.max() > IMAG_TOL:
+            raise NonHermitianResidueError(
+                f"imaginary residue {out.imag[residue.argmax()]:.3e} exceeds {IMAG_TOL:g}"
+            )
+        return out.real
+
+    return values
+
+
 def max_expectation_grid(
     s: SchmidtVector, dim_b: int, grid_points: int
 ) -> tuple[float, float]:
@@ -258,9 +314,12 @@ def max_expectation_grid(
 
     Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to
     the sign symmetry of the family -- then refines the best bracket by
-    golden-section search down to absolute width ``GOLDEN_WIDTH``.  Every
-    evaluation assembles the operator afresh and takes a dense expectation,
-    so the result is an independent cross-check of the closed-form value.
+    golden-section search down to absolute width ``GOLDEN_WIDTH``.  Grid
+    and refinement share one evaluator (``_family_values``): the grid in
+    stacks of ``_BLOCK`` angles, the refinement one angle at a time.  Each
+    evaluation assembles the dense operator from the validated observables
+    and takes its expectation on the embedded state; nothing uses the
+    closed form, so the result is an independent cross-check of it.
 
     Returns
     -------
@@ -277,17 +336,19 @@ def max_expectation_grid(
         raise TooLargeError(
             f"dense oracle guard: m*dim_b = {s.m * dim_b} exceeds {MAX_ORACLE_DIM}"
         )
-    b_pair = [build_b(dim_b, 0), build_b(dim_b, 1)]
+    values_at = _family_values(s, [build_b(dim_b, 0), build_b(dim_b, 1)])
 
     def value_at(theta: float) -> float:
-        a_pair = [build_a(theta, s.m, 0), build_a(theta, s.m, 1)]
-        return expectation(assemble_bell(CHSH_MATRIX, a_pair, b_pair), s, dim_b)
+        return float(values_at(np.array([theta]))[0])
 
     step = math.pi / grid_points
-    thetas = [k * step for k in range(grid_points)]
-    values = [value_at(t) for t in thetas]
-    best = max(range(grid_points), key=values.__getitem__)
-    theta, value = _golden_max(value_at, thetas[best] - step, thetas[best] + step, GOLDEN_WIDTH)
+    thetas = np.arange(grid_points) * step
+    values = np.concatenate(
+        [values_at(thetas[lo : lo + _BLOCK]) for lo in range(0, grid_points, _BLOCK)]
+    )
+    best = int(np.argmax(values))
+    theta_best = best * step
+    theta, value = _golden_max(value_at, theta_best - step, theta_best + step, GOLDEN_WIDTH)
     if values[best] > value:  # keep the best evaluation ever seen
-        theta, value = thetas[best], values[best]
+        theta, value = theta_best, float(values[best])
     return theta, value

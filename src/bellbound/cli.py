@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,6 +19,24 @@ from .bell_operators import BellCoefficientMatrix
 from .errors import BellboundError
 
 __all__ = ["main", "run", "build_parser"]
+
+
+_SIGNED_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser that reads a token opening with a signed number as a value.
+
+    Stock argparse classifies a token such as ``-1,1;1,1`` as an unknown
+    option, so ``--matrix -1,1;1,1`` would end in "expected one argument".
+    No option of this CLI starts with ``-`` followed by a digit, ``inf`` or
+    ``nan``.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _SIGNED_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _coeffs_flag(text: str) -> list[float]:
@@ -51,6 +70,8 @@ def _dims_flag(text: str) -> tuple[int, ...]:
         ) from None
     if not dims or any(m < 1 for m in dims):
         raise argparse.ArgumentTypeError(f"--dims entries must be positive, got {text!r}")
+    if len(set(dims)) != len(dims):
+        raise argparse.ArgumentTypeError(f"--dims entries must be distinct, got {text!r}")
     return dims
 
 
@@ -197,7 +218,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bellbound",
         description="Bell values and concurrence bounds for bipartite pure states.",
     )
@@ -245,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--grid", type=_positive_int, default=720)
+    p.add_argument("--grid", type=_int_at_least(8), default=720)
     p.add_argument("--seed", type=_seed_flag, required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
     p.set_defaults(func=_cmd_verify)

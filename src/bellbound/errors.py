@@ -11,6 +11,7 @@ __all__ = [
     "BellboundError",
     "EmptyInputError",
     "NegativeCoefficientError",
+    "NonFiniteCoefficientError",
     "ZeroVectorError",
     "InvalidDimensionError",
     "InvalidIndexError",
@@ -35,6 +36,10 @@ class EmptyInputError(BellboundError, ValueError):
 
 class NegativeCoefficientError(BellboundError, ValueError):
     """A Schmidt amplitude was negative (coefficients live in [0, 1])."""
+
+
+class NonFiniteCoefficientError(BellboundError, ValueError):
+    """A Schmidt amplitude was infinite or NaN."""
 
 
 class ZeroVectorError(BellboundError, ValueError):

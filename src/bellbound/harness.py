@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise InvalidDimensionError("dims must be nonempty")
         if any(m < 1 for m in dims):
             raise InvalidDimensionError(f"dims must be positive, got {dims}")
+        if len(set(dims)) != len(dims):
+            raise InvalidDimensionError(f"dims must be distinct, got {dims}")
         object.__setattr__(self, "dims", dims)
         if int(self.samples) < 1:
             raise InvalidDimensionError(f"samples must be >= 1, got {self.samples}")

@@ -21,6 +21,7 @@ from .errors import (
     InvalidDimensionError,
     InvariantError,
     NegativeCoefficientError,
+    NonFiniteCoefficientError,
     ZeroVectorError,
 )
 from .tolerances import NORM_TOL, ZERO_TOL
@@ -112,8 +113,10 @@ def new_schmidt(raw) -> SchmidtVector:
     ------
     EmptyInputError
         If ``raw`` has no entries.
+    NonFiniteCoefficientError
+        If any entry is infinite or NaN.
     NegativeCoefficientError
-        If any entry is negative (or not finite).
+        If any entry is negative.
     ZeroVectorError
         If the 2-norm of ``raw`` is below the zero cutoff.
     """
@@ -121,7 +124,7 @@ def new_schmidt(raw) -> SchmidtVector:
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInputError("need at least one amplitude")
     if not np.all(np.isfinite(arr)):
-        raise NegativeCoefficientError("amplitudes must be finite reals")
+        raise NonFiniteCoefficientError("amplitudes must be finite reals")
     if np.any(arr < 0.0):
         raise NegativeCoefficientError("amplitudes must be nonnegative")
     norm = float(np.linalg.norm(arr))

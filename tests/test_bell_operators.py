@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bellbound import (
     expectation,
     max_expectation_grid,
     new_schmidt,
+    bell_operators,
     pauli,
     sample_haar,
     sample_simplex,
@@ -306,3 +308,65 @@ class TestMaxExpectationGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidDimensionError):
             max_expectation_grid(new_schmidt([1, 1]), 2, 7)
+
+
+class TestBatchedEvaluator:
+    """The oracle's stacked evaluator against the scalar observable/operator API."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_scalar_path(self, m):
+        rng = np.random.default_rng(700 + m)
+        for n in (m, m + 1):
+            s = sample_haar(m, n, rng)
+            values_at = bell_operators._family_values(s, [build_b(n, 0), build_b(n, 1)])
+            thetas = np.concatenate([rng.uniform(-2.0 * math.pi, 3.0 * math.pi, 21),
+                                     [0.0, math.pi / 2, math.pi, -math.pi]])
+            expected = [family_value(s, n, theta) for theta in thetas]
+            assert_allclose(values_at(thetas), expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid_points", [8, 9, 37, 720])
+    def test_grid_best_index_matches_scalar_path(self, grid_points, monkeypatch):
+        brackets = []
+        golden = bell_operators._golden_max
+
+        def spy(f, lo, hi, width):
+            brackets.append((lo, hi))
+            return golden(f, lo, hi, width)
+
+        monkeypatch.setattr(bell_operators, "_golden_max", spy)
+        rng = np.random.default_rng(grid_points)
+        step = math.pi / grid_points
+        for m, n in ((1, 2), (2, 3), (3, 3), (5, 6), (8, 8)):
+            s = sample_haar(m, n, rng)
+            scalar = [family_value(s, n, k * step) for k in range(grid_points)]
+            best = max(range(grid_points), key=scalar.__getitem__)
+            theta, value = max_expectation_grid(s, n, grid_points)
+            lo, hi = brackets[-1]
+            assert (lo, hi) == (best * step - step, best * step + step)
+            assert lo <= theta <= hi
+            assert value >= scalar[best] - 1e-12
+
+    @pytest.mark.parametrize("sigma_one, reason", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix is not Hermitian"),
+        (1.5 * S1, "leaves"),
+    ])
+    def test_first_party_stack_checks_fire(self, monkeypatch, sigma_one, reason):
+        s = new_schmidt([3.0, 2.0, 1.0])
+        b_pair = [build_b(4, 0), build_b(4, 1)]
+        monkeypatch.setitem(bell_operators._SIGMA, 1, sigma_one)
+        values_at = bell_operators._family_values(s, b_pair)
+        with pytest.raises(InvariantError, match=reason):
+            values_at(np.array([0.0, 0.4, 1.1]))
+        with pytest.raises(InvariantError):
+            max_expectation_grid(s, 4, 64)
+
+    def test_operator_stack_check_fires(self):
+        # a second-party matrix that skipped validation makes the stack non-Hermitian
+        skew = SimpleNamespace(dim=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        values_at = bell_operators._family_values(new_schmidt([1, 1]), [skew, build_b(2, 1)])
+        with pytest.raises(InvariantError, match="operator is not Hermitian"):
+            values_at(np.array([0.3]))
+
+    def test_state_wider_than_second_party(self):
+        with pytest.raises(DimensionMismatchError):
+            max_expectation_grid(new_schmidt([1, 1, 1]), 2, 64)

@@ -43,6 +43,12 @@ class TestJn:
             main(["jn", "--matrix", "1,1;1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("matrix", ["-1,1;1,1", "-.5,2;1,-1"])
+    def test_leading_minus_value_as_two_tokens(self, capsys, matrix):
+        joined = run_cli(capsys, "jn", f"--matrix={matrix}")
+        assert joined[0] == 0
+        assert run_cli(capsys, "jn", "--matrix", matrix) == joined
+
 
 class TestConcurrence:
     def test_product_state(self, capsys):
@@ -73,6 +79,12 @@ class TestConcurrence:
         code, _, err = run_cli(capsys, "concurrence", "--coeffs", "0.5,-1")
         assert code == 1
         assert "NegativeCoefficientError" in err
+
+    @pytest.mark.parametrize("coeffs", ["inf,1", "nan,1", "-inf,1"])
+    def test_non_finite_is_domain_error(self, capsys, coeffs):
+        code, _, err = run_cli(capsys, "concurrence", "--coeffs", coeffs)
+        assert code == 1
+        assert "NonFiniteCoefficientError" in err
 
     def test_malformed_coeffs_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -180,6 +192,14 @@ class TestSweep:
         assert exc.value.code == 2
         assert not out_path.exists()
 
+    def test_duplicate_dims_is_usage_error(self, tmp_path):
+        out_path = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dims", "2,2", "--samples", "3", "--seed", "1",
+                  "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+
 
 class TestVerify:
     def test_smoke(self, capsys):
@@ -198,6 +218,19 @@ class TestVerify:
         )
         assert code == 0
         assert "m=3 n=3" in out
+
+    @pytest.mark.parametrize("grid", ["0", "3", "7"])
+    def test_grid_below_eight_is_usage_error(self, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "2", "--samples", "1", "--seed", "1", "--grid", grid])
+        assert exc.value.code == 2
+
+    def test_grid_eight_is_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--m", "2", "--samples", "1", "--seed", "1", "--grid", "8",
+        )
+        assert code == 0
+        assert "grid_points = 8" in out
 
     def test_n_below_m_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -76,6 +76,11 @@ class TestExperimentConfig:
         with pytest.raises(InvalidDimensionError):
             ExperimentConfig(dims=(2,), samples=1, seed=0, tolerance=tolerance)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
+    def test_rejects_duplicate_dims(self, dims):
+        with pytest.raises(InvalidDimensionError, match="distinct"):
+            ExperimentConfig(dims=dims, samples=1, seed=0)
+
     def test_coerces_dims_to_ints(self):
         cfg = ExperimentConfig(dims=[2, 4], samples=3, seed=1)
         assert cfg.dims == (2, 4)
@@ -155,6 +160,14 @@ class TestRunSweep:
     def test_requires_output_path(self):
         with pytest.raises(IoFailureError):
             run_sweep(ExperimentConfig(dims=(2,), samples=1, seed=0))
+
+    def test_duplicate_dims_write_nothing(self, tmp_path):
+        # a repeated m would write its block twice and double its summary
+        out = tmp_path / "dup.jsonl"
+        with pytest.raises(InvalidDimensionError):
+            run_sweep(ExperimentConfig(dims=(2, 3, 2), samples=3, seed=1,
+                                       output_path=str(out)))
+        assert not out.exists()
 
     def test_unwritable_path_raises(self, tmp_path):
         cfg = ExperimentConfig(
@@ -406,6 +419,10 @@ class TestVerifyOracle:
         cfg = ExperimentConfig(dims=(8,), samples=1, seed=0, second_dim_offset=1)
         with pytest.raises(TooLargeError):
             verify_oracle(cfg, grid_points=64)
+
+    def test_rejects_duplicate_dims(self):
+        with pytest.raises(InvalidDimensionError):
+            verify_oracle(ExperimentConfig(dims=(3, 3), samples=1, seed=0), grid_points=64)
 
 
 class TestScatterCb:

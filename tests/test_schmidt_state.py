@@ -25,6 +25,7 @@ from bellbound.errors import (
     InvalidDimensionError,
     InvariantError,
     NegativeCoefficientError,
+    NonFiniteCoefficientError,
     ZeroVectorError,
 )
 from bellbound.schmidt_state import validate_rows
@@ -58,8 +59,9 @@ class TestNewSchmidt:
             new_schmidt([0.5, -0.1])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NegativeCoefficientError):
-            new_schmidt([1.0, math.nan])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteCoefficientError):
+                new_schmidt([bad, 1.0])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
