@@ -349,6 +349,6 @@ def max_expectation_grid(
     best = int(np.argmax(values))
     theta_best = best * step
     theta, value = _golden_max(value_at, theta_best - step, theta_best + step, GOLDEN_WIDTH)
-    if values[best] > value:  # keep the best evaluation ever seen
+    if values[best] >= value:  # keep the best evaluation seen, the grid angle on a tie
         theta, value = theta_best, float(values[best])
     return theta, value

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, harness, schmidt_state
 from .bell_operators import BellCoefficientMatrix
-from .errors import BellboundError
+from .errors import BellboundError, InvariantError
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -58,7 +58,10 @@ def _matrix_flag(text: str) -> BellCoefficientMatrix:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise argparse.ArgumentTypeError(f"--matrix must be square, got {text!r}")
-    return BellCoefficientMatrix(np.array(rows))
+    try:
+        return BellCoefficientMatrix(np.array(rows))
+    except InvariantError as exc:
+        raise argparse.ArgumentTypeError(f"--matrix {exc}, got {text!r}") from None
 
 
 def _dims_flag(text: str) -> tuple[int, ...]:
@@ -146,7 +149,10 @@ def _cmd_jn(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    if args.index is None:
+        rng = np.random.default_rng(args.seed)
+    else:
+        rng = harness.substream(args.seed, args.m, args.index)
     if args.measure == "haar":
         s = schmidt_state.sample_haar(args.m, args.n if args.n is not None else args.m, rng)
     else:
@@ -247,6 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--seed", type=_seed_flag, required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
+    p.add_argument("--index", type=_int_at_least(0), default=None,
+                   help="replay sweep record INDEX of (seed, m); for a Haar sweep "
+                        "pass --n as m plus its --offset")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("sweep", help="Monte-Carlo theorem sweep to JSONL")

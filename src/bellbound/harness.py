@@ -150,6 +150,110 @@ def substream(seed: int, m: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, m, index))))
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier; NumPy keeps both fixed across versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian uint32 words of a nonnegative int, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` + 1 values of a SeedSequence hash constant, as a
+    uint32 column; the constant is multiplied by ``mult`` at every hashmix."""
+    out = [const]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one row per consecutive hash constant in ``consts``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_words(seed: int, m: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence((seed, m, index)).generate_state(4, np.uint64)`` for every
+    index in [start, stop), as an ``(N, 4)`` uint64 array.
+
+    The same uint32 hash, run on a column per sample: the four pool words
+    are rows, and every hashmix the scalar code calls in sequence on one
+    source word is one array operation.  The entropy length changes the mix,
+    so indices with one and with two uint32 words are hashed apart.
+    """
+    head = _words(seed) + _words(m)
+    out = []
+    lo = start
+    while lo < stop:
+        width = len(_words(lo))
+        hi = min(stop, 1 << 32 * width)
+        index = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
+        entropy = np.empty((len(head) + width, hi - lo), np.uint32)
+        entropy[: len(head)] = np.array(head, np.uint32)[:, None]
+        for k in range(width):
+            entropy[len(head) + k] = index >> np.uint64(32 * k)
+        consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, len(entropy) - 4))
+        pool = np.zeros((4, hi - lo), np.uint32)
+        pool[: len(entropy)] = entropy[:4]
+        pool = _hashmix(pool, consts[:5])
+        for src in range(4):  # mix every pool word into the three others
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+        for k, word in enumerate(entropy[4:]):  # then each remaining entropy word
+            pool = _mix(pool, _hashmix(word, consts[16 + 4 * k : 21 + 4 * k]))
+        state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 8))
+        state = state.astype(np.uint64)
+        out.append((state[0::2] | state[1::2] << np.uint64(32)).T)
+        lo = hi
+    return np.concatenate(out)
+
+
+def _pcg64_state(s0: int, s1: int, i0: int, i1: int) -> dict:
+    """The ``PCG64.state`` that seeding from ``generate_state`` words s0..i1 sets."""
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _substreams(seed: int, m: int, start: int, stop: int):
+    """Yield, for each index in [start, stop), a generator in the state
+    ``substream(seed, m, index)`` starts in.
+
+    The seeds of the whole range are hashed at once (``_seed_words``) and
+    one ``PCG64`` is re-seeded per index, so a yielded generator is valid
+    until the next is yielded.  The first index's derived state is checked
+    against NumPy's own seeding, so the block never drifts from the scalar
+    ``substream`` unnoticed.
+    """
+    bit_generator = np.random.PCG64(np.random.SeedSequence((seed, m, start)))
+    words = _seed_words(seed, m, start, stop).tolist()
+    if _pcg64_state(*words[0]) != bit_generator.state:
+        raise InvariantError(
+            f"sample m={m} index {start}: derived PCG64 state differs from NumPy's seeding"
+        )
+    rng = np.random.Generator(bit_generator)
+    for row in words:
+        bit_generator.state = _pcg64_state(*row)
+        yield rng
+
+
 def _draw(seed: int, measure: str, offset: int, m: int, index: int) -> SchmidtVector:
     rng = substream(seed, m, index)
     if measure == "haar":
@@ -161,24 +265,22 @@ def _draw_block(seed: int, measure: str, offset: int, m: int, start: int,
                 stop: int) -> np.ndarray:
     """Validated coefficient rows of samples [start, stop) at one m.
 
-    Row by row the same draws as :func:`_draw`, one substream per sample,
-    but with one stacked SVD (bitwise equal to per-matrix calls) and the
-    normalizations done on the whole block.
+    Row by row the same draws as :func:`_draw`, from the same substreams
+    (``_substreams``), but with one stacked SVD (bitwise equal to
+    per-matrix calls) and the normalizations done on the whole block.
     """
     count = stop - start
+    streams = _substreams(seed, m, start, stop)
     if measure == "haar":
-        n = m + offset
-        re, im = np.empty((2, count, m, n))
-        for row, index in enumerate(range(start, stop)):
-            rng = substream(seed, m, index)
-            rng.standard_normal(out=re[row])
-            rng.standard_normal(out=im[row])
-        sv = np.linalg.svd(re + 1j * im, compute_uv=False)  # descending by construction
+        z = np.empty((count, 2, m, m + offset))
+        for row, rng in enumerate(streams):
+            rng.standard_normal(out=z[row])  # real part, then imaginary, as sample_haar
+        sv = np.linalg.svd(z[:, 0] + 1j * z[:, 1], compute_uv=False)  # descending
         rows = sv / np.sqrt(np.vecdot(sv, sv))[:, None]  # == sv / np.linalg.norm(sv)
     else:
         p = np.empty((count, m))
-        for row, index in enumerate(range(start, stop)):
-            substream(seed, m, index).standard_exponential(out=p[row])
+        for row, rng in enumerate(streams):
+            rng.standard_exponential(out=p[row])
         p /= p.sum(axis=1)[:, None]
         rows = np.sqrt(p)
         rows[:, ::-1].sort(axis=1)  # descending, in place

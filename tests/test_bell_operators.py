@@ -280,6 +280,13 @@ class TestMaxExpectationGrid:
         assert value == pytest.approx(2.0, abs=1e-10)
         assert abs(theta) <= 1e-6
 
+    @pytest.mark.parametrize("coeffs", [[1.0], [1.0, 0.0]])
+    def test_flat_family_keeps_grid_angle(self, coeffs):
+        s = new_schmidt(coeffs)
+        theta, value = max_expectation_grid(s, s.m, 64)
+        assert 0.0 <= theta < math.pi
+        assert value == 2.0
+
     def test_bell_state(self):
         theta, value = max_expectation_grid(new_schmidt([1, 1]), 2, 64)
         assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)

@@ -5,11 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellbound import SchmidtVector, concurrence
+import bellbound
+from bellbound import ExperimentConfig, SchmidtVector, concurrence, harness, run_sweep
 from bellbound.cli import main
 
 
@@ -48,6 +53,15 @@ class TestJn:
         joined = run_cli(capsys, "jn", f"--matrix={matrix}")
         assert joined[0] == 0
         assert run_cli(capsys, "jn", "--matrix", matrix) == joined
+
+
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_entry_is_usage_error_with_reason(self, capsys, entry):
+        with pytest.raises(SystemExit) as exc:
+            main(["jn", f"--matrix={entry},1;1,1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--matrix entries must be finite, got '{entry},1;1,1'" in err
 
 
 class TestConcurrence:
@@ -145,6 +159,31 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--m", "4", "--n", "2", "--seed", "1")
         assert code == 1
         assert "InvalidDimensionError" in err
+
+
+    @pytest.mark.parametrize("measure,n", [("haar", "5"), ("simplex", "3")])
+    def test_index_replays_sweep_record(self, capsys, tmp_path, measure, n):
+        out = tmp_path / "sweep.jsonl"
+        run_sweep(ExperimentConfig(dims=(3,), samples=8, seed=11, measure=measure,
+                                   second_dim_offset=2, output_path=str(out)), workers=1)
+        record = json.loads(out.read_text().splitlines()[5])
+        code, printed, _ = run_cli(capsys, "sample", "--seed", "11", "--m", "3", "--n", n,
+                                   "--measure", measure, "--index", "5")
+        assert code == 0
+        assert json.loads(printed) == record["coeffs"]
+
+    def test_index_matches_block_draw_past_two_to_the_32(self, capsys):
+        start = 2**32 - 2
+        rows = harness._draw_block(5, "haar", 0, 4, start, start + 4).tolist()
+        for k, row in enumerate(rows):
+            _, printed, _ = run_cli(capsys, "sample", "--seed", "5", "--m", "4",
+                                    "--index", str(start + k))
+            assert json.loads(printed) == row
+
+    def test_negative_index_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--seed", "1", "--m", "2", "--index", "-1"])
+        assert exc.value.code == 2
 
 
 class TestSweep:
@@ -249,3 +288,20 @@ class TestDispatch:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_console_entry_point(self):
+        src = str(Path(bellbound.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["bell", "--coeffs", "0.8,0.6"]
+        runs = [
+            subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                           env=env, timeout=120)
+            for prefix in (["-m", "bellbound"], ["-c", "from bellbound.cli import run; run()"])
+        ]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert "bell_value = " in runs[0].stdout

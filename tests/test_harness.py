@@ -373,13 +373,52 @@ class TestSweepKernel:
             def standard_exponential(self, out):
                 out[:] = math.nan
 
-        def nan_at_six(seed, m, index):
-            return NanStream() if index == 6 else substream(seed, m, index)
+        streams = harness._substreams
 
-        monkeypatch.setattr(harness, "substream", nan_at_six)
+        def nan_at_six(seed, m, start, stop):
+            for index, rng in zip(range(start, stop), streams(seed, m, start, stop)):
+                yield NanStream() if index == 6 else rng
+
+        monkeypatch.setattr(harness, "_substreams", nan_at_six)
         with pytest.raises(bb.errors.InvariantError,
                            match=r"^sample m=3 index 6: coeffs must be finite"):
             harness._sweep_chunk((1, "simplex", 0, THEOREM_TOL, 3, 5, 8))
+
+
+class TestSeedDerivation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        m=st.integers(1, 40),
+        start=st.one_of(st.integers(0, 300), st.integers(2**32 - 8, 2**32 + 2),
+                        st.integers(2**32, 2**64 - 8)),
+        count=st.integers(1, 8),
+    )
+    @example(seed=0, m=1, start=2**32 - 3, count=6)
+    @example(seed=2**32 - 1, m=4, start=2**32 - 3, count=6)
+    @example(seed=2**32, m=33, start=0, count=6)
+    @example(seed=2**64 - 1, m=40, start=2**32 - 1, count=2)
+    def test_matches_numpy_seeding(self, seed, m, start, count):
+        words = harness._seed_words(seed, m, start, start + count).tolist()
+        streams = harness._substreams(seed, m, start, start + count)
+        assert len(words) == count
+        for index, row, rng in zip(range(start, start + count), words, streams):
+            seq = np.random.SeedSequence((seed, m, index))
+            assert row == seq.generate_state(4, np.uint64).tolist()
+            assert harness._pcg64_state(*row) == np.random.PCG64(seq).state
+            assert rng.integers(2**63, size=4).tolist() == \
+                substream(seed, m, index).integers(2**63, size=4).tolist()
+
+    def test_wrong_derivation_fails_the_run(self, tmp_path, monkeypatch):
+        seed_words = harness._seed_words
+        monkeypatch.setattr(harness, "_seed_words",
+                            lambda *args: seed_words(*args) ^ np.uint64(1))
+        cfg = ExperimentConfig(dims=(2,), samples=5, seed=3,
+                               output_path=str(tmp_path / "out.jsonl"))
+        with pytest.raises(bb.errors.InvariantError,
+                           match=r"^sample m=2 index 0: derived PCG64 state"):
+            run_sweep(cfg, workers=1)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResolveWorkers:
