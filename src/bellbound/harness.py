@@ -13,7 +13,6 @@ import contextlib
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,16 +237,18 @@ def _substreams(seed: int, m: int, start: int, stop: int):
 
     The seeds of the whole range are hashed at once (``_seed_words``) and
     one ``PCG64`` is re-seeded per index, so a yielded generator is valid
-    until the next is yielded.  The first index's derived state is checked
-    against NumPy's own seeding, so the block never drifts from the scalar
-    ``substream`` unnoticed.
+    until the next is yielded.  The derived states of the first and the
+    last index are checked against NumPy's own seeding, so the block never
+    drifts from the scalar ``substream`` unnoticed, at either index width
+    of a range that straddles 2**32.
     """
-    bit_generator = np.random.PCG64(np.random.SeedSequence((seed, m, start)))
     words = _seed_words(seed, m, start, stop).tolist()
-    if _pcg64_state(*words[0]) != bit_generator.state:
-        raise InvariantError(
-            f"sample m={m} index {start}: derived PCG64 state differs from NumPy's seeding"
-        )
+    for index, row in {start: words[0], stop - 1: words[-1]}.items():
+        bit_generator = np.random.PCG64(np.random.SeedSequence((seed, m, index)))
+        if _pcg64_state(*row) != bit_generator.state:
+            raise InvariantError(
+                f"sample m={m} index {index}: derived PCG64 state differs from NumPy's seeding"
+            )
     rng = np.random.Generator(bit_generator)
     for row in words:
         bit_generator.state = _pcg64_state(*row)
@@ -341,7 +342,11 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else BELLBOUND_THREADS (0/unset = auto)."""
+    """Worker count: explicit argument, else BELLBOUND_THREADS (0/unset = auto).
+
+    Auto is the number of CPUs this process may run on (its affinity mask,
+    where the platform has one), not the number the machine has.
+    """
     if explicit is not None:
         requested = int(explicit)
     else:
@@ -355,7 +360,10 @@ def resolve_workers(explicit: int | None = None) -> int:
         if requested < 0:
             raise InvalidDimensionError("BELLBOUND_THREADS must be nonnegative")
     if requested == 0:
-        requested = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            requested = len(os.sched_getaffinity(0))
+        else:
+            requested = os.cpu_count() or 1
     return max(1, requested)
 
 
@@ -363,7 +371,10 @@ MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
 
 
 def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
-    size = min(MAX_CHUNK, max(64, -(-samples // (4 * workers))))  # ~4 chunks per worker
+    """Contiguous ranges covering [0, samples): one per worker while chunks fit
+    ``MAX_CHUNK``, since every chunk pays a fixed seeding, SVD and IPC cost;
+    none under 64 samples but the last."""
+    size = min(MAX_CHUNK, max(64, -(-samples // workers)))
     return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
@@ -375,10 +386,13 @@ def _iter_chunks(config: ExperimentConfig, workers: int):
         for m in config.dims
         for (lo, hi) in ranges
     )
-    if workers == 1 or len(config.dims) * len(ranges) == 1:
+    workers = min(workers, len(config.dims) * len(ranges))  # fork no idle worker
+    if workers == 1:
         for task in tasks:
             yield _sweep_chunk(task)
         return
+    from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off the import path
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # results leave in submission order, so parallel output bytes match
         # the serial ones; at most 2 * workers chunks are held at a time

@@ -291,17 +291,33 @@ class TestDispatch:
 
 
 
+def package_env():
+    """Environment for a fresh interpreter that imports this bellbound."""
+    src = str(Path(bellbound.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestModuleEntryPoint:
     def test_python_m_matches_console_entry_point(self):
-        src = str(Path(bellbound.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = ["bell", "--coeffs", "0.8,0.6"]
         runs = [
             subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
-                           env=env, timeout=120)
+                           env=package_env(), timeout=120)
             for prefix in (["-m", "bellbound"], ["-c", "from bellbound.cli import run; run()"])
         ]
         assert [r.returncode for r in runs] == [0, 0]
         assert runs[0].stdout == runs[1].stdout
         assert "bell_value = " in runs[0].stdout
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_process_pool(self):
+        # only a parallel sweep needs the pool; every CLI process pays its import
+        code = ("import sys, bellbound.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=package_env(), timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"

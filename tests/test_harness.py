@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -48,6 +50,43 @@ RECORD_FIELDS = [
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def counting_pool():
+    """A fresh fake ``ProcessPoolExecutor`` class for ``harness._iter_chunks``."""
+
+    class CountingPool:
+        """Runs tasks at submit; counts futures whose result is unread and
+        records the ``max_workers`` of every pool made."""
+
+        in_flight = peak = 0
+        sizes = []
+
+        def __init__(self, max_workers):
+            type(self).sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            pool = type(self)
+            pool.in_flight += 1
+            pool.peak = max(pool.peak, pool.in_flight)
+            read = future.result
+
+            def result():
+                pool.in_flight -= 1
+                return read()
+
+            future.result = result
+            return future
+
+    return CountingPool
 
 
 class TestExperimentConfig:
@@ -225,40 +264,51 @@ class TestRunSweep:
             assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
             assert ranges[0][0] == 0 and ranges[-1][1] == 10**6
 
+    def test_chunk_policy_examples(self):
+        assert harness._chunk_ranges(100, 1) == [(0, 100)]
+        assert harness._chunk_ranges(800, 2) == [(0, 400), (400, 800)]
+        assert harness._chunk_ranges(250, 3) == [(0, 84), (84, 168), (168, 250)]
+        assert harness._chunk_ranges(100, 4) == [(0, 64), (64, 100)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.integers(1, 10**6), workers=st.integers(1, 64))
+    @example(samples=harness.MAX_CHUNK, workers=1)
+    @example(samples=3 * harness.MAX_CHUNK, workers=3)
+    @example(samples=3 * harness.MAX_CHUNK + 1, workers=3)
+    def test_chunk_policy(self, samples, workers):
+        ranges = harness._chunk_ranges(samples, workers)
+        assert ranges[0][0] == 0 and ranges[-1][1] == samples
+        assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
+        sizes = [hi - lo for lo, hi in ranges]
+        assert max(sizes) <= harness.MAX_CHUNK
+        assert min(sizes[:-1], default=64) >= 64
+        if samples <= workers * harness.MAX_CHUNK:
+            assert len(ranges) <= workers  # one chunk per worker, so one at 1 worker
+
+    @pytest.mark.parametrize("dims,samples,workers,sizes", [
+        ((2, 4), 64, 4, [2]),         # two tasks fork two workers, not four
+        ((2,), 64, 4, []),            # one task runs serially
+        ((2, 3, 4), 100, 64, [6]),    # 64-sample floor: two chunks per m
+        ((2, 3), 300, 2, [2]),        # more tasks than workers
+    ])
+    def test_pool_sized_to_tasks(self, tmp_path, monkeypatch, dims, samples, workers, sizes):
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        kwargs = dict(dims=dims, samples=samples, seed=8)
+        run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
+        CountingPool = counting_pool()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=workers)
+        tasks = len(dims) * len(harness._chunk_ranges(samples, workers))
+        assert CountingPool.sizes == sizes
+        assert all(size <= tasks for size in CountingPool.sizes)
+        assert sha256(pooled) == sha256(serial)
+
     def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch):
-        class CountingPool:
-            """Runs tasks at submit; counts futures whose result is unread."""
-
-            in_flight = peak = 0
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, task):
-                future = Future()
-                future.set_result(fn(task))
-                pool = type(self)
-                pool.in_flight += 1
-                pool.peak = max(pool.peak, pool.in_flight)
-                read = future.result
-
-                def result():
-                    pool.in_flight -= 1
-                    return read()
-
-                future.result = result
-                return future
-
+        CountingPool = counting_pool()
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=(2, 3), samples=64 * 12, seed=4)
         run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=3)
         assert CountingPool.in_flight == 0
         assert 1 < CountingPool.peak <= 2 * 3
@@ -312,7 +362,7 @@ GOLDEN_SWEEPS = [
 
 
 class TestGoldenSweeps:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 splits 250 samples unevenly
     @pytest.mark.parametrize("kwargs,digest", GOLDEN_SWEEPS)
     def test_output_bytes_are_pinned(self, tmp_path, kwargs, digest, workers):
         out = tmp_path / "golden.jsonl"
@@ -420,6 +470,26 @@ class TestSeedDerivation:
             run_sweep(cfg, workers=1)
         assert list(tmp_path.iterdir()) == []
 
+    def test_wrong_last_row_fails_the_run(self, tmp_path, monkeypatch):
+        seed_words = harness._seed_words
+
+        def wrong_last_row(*args):
+            words = seed_words(*args)
+            words[-1] ^= np.uint64(1)
+            return words
+
+        monkeypatch.setattr(harness, "_seed_words", wrong_last_row)
+        cfg = ExperimentConfig(dims=(2,), samples=5, seed=3,
+                               output_path=str(tmp_path / "out.jsonl"))
+        with pytest.raises(bb.errors.InvariantError,
+                           match=r"^sample m=2 index 4: derived PCG64 state"):
+            run_sweep(cfg, workers=1)
+        assert list(tmp_path.iterdir()) == []
+        # a chunk straddling 2**32 is checked at the two-word index width too
+        with pytest.raises(bb.errors.InvariantError,
+                           match=rf"^sample m=2 index {2**32 + 1}: derived PCG64 state"):
+            harness._sweep_chunk((3, "haar", 0, THEOREM_TOL, 2, 2**32 - 2, 2**32 + 2))
+
 
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
@@ -437,6 +507,17 @@ class TestResolveWorkers:
     def test_unset_means_auto(self, monkeypatch):
         monkeypatch.delenv("BELLBOUND_THREADS", raising=False)
         assert resolve_workers() >= 1
+
+    def test_auto_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setenv("BELLBOUND_THREADS", "0")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers() == 1  # e.g. under taskset -c 0 on an 8-CPU host
+        assert resolve_workers(0) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without the mask
+        assert resolve_workers() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers() == 1
 
     def test_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("BELLBOUND_THREADS", "many")
