@@ -129,9 +129,10 @@ def core_inequalities(s: SchmidtVector) -> tuple[float, float, float, float]:
     return lhs5, rhs5, lhs10, rhs10
 
 
-def _sign_space(bits: int) -> np.ndarray:
-    """All sign vectors in {-1,1}^bits as rows, in binary counting order."""
-    idx = np.arange(1 << bits, dtype=np.int64)
+def _sign_space(bits: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the sign vectors in {-1,1}^bits in binary
+    counting order: bit k of the row number is set where entry k is -1."""
+    idx = np.arange(start, stop, dtype=np.int64)
     return 1.0 - 2.0 * ((idx[:, None] >> np.arange(bits)[None, :]) & 1)
 
 
@@ -141,21 +142,17 @@ def classical_bound(n_matrix: BellCoefficientMatrix) -> float:
     For any fixed sign vector ``a`` the optimal ``b_j`` is the sign of the
     column sum ``sum_i N_ij a_i``, so the supremum is
     ``max_a sum_j |sum_i N_ij a_i|``; and ``(a, b) -> (-a, -b)`` leaves the
-    objective unchanged, so ``a_1`` can be pinned to +1.  Both reductions
-    are verified against :func:`classical_bound_naive` in the test suite.
+    objective unchanged, so ``a_n`` can be pinned to +1: the first half of
+    the sign rows.  Both reductions are verified against
+    :func:`classical_bound_naive` in the test suite.
     """
     n = n_matrix.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLargeError(f"exhaustive search guard: n={n} exceeds {MAX_EXHAUSTIVE_N}")
     best = 0.0
-    total = 1 << (n - 1)
-    chunk = 1 << 14
+    total, chunk = 1 << (n - 1), 1 << 14
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        signs = np.ones((stop - start, n))
-        if n > 1:
-            signs[:, 1:] = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1)[None, :]) & 1)
+        signs = _sign_space(n, start, min(start + chunk, total))
         best = max(best, float(np.abs(signs @ n_matrix.entries).sum(axis=1).max()))
     return best
 
@@ -165,7 +162,7 @@ def classical_bound_naive(n_matrix: BellCoefficientMatrix) -> float:
     n = n_matrix.n
     if n > MAX_NAIVE_N:
         raise TooLargeError(f"naive enumeration guard: n={n} exceeds {MAX_NAIVE_N}")
-    signs = _sign_space(n)
+    signs = _sign_space(n, 0, 1 << n)
     return float(np.abs(signs @ n_matrix.entries @ signs.T).max())
 
 
@@ -231,19 +228,7 @@ def bound_report(s: SchmidtVector) -> BoundReport:
     are ``upper - bell_value`` and ``bell_value - lower``, nonnegative for
     even m up to tolerance.
     """
-    c = concurrence(s)
-    b = bell_value_formula(s)
-    up = upper_bound(c)
-    lo = lower_bound(c)
-    return BoundReport(
-        concurrence=c,
-        k=k_value(s),
-        gamma=gamma_value(s),
-        bell_value=b,
-        upper=up,
-        lower=lo,
-        classical=_CHSH_CLASSICAL,
-        theorem1_margin=up - b,
-        theorem2_margin=b - lo,
-        certified_nonlocal=is_nonlocal_certified(s),
-    )
+    (c,), (k,), (g,), (b,), (up,), (lo,), (cert,) = closed_forms(s.coeffs[None, :])
+    return BoundReport(concurrence=c, k=k, gamma=g, bell_value=b, upper=up, lower=lo,
+                       classical=_CHSH_CLASSICAL, theorem1_margin=up - b,
+                       theorem2_margin=b - lo, certified_nonlocal=cert)

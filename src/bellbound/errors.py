@@ -23,6 +23,7 @@ __all__ = [
     "TooLargeError",
     "InvariantError",
     "IoFailureError",
+    "WorkerFailedError",
 ]
 
 
@@ -84,3 +85,7 @@ class InvariantError(BellboundError, ValueError):
 
 class IoFailureError(BellboundError):
     """An output file could not be written."""
+
+
+class WorkerFailedError(BellboundError):
+    """A worker process of the chunk pool died before returning its chunk."""

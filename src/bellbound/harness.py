@@ -10,6 +10,8 @@ is collected into the summary and surfaced, never averaged away.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 import os
 from collections import deque
@@ -24,10 +26,11 @@ from .errors import (
     InvalidDimensionError,
     InvariantError,
     IoFailureError,
-    TooLargeError,
+    WorkerFailedError,
 )
+# sample_haar and sample_simplex are unused, but the benchmark's tracer wraps them here
 from .schmidt_state import SchmidtVector, sample_haar, sample_simplex, validate_rows
-from .tolerances import MAX_ORACLE_DIM, THEOREM_TOL, ZERO_TOL
+from .tolerances import THEOREM_TOL, ZERO_TOL
 
 __all__ = [
     "MEASURES",
@@ -240,8 +243,11 @@ def _substreams(seed: int, m: int, start: int, stop: int):
     until the next is yielded.  The derived states of the first and the
     last index are checked against NumPy's own seeding, so the block never
     drifts from the scalar ``substream`` unnoticed, at either index width
-    of a range that straddles 2**32.
+    of a range that straddles 2**32.  A single index is cheaper seeded by ``substream``.
     """
+    if stop - start == 1:
+        yield substream(seed, m, start)
+        return
     words = _seed_words(seed, m, start, stop).tolist()
     for index, row in {start: words[0], stop - 1: words[-1]}.items():
         bit_generator = np.random.PCG64(np.random.SeedSequence((seed, m, index)))
@@ -255,19 +261,12 @@ def _substreams(seed: int, m: int, start: int, stop: int):
         yield rng
 
 
-def _draw(seed: int, measure: str, offset: int, m: int, index: int) -> SchmidtVector:
-    rng = substream(seed, m, index)
-    if measure == "haar":
-        return sample_haar(m, m + offset, rng)
-    return sample_simplex(m, rng)
-
-
 def _draw_block(seed: int, measure: str, offset: int, m: int, start: int,
                 stop: int) -> np.ndarray:
     """Validated coefficient rows of samples [start, stop) at one m.
 
-    Row by row the same draws as :func:`_draw`, from the same substreams
-    (``_substreams``), but with one stacked SVD (bitwise equal to
+    Row by row the draws of ``sample_haar`` / ``sample_simplex`` on the same
+    substreams (``_substreams``), but with one stacked SVD (bitwise equal to
     per-matrix calls) and the normalizations done on the whole block.
     """
     count = stop - start
@@ -341,11 +340,31 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     return text, summary, violations
 
 
+def _scatter_chunk(task: tuple) -> tuple[int, list[tuple[float, ...]]]:
+    """Worker body of ``scatter_cb``: m and a chunk's (C, B, upper, lower) rows."""
+    seed, measure, offset, _, m, start, stop = task
+    c, _, _, b, up, lo, _ = bounds.closed_forms(_draw_block(seed, measure, offset, m, start, stop))
+    return m, list(zip(c, b, up, lo))
+
+
+def _oracle_chunk(grid_points: int, task: tuple) -> tuple[int, float]:
+    """Worker body of ``verify_oracle``: m and a chunk's largest |formula - grid maximum|."""
+    seed, measure, offset, _, m, start, stop = task
+    rows = _draw_block(seed, measure, offset, m, start, stop)
+    gaps = (abs(formula - max_expectation_grid(SchmidtVector(row), m + offset, grid_points)[1])
+            for row, formula in zip(rows, bounds.closed_forms(rows)[3]))
+    return m, functools.reduce(max, gaps, 0.0)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the platform has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def resolve_workers(explicit: int | None = None) -> int:
     """Worker count: explicit argument, else BELLBOUND_THREADS (0/unset = auto).
 
-    Auto is the number of CPUs this process may run on (its affinity mask,
-    where the platform has one), not the number the machine has.
+    Auto is the number of CPUs this process may run on (``_usable_cpus``).
     """
     if explicit is not None:
         requested = int(explicit)
@@ -359,12 +378,7 @@ def resolve_workers(explicit: int | None = None) -> int:
             ) from None
         if requested < 0:
             raise InvalidDimensionError("BELLBOUND_THREADS must be nonnegative")
-    if requested == 0:
-        if hasattr(os, "sched_getaffinity"):
-            requested = len(os.sched_getaffinity(0))
-        else:
-            requested = os.cpu_count() or 1
-    return max(1, requested)
+    return max(1, requested or _usable_cpus())
 
 
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
@@ -378,31 +392,36 @@ def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
-def _iter_chunks(config: ExperimentConfig, workers: int):
-    """Yield ``_sweep_chunk`` results in deterministic (m, index) order."""
+def _iter_chunks(work, config: ExperimentConfig, workers: int):
+    """Yield picklable ``work`` of every ``(seed, measure, offset, tolerance, m,
+    start, stop)`` task in (m, index) order; chunks are sized for ``workers``,
+    the pool for the tasks and the usable CPUs too (serial if that is one)."""
     ranges = _chunk_ranges(config.samples, workers)
     tasks = (
         (config.seed, config.measure, config.second_dim_offset, config.tolerance, m, lo, hi)
         for m in config.dims
         for (lo, hi) in ranges
     )
-    workers = min(workers, len(config.dims) * len(ranges))  # fork no idle worker
+    workers = min(workers, len(config.dims) * len(ranges), _usable_cpus())
     if workers == 1:
-        for task in tasks:
-            yield _sweep_chunk(task)
+        yield from map(work, tasks)
         return
-    from concurrent.futures import ProcessPoolExecutor  # keeps multiprocessing off the import path
+    # imported here, so that importing the CLI loads no multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # results leave in submission order, so parallel output bytes match
-        # the serial ones; at most 2 * workers chunks are held at a time
-        pending = deque()
-        for task in tasks:
-            pending.append(pool.submit(_sweep_chunk, task))
-            if len(pending) >= 2 * workers:
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # results leave in submission order, so parallel output bytes match
+            # the serial ones; at most 2 * workers chunks are held at a time
+            pending = deque()
+            for task in tasks:
+                pending.append(pool.submit(work, task))
+                if len(pending) >= 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    except BrokenExecutor as exc:  # a worker process died
+        raise WorkerFailedError(f"a worker process died: {exc}") from exc
 
 
 def _merge(a: DimensionSummary, b: DimensionSummary) -> DimensionSummary:
@@ -461,7 +480,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepSumm
     per_dim: dict[int, DimensionSummary] = {}
     violations: dict[int, list[Violation]] = {m: [] for m in config.dims}
     with _atomic_output(config.output_path) as fh:
-        for text, block, block_violations in _iter_chunks(config, workers):
+        for text, block, block_violations in _iter_chunks(_sweep_chunk, config, workers):
             fh.write(text)
             m = block.m
             per_dim[m] = _merge(per_dim[m], block) if m in per_dim else block
@@ -481,52 +500,34 @@ def verify_oracle(config: ExperimentConfig, grid_points: int = 360) -> OracleSum
 
     For every sampled state computes |bell_value_formula - grid maximum| and
     reduces to the largest gap per dimension.  No file output; the summary
-    is the result.  Dimensions must respect the dense-oracle guard.
+    is the result.  Dimensions must respect the dense-oracle guard.  Runs on
+    the BELLBOUND_THREADS / auto worker count; the result does not depend on it.
     """
-    for m in config.dims:
-        n = m + config.second_dim_offset
-        if m * n > MAX_ORACLE_DIM:
-            raise TooLargeError(f"dense oracle guard: m*n = {m * n} exceeds {MAX_ORACLE_DIM}")
-    per_dim = []
-    for m in config.dims:
-        n = m + config.second_dim_offset
-        worst = 0.0
-        for index in range(config.samples):
-            s = _draw(config.seed, config.measure, config.second_dim_offset, m, index)
-            formula = bounds.bell_value_formula(s)
-            _, grid_value = max_expectation_grid(s, n, grid_points)
-            worst = max(worst, abs(formula - grid_value))
-        per_dim.append(OracleDimension(m=m, n=n, samples=config.samples, max_gap=worst))
-    return OracleSummary(
-        measure=config.measure,
-        seed=config.seed,
-        samples_per_dim=config.samples,
-        grid_points=int(grid_points),
-        per_dim=tuple(per_dim),
-        max_gap=max(d.max_gap for d in per_dim),
-    )
+    worst = dict.fromkeys(config.dims, 0.0)
+    work = functools.partial(_oracle_chunk, grid_points)
+    for m, gap in _iter_chunks(work, config, resolve_workers()):
+        worst[m] = max(worst[m], gap)
+    per_dim = tuple(OracleDimension(m, m + config.second_dim_offset, config.samples, gap)
+                    for m, gap in worst.items())
+    return OracleSummary(measure=config.measure, seed=config.seed,
+                         samples_per_dim=config.samples, grid_points=int(grid_points),
+                         per_dim=per_dim, max_gap=max(d.max_gap for d in per_dim))
 
 
 def scatter_cb(config: ExperimentConfig) -> Path:
     """Write the (concurrence, Bell value, envelope) cloud as CSV.
 
     Columns ``m,concurrence,bell_value,upper,lower``; rows sorted by
-    concurrence within each m block; floats printed with shortest
-    round-trip decimals.  Returns the output path.  A run that fails
-    leaves no file at ``config.output_path``.
+    concurrence within each m block (the sort holds one m's rows); floats
+    printed with shortest round-trip decimals; bytes independent of the
+    BELLBOUND_THREADS workers.  Returns the path; a failed run leaves no file.
     """
     if config.output_path is None:
         raise IoFailureError("scatter_cb needs config.output_path")
+    chunks = _iter_chunks(_scatter_chunk, config, resolve_workers())
     with _atomic_output(config.output_path) as fh:
         fh.write("m,concurrence,bell_value,upper,lower\n")
-        for m in config.dims:
-            rows = []
-            for lo, hi in _chunk_ranges(config.samples, 1):
-                block = _draw_block(config.seed, config.measure, config.second_dim_offset,
-                                    m, lo, hi)
-                c, _, _, b, up, low, _ = bounds.closed_forms(block)
-                rows += zip(c, b, up, low)
-            rows.sort(key=lambda r: r[0])
-            for c, b, up, low in rows:
-                fh.write(f"{m},{c!r},{b!r},{up!r},{low!r}\n")
+        for m, group in itertools.groupby(chunks, key=lambda chunk: chunk[0]):
+            rows = sorted((row for _, block in group for row in block), key=lambda r: r[0])
+            fh.writelines(f"{m},{c!r},{b!r},{up!r},{lo!r}\n" for c, b, up, lo in rows)
     return Path(config.output_path)

@@ -24,7 +24,13 @@ from bellbound import (
     substream,
     verify_oracle,
 )
-from bellbound.errors import InvalidDimensionError, IoFailureError, TooLargeError
+from bellbound.cli import main
+from bellbound.errors import (
+    InvalidDimensionError,
+    IoFailureError,
+    TooLargeError,
+    WorkerFailedError,
+)
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import THEOREM_TOL
 
@@ -50,6 +56,11 @@ RECORD_FIELDS = [
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def usable_cpus(monkeypatch, count):
+    """Make the process's affinity mask hold ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def counting_pool():
@@ -295,6 +306,7 @@ class TestRunSweep:
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=dims, samples=samples, seed=8)
         run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
+        usable_cpus(monkeypatch, 64)  # so that the CPU cap does not bind
         CountingPool = counting_pool()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=workers)
@@ -308,15 +320,31 @@ class TestRunSweep:
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=(2, 3), samples=64 * 12, seed=4)
         run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
+        usable_cpus(monkeypatch, 3)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=3)
         assert CountingPool.in_flight == 0
         assert 1 < CountingPool.peak <= 2 * 3
         assert sha256(pooled) == sha256(serial)
 
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        # chunks stay sized for the requested workers; processes for the CPUs
+        CountingPool = counting_pool()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("BELLBOUND_THREADS", "10000")
+        cfg = ExperimentConfig(dims=(2,), samples=10**6, seed=0)
+        expected = [(2, lo, hi) for lo, hi in harness._chunk_ranges(10**6, 10000)]
+        for cpus, sizes in ((2, [2]), (1, [2])):  # one CPU runs serially
+            usable_cpus(monkeypatch, cpus)
+            tasks = harness._iter_chunks(lambda task: task[4:], cfg, resolve_workers())
+            assert list(tasks) == expected
+            assert CountingPool.sizes == sizes
+        assert CountingPool.peak <= 2 * 2
+
     @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
                                                (scatter_cb, "_draw_block")])
     def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, writer, kernel):
+        monkeypatch.setenv("BELLBOUND_THREADS", "1")  # a forked worker counts calls apart
         original = getattr(harness, kernel)
         calls = []
 
@@ -330,7 +358,23 @@ class TestRunSweep:
         out = tmp_path / "out.jsonl"
         cfg = ExperimentConfig(dims=(2, 4), samples=10, seed=5, output_path=str(out))
         with pytest.raises(RuntimeError, match="kernel failed"):
-            writer(cfg, **({"workers": 1} if writer is run_sweep else {}))
+            writer(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, capsys):
+        # a real pool of two processes, one of which exits on the m=3 chunk
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setenv("BELLBOUND_THREADS", "2")
+        monkeypatch.setattr(harness, "_sweep_chunk", sweep_chunk_exits_at_m_three)
+        out = tmp_path / "out.jsonl"
+        cfg = ExperimentConfig(dims=(2, 3), samples=10, seed=5, output_path=str(out))
+        with pytest.raises(WorkerFailedError, match="a worker process died"):
+            run_sweep(cfg)
+        argv = ["sweep", "--dims", "2,3", "--samples", "10", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: WorkerFailedError: a worker process died")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_measure_changes_the_draws(self, tmp_path):
@@ -340,6 +384,17 @@ class TestRunSweep:
         run_sweep(ExperimentConfig(dims=(2,), samples=5, seed=1, measure="simplex",
                                    output_path=str(s)))
         assert sha256(h) != sha256(s)
+
+
+_SWEEP_CHUNK = harness._sweep_chunk
+
+
+def sweep_chunk_exits_at_m_three(task):
+    """``_sweep_chunk`` whose process dies on an m=3 task; module-level, so
+    that a pool can pickle it."""
+    if task[4] == 3:
+        os._exit(1)
+    return _SWEEP_CHUNK(task)
 
 
 # sha256 of run_sweep output, pinned before any change to the sweep kernel;
