@@ -407,7 +407,8 @@ def _iter_chunks(work, config: ExperimentConfig, workers: int):
         yield from map(work, tasks)
         return
     # imported here, so that importing the CLI loads no multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -420,7 +421,7 @@ def _iter_chunks(work, config: ExperimentConfig, workers: int):
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
-    except BrokenExecutor as exc:  # a worker process died
+    except BrokenProcessPool as exc:
         raise WorkerFailedError(f"a worker process died: {exc}") from exc
 
 
@@ -478,20 +479,20 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepSumm
         raise IoFailureError("run_sweep needs config.output_path")
     workers = resolve_workers(workers)
     per_dim: dict[int, DimensionSummary] = {}
-    violations: dict[int, list[Violation]] = {m: [] for m in config.dims}
+    violations: list[Violation] = []  # chunks arrive in (m, index) order
     with _atomic_output(config.output_path) as fh:
         for text, block, block_violations in _iter_chunks(_sweep_chunk, config, workers):
             fh.write(text)
             m = block.m
             per_dim[m] = _merge(per_dim[m], block) if m in per_dim else block
-            violations[m] += block_violations
+            violations += block_violations
     return SweepSummary(
         measure=config.measure,
         seed=config.seed,
         samples_per_dim=config.samples,
         records_written=sum(d.samples for d in per_dim.values()),
-        per_dim=tuple(per_dim[m] for m in config.dims),
-        violations=tuple(v for m in config.dims for v in violations[m]),
+        per_dim=tuple(per_dim.values()),
+        violations=tuple(violations),
     )
 
 
