@@ -393,9 +393,9 @@ def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _iter_chunks(work, config: ExperimentConfig, workers: int):
-    """Yield picklable ``work`` of every ``(seed, measure, offset, tolerance, m,
-    start, stop)`` task in (m, index) order; chunks are sized for ``workers``,
-    the pool for the tasks and the usable CPUs too (serial if that is one)."""
+    """Yield ``work(task)`` for every ``(seed, measure, offset, tolerance, m,
+    start, stop)`` task, in (m, index) order.  ``work`` must pickle; chunks are
+    sized for ``workers``, the pool also for the tasks and the usable CPUs."""
     ranges = _chunk_ranges(config.samples, workers)
     tasks = (
         (config.seed, config.measure, config.second_dim_offset, config.tolerance, m, lo, hi)

@@ -25,12 +25,7 @@ from bellbound import (
     verify_oracle,
 )
 from bellbound.cli import main
-from bellbound.errors import (
-    InvalidDimensionError,
-    IoFailureError,
-    TooLargeError,
-    WorkerFailedError,
-)
+from bellbound.errors import InvalidDimensionError, IoFailureError, TooLargeError
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import THEOREM_TOL
 
@@ -334,11 +329,11 @@ class TestRunSweep:
         monkeypatch.setenv("BELLBOUND_THREADS", "10000")
         cfg = ExperimentConfig(dims=(2,), samples=10**6, seed=0)
         expected = [(2, lo, hi) for lo, hi in harness._chunk_ranges(10**6, 10000)]
-        for cpus, sizes in ((2, [2]), (1, [2])):  # one CPU runs serially
+        for cpus in (2, 1):
             usable_cpus(monkeypatch, cpus)
             tasks = harness._iter_chunks(lambda task: task[4:], cfg, resolve_workers())
             assert list(tasks) == expected
-            assert CountingPool.sizes == sizes
+        assert CountingPool.sizes == [2]  # one pool of two; one CPU ran serially
         assert CountingPool.peak <= 2 * 2
 
     @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
@@ -367,9 +362,6 @@ class TestRunSweep:
         monkeypatch.setenv("BELLBOUND_THREADS", "2")
         monkeypatch.setattr(harness, "_sweep_chunk", sweep_chunk_exits_at_m_three)
         out = tmp_path / "out.jsonl"
-        cfg = ExperimentConfig(dims=(2, 3), samples=10, seed=5, output_path=str(out))
-        with pytest.raises(WorkerFailedError, match="a worker process died"):
-            run_sweep(cfg)
         argv = ["sweep", "--dims", "2,3", "--samples", "10", "--seed", "5", "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
