@@ -48,6 +48,33 @@ __all__ = [
     "max_expectation_grid",
 ]
 
+
+def _check_hermitian(stack: np.ndarray, what: str) -> None:
+    """Each matrix on the last two axes is Hermitian within ``HERMITIAN_TOL`` entrywise."""
+    defect = float(np.abs(stack - stack.conj().swapaxes(-1, -2)).max())
+    if defect > HERMITIAN_TOL:
+        raise InvariantError(f"{what} is not Hermitian (defect {defect:.3e})")
+
+
+def _check_observables(stack: np.ndarray) -> None:
+    """``_check_hermitian``, and each spectrum inside [-1, 1] within ``SPECTRUM_TOL``."""
+    _check_hermitian(stack, "matrix")
+    eigs = np.linalg.eigvalsh(stack)
+    lo, hi = eigs.min(), eigs.max()
+    if lo < -1.0 - SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
+        raise InvariantError(f"spectrum [{lo:.6f}, {hi:.6f}] leaves [-1, 1]")
+
+
+def _real_part(values):
+    """``values.real`` of a NumPy complex scalar or array of expectations, which a
+    Hermitian operator makes real: a residue beyond ``IMAG_TOL`` aborts, never dropped."""
+    residue = abs(values.imag)
+    if residue.max() > IMAG_TOL:
+        worst = values.imag.flat[residue.argmax()]
+        raise NonHermitianResidueError(f"imaginary residue {worst:.3e} exceeds {IMAG_TOL:g}")
+    return values.real
+
+
 _SIGMA = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -70,14 +97,7 @@ class HermitianObservable:
         arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvariantError("entries must be a square matrix")
-        defect = float(np.abs(arr - arr.conj().T).max())
-        if defect > HERMITIAN_TOL:
-            raise InvariantError(f"matrix is not Hermitian (defect {defect:.3e})")
-        eigs = np.linalg.eigvalsh(arr)
-        if eigs[0] < -1.0 - SPECTRUM_TOL or eigs[-1] > 1.0 + SPECTRUM_TOL:
-            raise InvariantError(
-                f"spectrum [{eigs[0]:.6f}, {eigs[-1]:.6f}] leaves [-1, 1]"
-            )
+        _check_observables(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -125,9 +145,7 @@ class BellOperator:
         arr = np.array(self.entries, dtype=complex)
         if arr.shape != (side, side):
             raise InvariantError(f"entries must be {side} x {side}, got {arr.shape}")
-        defect = float(np.abs(arr - arr.conj().T).max())
-        if defect > HERMITIAN_TOL:
-            raise InvariantError(f"operator is not Hermitian (defect {defect:.3e})")
+        _check_hermitian(arr, "operator")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -210,9 +228,8 @@ def expectation(op: BellOperator, s: SchmidtVector, dim_b: int) -> float:
 
     ``|psi> = sum_i c_i |i>|i>`` lives on the first ``s.m`` basis vectors of
     each factor, so the product-space amplitudes sit at indices
-    ``i * (dim_b + 1)``.  The value of a Hermitian operator is real; any
-    imaginary residue beyond ``IMAG_TOL`` aborts instead of being silently
-    dropped.
+    ``i * (dim_b + 1)``.  An imaginary residue beyond ``IMAG_TOL`` aborts
+    (``_real_part``).
     """
     if op.dim_b != dim_b:
         raise DimensionMismatchError(f"operator has dim_b={op.dim_b}, caller said {dim_b}")
@@ -222,12 +239,7 @@ def expectation(op: BellOperator, s: SchmidtVector, dim_b: int) -> float:
         )
     psi = np.zeros(op.dim_a * op.dim_b, dtype=complex)
     psi[np.arange(s.m) * (op.dim_b + 1)] = s.coeffs
-    value = complex(np.vdot(psi, op.entries @ psi))
-    if abs(value.imag) > IMAG_TOL:
-        raise NonHermitianResidueError(
-            f"imaginary residue {value.imag:.3e} exceeds {IMAG_TOL:g}"
-        )
-    return value.real
+    return float(_real_part(np.vdot(psi, op.entries @ psi)))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -260,13 +272,11 @@ def _family_values(s: SchmidtVector, b_pair):
     Built once: the tiled ``s3``/``s1`` blocks of the first party and its
     odd-m scalar slot, the contracted second-party side ``sum_j N_ij B_j``
     of the CHSH matrix, and the embedded state ``psi``.  Each call builds
-    the ``(G, 2, m, m)`` stack of ``A_i(theta)`` and checks it as
-    :class:`HermitianObservable` does (entrywise Hermitian defect, one
-    batched ``eigvalsh`` for the spectrum window), assembles the
-    ``(G, D, D)`` operators ``sum_i A_i (x) sum_j N_ij B_j`` with two
-    broadcast Kronecker products, checks them as :class:`BellOperator`
-    does, and takes all ``G`` expectations in one contraction with the
-    residue check of :func:`expectation`.
+    the ``(G, 2, m, m)`` stack of ``A_i(theta)``, assembles the ``(G, D, D)``
+    operators ``sum_i A_i (x) sum_j N_ij B_j`` with two broadcast Kronecker
+    products and takes all ``G`` expectations in one contraction.  Stacks and
+    values go through the checkers of :class:`HermitianObservable`,
+    :class:`BellOperator` and :func:`expectation`.
     """
     m, n = s.m, b_pair[0].dim
     if m > n:
@@ -284,25 +294,11 @@ def _family_values(s: SchmidtVector, b_pair):
         cos = np.cos(thetas)[:, None, None, None]
         sin = np.sin(thetas)[:, None, None, None]
         a = cos * cos_part + sin * sin_parts + odd_slot
-        defect = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
-        if defect > HERMITIAN_TOL:
-            raise InvariantError(f"matrix is not Hermitian (defect {defect:.3e})")
-        eigs = np.linalg.eigvalsh(a)
-        lo, hi = float(eigs[..., 0].min()), float(eigs[..., -1].max())
-        if lo < -1.0 - SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
-            raise InvariantError(f"spectrum [{lo:.6f}, {hi:.6f}] leaves [-1, 1]")
+        _check_observables(a)
         ops = (a[:, 0, :, None, :, None] * b_side[0]).reshape(-1, side, side)
         ops += (a[:, 1, :, None, :, None] * b_side[1]).reshape(-1, side, side)
-        defect = float(np.abs(ops - ops.conj().swapaxes(-1, -2)).max())
-        if defect > HERMITIAN_TOL:
-            raise InvariantError(f"operator is not Hermitian (defect {defect:.3e})")
-        out = (ops @ psi) @ psi.conj()
-        residue = np.abs(out.imag)
-        if residue.max() > IMAG_TOL:
-            raise NonHermitianResidueError(
-                f"imaginary residue {out.imag[residue.argmax()]:.3e} exceeds {IMAG_TOL:g}"
-            )
-        return out.real
+        _check_hermitian(ops, "operator")
+        return _real_part((ops @ psi) @ psi.conj())
 
     return values
 

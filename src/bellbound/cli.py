@@ -17,6 +17,7 @@ import numpy as np
 from . import bounds, harness, schmidt_state
 from .bell_operators import BellCoefficientMatrix
 from .errors import BellboundError, InvariantError
+from .tolerances import THEOREM_TOL
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -120,6 +121,14 @@ def _seed_flag(text: str) -> int:
     return value
 
 
+def _second_dim(args) -> int:
+    """``--n``, which defaults to ``--m``; below ``--m`` it is a usage error."""
+    n = args.n if args.n is not None else args.m
+    if n < args.m:
+        raise argparse.ArgumentTypeError(f"--n must be >= --m, got n={n} < m={args.m}")
+    return n
+
+
 def _cmd_concurrence(args) -> int:
     s = schmidt_state.new_schmidt(args.coeffs)
     print(f"coeffs = {s.to_json()}")
@@ -154,28 +163,18 @@ def _cmd_sample(args) -> int:
     else:
         rng = harness.substream(args.seed, args.m, args.index)
     if args.measure == "haar":
-        s = schmidt_state.sample_haar(args.m, args.n if args.n is not None else args.m, rng)
+        s = schmidt_state.sample_haar(args.m, _second_dim(args), rng)
     else:
         s = schmidt_state.sample_simplex(args.m, rng)
     print(s.to_json())
     return 0
 
 
-def _sweep_config(args) -> harness.ExperimentConfig:
-    kwargs = {} if args.tolerance is None else {"tolerance": args.tolerance}
-    return harness.ExperimentConfig(
-        dims=args.dims,
-        samples=args.samples,
-        seed=args.seed,
-        measure=args.measure,
-        second_dim_offset=args.offset,
-        output_path=args.out,
-        **kwargs,
-    )
-
-
 def _cmd_sweep(args) -> int:
-    summary = harness.run_sweep(_sweep_config(args))
+    config = harness.ExperimentConfig(dims=args.dims, samples=args.samples, seed=args.seed,
+                                      measure=args.measure, second_dim_offset=args.offset,
+                                      tolerance=args.tolerance, output_path=args.out)
+    summary = harness.run_sweep(config)
     print(f"measure = {summary.measure}")
     print(f"seed = {summary.seed}")
     print(f"samples_per_dim = {summary.samples_per_dim}")
@@ -202,9 +201,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n = args.n if args.n is not None else args.m
-    if n < args.m:
-        raise argparse.ArgumentTypeError(f"--n must be >= --m, got n={n} < m={args.m}")
+    n = _second_dim(args)
     config = harness.ExperimentConfig(
         dims=(args.m,),
         samples=args.samples,
@@ -267,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSONL output path")
     p.add_argument("--offset", type=_int_at_least(0), default=0,
                    help="n = m + offset for the second factor (default 0)")
-    p.add_argument("--tolerance", type=_tolerance_flag, default=None,
-                   help="theorem margin tolerance (default shared config)")
+    p.add_argument("--tolerance", type=_tolerance_flag, default=THEOREM_TOL,
+                   help="theorem margin tolerance (default %(default)r)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="closed formula vs dense grid oracle")

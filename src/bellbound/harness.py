@@ -361,24 +361,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else BELLBOUND_THREADS (0/unset = auto).
-
-    Auto is the number of CPUs this process may run on (``_usable_cpus``).
+def resolve_workers() -> int:
+    """Worker count from BELLBOUND_THREADS, the only worker setting; 0 or
+    unset means auto, the number of CPUs this process may run on (``_usable_cpus``).
     """
-    if explicit is not None:
-        requested = int(explicit)
-    else:
-        raw = os.environ.get("BELLBOUND_THREADS", "0").strip() or "0"
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise InvalidDimensionError(
-                f"BELLBOUND_THREADS must be an integer, got {raw!r}"
-            ) from None
-        if requested < 0:
-            raise InvalidDimensionError("BELLBOUND_THREADS must be nonnegative")
-    return max(1, requested or _usable_cpus())
+    raw = os.environ.get("BELLBOUND_THREADS", "0").strip() or "0"
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise InvalidDimensionError(f"BELLBOUND_THREADS must be an integer, got {raw!r}") from None
+    if requested < 0:
+        raise InvalidDimensionError("BELLBOUND_THREADS must be nonnegative")
+    return requested or _usable_cpus()
 
 
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
@@ -392,10 +386,12 @@ def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
-def _iter_chunks(work, config: ExperimentConfig, workers: int):
+def _iter_chunks(work, config: ExperimentConfig):
     """Yield ``work(task)`` for every ``(seed, measure, offset, tolerance, m,
     start, stop)`` task, in (m, index) order.  ``work`` must pickle; chunks are
-    sized for ``workers``, the pool also for the tasks and the usable CPUs."""
+    sized for ``resolve_workers()``, read only here, the pool also for the
+    tasks and the usable CPUs."""
+    workers = resolve_workers()
     ranges = _chunk_ranges(config.samples, workers)
     tasks = (
         (config.seed, config.measure, config.second_dim_offset, config.tolerance, m, lo, hi)
@@ -441,13 +437,16 @@ def _merge(a: DimensionSummary, b: DimensionSummary) -> DimensionSummary:
 
 
 @contextlib.contextmanager
-def _atomic_output(path: str):
+def _atomic_output(path: str | None):
     """Text file that appears at ``path`` only if the block completes.
 
     Writes to a temporary file beside the target and moves it into place
     with ``os.replace`` on success; on any error the temporary file is
-    removed and nothing appears at ``path``.
+    removed and nothing appears at ``path``.  Every file writer opens its
+    output here; a ``None`` path is an ``IoFailureError``.
     """
+    if path is None:
+        raise IoFailureError("no output file: config.output_path is None")
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target),
                        f".{os.path.basename(target)}.{os.getpid()}.tmp")
@@ -466,22 +465,19 @@ def _atomic_output(path: str):
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
 
-def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepSummary:
+def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Draw, check and record `config.samples` states per dimension.
 
     Writes one JSON line per sample to ``config.output_path`` in (m, index)
     order and returns the reduction; the record schema is documented on
-    ``_sweep_chunk``.  ``workers`` overrides the BELLBOUND_THREADS / auto
-    worker count; output bytes do not depend on it.  A run that fails
-    leaves no file at ``config.output_path``.
+    ``_sweep_chunk``.  Runs on the BELLBOUND_THREADS / auto worker count;
+    output bytes do not depend on it.  A run that fails, or has no
+    ``config.output_path``, leaves no file.
     """
-    if config.output_path is None:
-        raise IoFailureError("run_sweep needs config.output_path")
-    workers = resolve_workers(workers)
     per_dim: dict[int, DimensionSummary] = {}
     violations: list[Violation] = []  # chunks arrive in (m, index) order
     with _atomic_output(config.output_path) as fh:
-        for text, block, block_violations in _iter_chunks(_sweep_chunk, config, workers):
+        for text, block, block_violations in _iter_chunks(_sweep_chunk, config):
             fh.write(text)
             m = block.m
             per_dim[m] = _merge(per_dim[m], block) if m in per_dim else block
@@ -506,7 +502,7 @@ def verify_oracle(config: ExperimentConfig, grid_points: int = 360) -> OracleSum
     """
     worst = dict.fromkeys(config.dims, 0.0)
     work = functools.partial(_oracle_chunk, grid_points)
-    for m, gap in _iter_chunks(work, config, resolve_workers()):
+    for m, gap in _iter_chunks(work, config):
         worst[m] = max(worst[m], gap)
     per_dim = tuple(OracleDimension(m, m + config.second_dim_offset, config.samples, gap)
                     for m, gap in worst.items())
@@ -523,9 +519,7 @@ def scatter_cb(config: ExperimentConfig) -> Path:
     printed with shortest round-trip decimals; bytes independent of the
     BELLBOUND_THREADS workers.  Returns the path; a failed run leaves no file.
     """
-    if config.output_path is None:
-        raise IoFailureError("scatter_cb needs config.output_path")
-    chunks = _iter_chunks(_scatter_chunk, config, resolve_workers())
+    chunks = _iter_chunks(_scatter_chunk, config)
     with _atomic_output(config.output_path) as fh:
         fh.write("m,concurrence,bell_value,upper,lower\n")
         for m, group in itertools.groupby(chunks, key=lambda chunk: chunk[0]):

@@ -212,14 +212,14 @@ def test_criterion_7_concurrence_extremes(capsys):
     assert worst_single_b <= 1e-12
 
 
-def test_criterion_8_determinism(capsys, tmp_path, monkeypatch):
+def test_criterion_8_determinism(capsys, tmp_path, monkeypatch, set_workers):
     flags = ["sweep", "--dims", "2,3,4,5", "--samples", "2000", "--seed", "9"]
     digests = []
-    for name, threads in (("d1.jsonl", None), ("d2.jsonl", None), ("d3.jsonl", "2")):
+    for name, threads in (("d1.jsonl", None), ("d2.jsonl", None), ("d3.jsonl", 2)):
         if threads is None:
             monkeypatch.delenv("BELLBOUND_THREADS", raising=False)
         else:
-            monkeypatch.setenv("BELLBOUND_THREADS", threads)
+            set_workers(threads)
         out_path = tmp_path / name
         code = main(flags + ["--out", str(out_path)])
         capsys.readouterr()

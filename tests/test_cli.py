@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ import pytest
 import bellbound
 from bellbound import ExperimentConfig, SchmidtVector, concurrence, harness, run_sweep
 from bellbound.cli import main
+from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_ORACLE_DIM
 
 
 def run_cli(capsys, *argv):
@@ -155,17 +160,19 @@ class TestSample:
         assert code == 0
         assert len(json.loads(out)) == 3
 
-    def test_m_above_n_is_domain_error(self, capsys):
-        code, _, err = run_cli(capsys, "sample", "--m", "4", "--n", "2", "--seed", "1")
-        assert code == 1
-        assert "InvalidDimensionError" in err
+    def test_m_above_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--m", "4", "--n", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--n must be >= --m, got n=2 < m=4" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("measure,n", [("haar", "5"), ("simplex", "3")])
-    def test_index_replays_sweep_record(self, capsys, tmp_path, measure, n):
+    def test_index_replays_sweep_record(self, capsys, tmp_path, set_workers, measure, n):
         out = tmp_path / "sweep.jsonl"
+        set_workers(1)
         run_sweep(ExperimentConfig(dims=(3,), samples=8, seed=11, measure=measure,
-                                   second_dim_offset=2, output_path=str(out)), workers=1)
+                                   second_dim_offset=2, output_path=str(out)))
         record = json.loads(out.read_text().splitlines()[5])
         code, printed, _ = run_cli(capsys, "sample", "--seed", "11", "--m", "3", "--n", n,
                                    "--measure", measure, "--index", "5")
@@ -278,6 +285,60 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+EYE_PAST_GUARD = ";".join(",".join(map(str, row))
+                          for row in np.eye(MAX_EXHAUSTIVE_N + 1, dtype=int).tolist())
+SWEEP = "sweep --samples 1 --seed 1 --dims"
+VERIFY = "verify --samples 1 --seed 1 --grid 8 --m"
+
+# one row per bad input: a shell-like command line, with NAME=value words
+# before the subcommand setting the environment, and its exit code
+BAD_INPUTS = [
+    ("", 2), ("frobnicate", 2), ("concurrence", 2),
+    ("concurrence --coeffs a,b", 2), ("bell --coeffs 1,x", 2), ("bounds --coeffs 1,,2", 2),
+    ("jn --matrix 1,1;1", 2), ("jn --matrix=inf,1;1,1", 2), ("jn --matrix 1,x;1,1", 2),
+    ("sample --m 0 --seed 1", 2), ("sample --m 2 --seed -1", 2),
+    (f"sample --m 2 --seed {2**64}", 2), ("sample --m 2 --seed 1 --measure uniform", 2),
+    ("sample --m 4 --n 2 --seed 1", 2), ("sample --m 4 --n 2 --seed 1 --index 3", 2),
+    ("sample --m 2 --seed 1 --index -1", 2), ("sample --m 2 --seed 1 --index x", 2),
+    (f"{SWEEP} 2,2 --out {{out}}", 2), (f"{SWEEP} 0 --out {{out}}", 2),
+    (f"{SWEEP} 2,x --out {{out}}", 2), (f"{SWEEP} 2", 2),
+    (f"{SWEEP} 2 --out {{out}} --samples 0", 2), (f"{SWEEP} 2 --out {{out}} --offset -1", 2),
+    (f"{SWEEP} 2 --out {{out}} --tolerance inf", 2),
+    (f"{SWEEP} 2 --out {{out}} --tolerance nan", 2),
+    (f"{SWEEP} 2 --out {{out}} --tolerance 0", 2),
+    (f"{VERIFY} 2 --grid 7", 2), (f"{VERIFY} 4 --n 2", 2), (f"{VERIFY} 2 --n 0", 2),
+    (f"{VERIFY} 2 --samples 0", 2), (f"{VERIFY} 2 --measure uniform", 2),
+    ("concurrence --coeffs 0,0", 1), ("concurrence --coeffs 0.5,-1", 1),
+    ("bell --coeffs -1,0", 1), ("bounds --coeffs 0,0", 1), (f"jn --matrix {EYE_PAST_GUARD}", 1),
+    (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1), (f"{SWEEP} 2 --out {{tmp}}", 1),
+    (f"{SWEEP} 2 --out {{tmp}}/missing/x.jsonl", 1),
+    (f"BELLBOUND_THREADS=many {SWEEP} 2 --out {{out}}", 1),
+    (f"BELLBOUND_THREADS=-1 {SWEEP} 2 --out {{out}}", 1),
+    (f"BELLBOUND_THREADS=many {VERIFY} 2", 1),
+]
+
+
+@pytest.mark.parametrize("line,code", BAD_INPUTS, ids=[line[:90] for line, _ in BAD_INPUTS])
+def test_bad_input_exit_code(capsys, monkeypatch, tmp_path, line, code):
+    # usage errors exit 2 with argparse's usage, domain errors 1 with one line;
+    # neither prints to stdout or leaves a file
+    words = shlex.split(line.format(tmp=tmp_path, out=tmp_path / "x.jsonl"))
+    monkeypatch.setenv("BELLBOUND_THREADS", "1")
+    while words and "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    try:
+        status = main(words)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert (status, out) == (code, "")
+    if code == 2:
+        assert err.startswith("usage: ") and "error: " in err
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestDispatch:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -309,6 +370,49 @@ class TestModuleEntryPoint:
         assert [r.returncode for r in runs] == [0, 0]
         assert runs[0].stdout == runs[1].stdout
         assert "bell_value = " in runs[0].stdout
+
+
+def group_empties(pgid, timeout):
+    """Whether process group ``pgid`` holds no process within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestInterrupt:
+    def test_ctrl_c_leaves_nothing_behind(self, tmp_path):
+        # the sweep and its two workers get a session of their own, and SIGINT
+        # goes to the whole group, as a terminal's Ctrl-C does; SIGINT is reset
+        # to the default, since a parent that ignores it (a shell's `&` job)
+        # passes that on and the sweep would then run to its end
+        out = tmp_path / "out.jsonl"
+        argv = [sys.executable, "-m", "bellbound", "sweep", "--dims", "2,4",
+                "--samples", "50000", "--seed", "1", "--out", str(out)]
+        proc = subprocess.Popen(
+            argv, env={**package_env(), "BELLBOUND_THREADS": "2"}, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 60
+            while not any(path.stat().st_size for path in tmp_path.iterdir()):
+                assert proc.poll() is None, "the sweep ended before writing"
+                assert time.monotonic() < deadline, "the sweep wrote nothing in 60 s"
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)  # the hidden temp file holds records
+            _, err = proc.communicate(timeout=60)
+            emptied = group_empties(proc.pid, timeout=10)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        assert proc.returncode != 0, err
+        assert list(tmp_path.iterdir()) == []
+        assert emptied
 
 
 class TestImportPath:

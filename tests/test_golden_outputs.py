@@ -46,17 +46,17 @@ GOLDEN_VERIFY = [
 ]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("argv,expected", GOLDEN_VERIFY)
-def test_verify_stdout_is_pinned(capsys, monkeypatch, threads, argv, expected):
-    monkeypatch.setenv("BELLBOUND_THREADS", threads)
+def test_verify_stdout_is_pinned(capsys, set_workers, threads, argv, expected):
+    set_workers(threads)
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
     assert digest(out) == expected
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_scatter_csv_is_pinned(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("BELLBOUND_THREADS", threads)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scatter_csv_is_pinned(tmp_path, set_workers, threads):
+    set_workers(threads)
     out = tmp_path / "cloud.csv"
     scatter_cb(ExperimentConfig(dims=(1, 3, 4), samples=300, seed=41, second_dim_offset=1,
                                 output_path=str(out)))

@@ -53,11 +53,6 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def usable_cpus(monkeypatch, count):
-    """Make the process's affinity mask hold ``count`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def counting_pool():
     """A fresh fake ``ProcessPoolExecutor`` class for ``harness._iter_chunks``."""
 
@@ -232,22 +227,25 @@ class TestRunSweep:
             run_sweep(cfg)
         assert sha256(out1) == sha256(out2)
 
-    def test_parallel_output_matches_serial(self, tmp_path):
+    def test_parallel_output_matches_serial(self, tmp_path, set_workers):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
         cfg = ExperimentConfig(dims=(2, 3), samples=150, seed=21, output_path=str(serial))
-        s1 = run_sweep(cfg, workers=1)
+        set_workers(1)
+        s1 = run_sweep(cfg)
         cfg = ExperimentConfig(dims=(2, 3), samples=150, seed=21, output_path=str(parallel))
-        s2 = run_sweep(cfg, workers=3)
+        set_workers(3)
+        s2 = run_sweep(cfg)
         assert sha256(serial) == sha256(parallel)
         assert s1.per_dim == s2.per_dim
 
-    def test_violations_match_record_flags(self, tmp_path):
+    def test_violations_match_record_flags(self, tmp_path, set_workers):
         # at a tolerance far below one ulp, m=2 states that saturate the
         # upper envelope show up as rounding-level violations
         out = tmp_path / "tight.jsonl"
         cfg = ExperimentConfig(dims=(2, 4), samples=200, seed=3, tolerance=1e-300,
                                output_path=str(out))
-        summary = run_sweep(cfg, workers=2)
+        set_workers(2)
+        summary = run_sweep(cfg)
         expected = []
         for line in out.read_text().splitlines():
             rec = json.loads(line)
@@ -261,7 +259,8 @@ class TestRunSweep:
         assert [(v.m, v.index, v.check, v.margin) for v in summary.violations] == expected
         assert [d.violations for d in summary.per_dim] == [
             sum(1 for v in expected if v[0] == m) for m in (2, 4)]
-        assert summary == run_sweep(cfg, workers=1)
+        set_workers(1)
+        assert summary == run_sweep(cfg)
 
     def test_chunks_are_capped(self):
         for workers in (1, 2, 64):
@@ -297,49 +296,51 @@ class TestRunSweep:
         ((2, 3, 4), 100, 64, [6]),    # 64-sample floor: two chunks per m
         ((2, 3), 300, 2, [2]),        # more tasks than workers
     ])
-    def test_pool_sized_to_tasks(self, tmp_path, monkeypatch, dims, samples, workers, sizes):
+    def test_pool_sized_to_tasks(self, tmp_path, monkeypatch, set_workers, dims, samples,
+                                 workers, sizes):
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=dims, samples=samples, seed=8)
-        run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
-        usable_cpus(monkeypatch, 64)  # so that the CPU cap does not bind
+        set_workers(1)
+        run_sweep(ExperimentConfig(output_path=str(serial), **kwargs))
+        set_workers(workers, cpus=64)  # so that the CPU cap does not bind
         CountingPool = counting_pool()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=workers)
+        run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
         tasks = len(dims) * len(harness._chunk_ranges(samples, workers))
         assert CountingPool.sizes == sizes
         assert all(size <= tasks for size in CountingPool.sizes)
         assert sha256(pooled) == sha256(serial)
 
-    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch):
+    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers):
         CountingPool = counting_pool()
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=(2, 3), samples=64 * 12, seed=4)
-        run_sweep(ExperimentConfig(output_path=str(serial), **kwargs), workers=1)
-        usable_cpus(monkeypatch, 3)
+        set_workers(1)
+        run_sweep(ExperimentConfig(output_path=str(serial), **kwargs))
+        set_workers(3)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs), workers=3)
+        run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
         assert CountingPool.in_flight == 0
         assert 1 < CountingPool.peak <= 2 * 3
         assert sha256(pooled) == sha256(serial)
 
-    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, set_workers):
         # chunks stay sized for the requested workers; processes for the CPUs
         CountingPool = counting_pool()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setenv("BELLBOUND_THREADS", "10000")
         cfg = ExperimentConfig(dims=(2,), samples=10**6, seed=0)
         expected = [(2, lo, hi) for lo, hi in harness._chunk_ranges(10**6, 10000)]
         for cpus in (2, 1):
-            usable_cpus(monkeypatch, cpus)
-            tasks = harness._iter_chunks(lambda task: task[4:], cfg, resolve_workers())
+            set_workers(10000, cpus=cpus)
+            tasks = harness._iter_chunks(lambda task: task[4:], cfg)
             assert list(tasks) == expected
         assert CountingPool.sizes == [2]  # one pool of two; one CPU ran serially
         assert CountingPool.peak <= 2 * 2
 
     @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
                                                (scatter_cb, "_draw_block")])
-    def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, writer, kernel):
-        monkeypatch.setenv("BELLBOUND_THREADS", "1")  # a forked worker counts calls apart
+    def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, set_workers, writer, kernel):
+        set_workers(1)  # a forked worker counts calls apart
         original = getattr(harness, kernel)
         calls = []
 
@@ -356,10 +357,9 @@ class TestRunSweep:
             writer(cfg)
         assert list(tmp_path.iterdir()) == []
 
-    def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, capsys):
+    def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, set_workers, capsys):
         # a real pool of two processes, one of which exits on the m=3 chunk
-        usable_cpus(monkeypatch, 2)
-        monkeypatch.setenv("BELLBOUND_THREADS", "2")
+        set_workers(2)
         monkeypatch.setattr(harness, "_sweep_chunk", sweep_chunk_exits_at_m_three)
         out = tmp_path / "out.jsonl"
         argv = ["sweep", "--dims", "2,3", "--samples", "10", "--seed", "5", "--out", str(out)]
@@ -411,9 +411,10 @@ GOLDEN_SWEEPS = [
 class TestGoldenSweeps:
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 splits 250 samples unevenly
     @pytest.mark.parametrize("kwargs,digest", GOLDEN_SWEEPS)
-    def test_output_bytes_are_pinned(self, tmp_path, kwargs, digest, workers):
+    def test_output_bytes_are_pinned(self, tmp_path, set_workers, kwargs, digest, workers):
         out = tmp_path / "golden.jsonl"
-        run_sweep(ExperimentConfig(output_path=str(out), **kwargs), workers=workers)
+        set_workers(workers)
+        run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
 
 
@@ -506,18 +507,19 @@ class TestSeedDerivation:
             assert rng.integers(2**63, size=4).tolist() == \
                 substream(seed, m, index).integers(2**63, size=4).tolist()
 
-    def test_wrong_derivation_fails_the_run(self, tmp_path, monkeypatch):
+    def test_wrong_derivation_fails_the_run(self, tmp_path, monkeypatch, set_workers):
         seed_words = harness._seed_words
         monkeypatch.setattr(harness, "_seed_words",
                             lambda *args: seed_words(*args) ^ np.uint64(1))
         cfg = ExperimentConfig(dims=(2,), samples=5, seed=3,
                                output_path=str(tmp_path / "out.jsonl"))
+        set_workers(1)
         with pytest.raises(bb.errors.InvariantError,
                            match=r"^sample m=2 index 0: derived PCG64 state"):
-            run_sweep(cfg, workers=1)
+            run_sweep(cfg)
         assert list(tmp_path.iterdir()) == []
 
-    def test_wrong_last_row_fails_the_run(self, tmp_path, monkeypatch):
+    def test_wrong_last_row_fails_the_run(self, tmp_path, monkeypatch, set_workers):
         seed_words = harness._seed_words
 
         def wrong_last_row(*args):
@@ -528,9 +530,10 @@ class TestSeedDerivation:
         monkeypatch.setattr(harness, "_seed_words", wrong_last_row)
         cfg = ExperimentConfig(dims=(2,), samples=5, seed=3,
                                output_path=str(tmp_path / "out.jsonl"))
+        set_workers(1)
         with pytest.raises(bb.errors.InvariantError,
                            match=r"^sample m=2 index 4: derived PCG64 state"):
-            run_sweep(cfg, workers=1)
+            run_sweep(cfg)
         assert list(tmp_path.iterdir()) == []
         # a chunk straddling 2**32 is checked at the two-word index width too
         with pytest.raises(bb.errors.InvariantError,
@@ -539,10 +542,6 @@ class TestSeedDerivation:
 
 
 class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("BELLBOUND_THREADS", "7")
-        assert resolve_workers(3) == 3
-
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv("BELLBOUND_THREADS", "5")
         assert resolve_workers() == 5
@@ -560,7 +559,6 @@ class TestResolveWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert resolve_workers() == 1  # e.g. under taskset -c 0 on an 8-CPU host
-        assert resolve_workers(0) == 1
         monkeypatch.delattr(os, "sched_getaffinity")  # platforms without the mask
         assert resolve_workers() == 8
         monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -593,6 +591,10 @@ class TestVerifyOracle:
 
 
 class TestScatterCb:
+    def test_requires_output_path(self):
+        with pytest.raises(IoFailureError):
+            scatter_cb(ExperimentConfig(dims=(2,), samples=1, seed=0))
+
     def test_header_and_row_count(self, tmp_path):
         out = tmp_path / "cloud.csv"
         cfg = ExperimentConfig(dims=(2,), samples=10, seed=17, output_path=str(out))
