@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 
 import pytest
@@ -22,3 +23,19 @@ def set_workers(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
 
     return set_workers
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """A real ``ProcessPoolExecutor`` that records the ``max_workers`` of every
+    pool ``harness._iter_chunks`` makes in its class attribute ``sizes``."""
+
+    class PoolSpy(concurrent.futures.ProcessPoolExecutor):
+        sizes = []
+
+        def __init__(self, max_workers):
+            type(self).sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
+    return PoolSpy

@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bellbound import ExperimentConfig, scatter_cb
+from bellbound import ExperimentConfig, harness, scatter_cb
 from bellbound.cli import main
 
 
@@ -23,7 +23,8 @@ def cli_stdout(capsys, *argv) -> str:
     return capsys.readouterr().out
 
 
-# 130 samples split into two chunks at 2 workers; 8x8 stays cheap at 8
+# 130 samples split into two chunks at 2 workers; 8x8 stays cheap at 8, and at
+# 65 it splits into chunks of 64 and 1, so a worker seeds a one-sample chunk
 GOLDEN_VERIFY = [
     pytest.param(("--m", "2", "--n", "2", "--samples", "130", "--measure", "haar"),
                  "4a6a8808e0757b39370d87056c38d4e5740f7d3b7ce5b2fdcd6a888abaf36786",
@@ -40,6 +41,9 @@ GOLDEN_VERIFY = [
     pytest.param(("--m", "8", "--n", "8", "--samples", "8", "--measure", "haar"),
                  "32dd9a758652259b531422776b049655de573565ff34eaa6067d99f82b84ae3c",
                  id="8x8-haar"),
+    pytest.param(("--m", "8", "--n", "8", "--samples", "65", "--measure", "haar"),
+                 "d181f68b6fb6b9b93aabaf8af5566172b379c560b5ec84135e727422fb37cc70",
+                 id="8x8-haar-chunked"),
     pytest.param(("--m", "8", "--n", "8", "--samples", "8", "--measure", "simplex"),
                  "876b5db191fe005b00b2561f990bfc2e957c0f51994f708fad6847f4b0fb6379",
                  id="8x8-simplex"),
@@ -48,10 +52,13 @@ GOLDEN_VERIFY = [
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("argv,expected", GOLDEN_VERIFY)
-def test_verify_stdout_is_pinned(capsys, set_workers, threads, argv, expected):
+def test_verify_stdout_is_pinned(capsys, set_workers, pool_spy, threads, argv, expected):
     set_workers(threads)
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
     assert digest(out) == expected
+    # a shape of one chunk runs serially at any worker count
+    chunks = len(harness._chunk_ranges(int(argv[argv.index("--samples") + 1]), threads))
+    assert bool(pool_spy.sizes) == (threads > 1 and chunks > 1)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

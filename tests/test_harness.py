@@ -405,17 +405,24 @@ GOLDEN_SWEEPS = [
     pytest.param(dict(dims=(1,), samples=60, seed=3, measure="haar"),
                  "5b00f17f2cd7bc8a9cf13877801535ce3e5e29e6f766b640cf93c2edb90ac844",
                  id="m-one"),
+    pytest.param(dict(dims=(1,), samples=130, seed=3, measure="haar"),
+                 "b9c1d3d5174ec6680a3ddad97729303675a1144a4f8631568324c347d43107bc",
+                 id="m-one-chunked"),
 ]
 
 
 class TestGoldenSweeps:
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 splits 250 samples unevenly
     @pytest.mark.parametrize("kwargs,digest", GOLDEN_SWEEPS)
-    def test_output_bytes_are_pinned(self, tmp_path, set_workers, kwargs, digest, workers):
+    def test_output_bytes_are_pinned(self, tmp_path, set_workers, pool_spy, kwargs, digest,
+                                     workers):
         out = tmp_path / "golden.jsonl"
         set_workers(workers)
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
+        # a shape of one chunk runs serially at any worker count
+        chunks = len(kwargs["dims"]) * len(harness._chunk_ranges(kwargs["samples"], workers))
+        assert bool(pool_spy.sizes) == (workers > 1 and chunks > 1)
 
 
 def scalar_line(seed, measure, offset, m, index):
