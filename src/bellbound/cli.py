@@ -8,7 +8,6 @@ the output reproduces the value bit-for-bit.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
@@ -17,7 +16,6 @@ import numpy as np
 from . import bounds, harness, schmidt_state
 from .bell_operators import BellCoefficientMatrix
 from .errors import BellboundError, InvariantError
-from .tolerances import THEOREM_TOL
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -99,18 +97,6 @@ def _int_at_least(minimum: int):
 _positive_int = _int_at_least(1)
 
 
-def _tolerance_flag(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--tolerance expects a real, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"--tolerance must be finite and positive, got {text!r}"
-        )
-    return value
-
-
 def _seed_flag(text: str) -> int:
     try:
         value = int(text)
@@ -173,7 +159,7 @@ def _cmd_sample(args) -> int:
 def _cmd_sweep(args) -> int:
     config = harness.ExperimentConfig(dims=args.dims, samples=args.samples, seed=args.seed,
                                       measure=args.measure, second_dim_offset=args.offset,
-                                      tolerance=args.tolerance, output_path=args.out)
+                                      output_path=args.out)
     summary = harness.run_sweep(config)
     print(f"measure = {summary.measure}")
     print(f"seed = {summary.seed}")
@@ -264,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSONL output path")
     p.add_argument("--offset", type=_int_at_least(0), default=0,
                    help="n = m + offset for the second factor (default 0)")
-    p.add_argument("--tolerance", type=_tolerance_flag, default=THEOREM_TOL,
-                   help="theorem margin tolerance (default %(default)r)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="closed formula vs dense grid oracle")

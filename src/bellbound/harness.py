@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -50,16 +49,15 @@ __all__ = [
 MEASURES = ("haar", "simplex")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Sweep parameters; identical configs give byte-identical outputs."""
+    """Sweep parameters, by keyword only; identical configs give byte-identical outputs."""
 
     dims: tuple[int, ...]
     samples: int
     seed: int
     measure: str = "haar"
     second_dim_offset: int = 0
-    tolerance: float = THEOREM_TOL
     output_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -84,10 +82,6 @@ class ExperimentConfig:
         if int(self.second_dim_offset) < 0:
             raise InvalidDimensionError("second_dim_offset must be nonnegative")
         object.__setattr__(self, "second_dim_offset", int(self.second_dim_offset))
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise InvalidDimensionError(
-                f"tolerance must be finite and positive, got {self.tolerance}"
-            )
         if self.output_path is not None:
             object.__setattr__(self, "output_path", str(self.output_path))
 
@@ -304,16 +298,16 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     - ``m``, ``n``, ``index``; ``coeffs`` (descending, unit norm);
       ``effective_rank`` (coefficients above ``ZERO_TOL``);
     - ``concurrence``, ``k``, ``gamma``, ``bell_value``, ``upper``, ``lower``;
-    - ``theorem1_ok`` (``upper - bell_value >= -tolerance``) and
-      ``theorem2_ok`` (``bell_value - lower >= -tolerance``), null for odd m;
+    - ``theorem1_ok`` (``upper - bell_value >= -THEOREM_TOL``) and
+      ``theorem2_ok`` (``bell_value - lower >= -THEOREM_TOL``), null for odd m;
     - ``certified_nonlocal``; ``oracle_value`` and ``oracle_gap``, always null.
 
     Floats are written with ``repr``, as ``json.dumps`` writes finite
     floats, and every value is finite once the rows are validated.
     """
-    seed, measure, offset, tolerance, m, start, stop = task
+    _, _, offset, m, start, stop = task
     n = m + offset
-    rows = _draw_block(seed, measure, offset, m, start, stop)
+    rows = _draw_block(*task)
     ranks = np.count_nonzero(rows > ZERO_TOL, axis=1).tolist()
     c, k, g, b, up, lo, cert = bounds.closed_forms(rows)
     ok1 = ok2 = [None] * (stop - start)
@@ -321,7 +315,7 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     violations = []
     if m % 2 == 0:
         t1, t2 = np.subtract(up, b), np.subtract(b, lo)
-        ok1, ok2 = (t1 >= -tolerance).tolist(), (t2 >= -tolerance).tolist()
+        ok1, ok2 = (t1 >= -THEOREM_TOL).tolist(), (t2 >= -THEOREM_TOL).tolist()
         margins = (float(t1.min()), float(t2.min()))
         for i in np.flatnonzero(~np.logical_and(ok1, ok2)).tolist():
             if not ok1[i]:
@@ -342,15 +336,14 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
 
 def _scatter_chunk(task: tuple) -> tuple[int, list[tuple[float, ...]]]:
     """Worker body of ``scatter_cb``: m and a chunk's (C, B, upper, lower) rows."""
-    seed, measure, offset, _, m, start, stop = task
-    c, _, _, b, up, lo, _ = bounds.closed_forms(_draw_block(seed, measure, offset, m, start, stop))
-    return m, list(zip(c, b, up, lo))
+    c, _, _, b, up, lo, _ = bounds.closed_forms(_draw_block(*task))
+    return task[3], list(zip(c, b, up, lo))
 
 
 def _oracle_chunk(grid_points: int, task: tuple) -> tuple[int, float]:
     """Worker body of ``verify_oracle``: m and a chunk's largest |formula - grid maximum|."""
-    seed, measure, offset, _, m, start, stop = task
-    rows = _draw_block(seed, measure, offset, m, start, stop)
+    _, _, offset, m, _, _ = task
+    rows = _draw_block(*task)
     gaps = (abs(formula - max_expectation_grid(SchmidtVector(row), m + offset, grid_points)[1])
             for row, formula in zip(rows, bounds.closed_forms(rows)[3]))
     return m, functools.reduce(max, gaps, 0.0)
@@ -387,14 +380,14 @@ def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _iter_chunks(work, config: ExperimentConfig):
-    """Yield ``work(task)`` for every ``(seed, measure, offset, tolerance, m,
-    start, stop)`` task, in (m, index) order.  ``work`` must pickle; chunks are
-    sized for ``resolve_workers()``, read only here, the pool also for the
-    tasks and the usable CPUs."""
+    """Yield ``work(task)`` for every task, ``_draw_block``'s arguments ``(seed,
+    measure, offset, m, start, stop)``, in (m, index) order.  ``work`` must
+    pickle; chunks are sized for ``resolve_workers()``, read only here, the
+    pool also for the tasks and the usable CPUs."""
     workers = resolve_workers()
     ranges = _chunk_ranges(config.samples, workers)
     tasks = (
-        (config.seed, config.measure, config.second_dim_offset, config.tolerance, m, lo, hi)
+        (config.seed, config.measure, config.second_dim_offset, m, lo, hi)
         for m in config.dims
         for (lo, hi) in ranges
     )
@@ -492,7 +485,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     )
 
 
-def verify_oracle(config: ExperimentConfig, grid_points: int = 360) -> OracleSummary:
+def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
     """Cross-check the closed-form Bell value against the dense grid maximum.
 
     For every sampled state computes |bell_value_formula - grid maximum| and

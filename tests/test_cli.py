@@ -228,15 +228,19 @@ class TestSweep:
         assert code == 1
         assert "IoFailureError" in err
 
+    # the theorem checks use THEOREM_TOL: --tolerance is unknown, whatever its value
     @pytest.mark.parametrize("flag", ["--offset=-1", "--tolerance=inf", "--tolerance=nan",
-                                      "--tolerance=0"])
-    def test_bad_flag_is_usage_error(self, tmp_path, flag):
+                                      "--tolerance=0", "--tolerance=1e-09",
+                                      "--tolerance=1e300"])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag):
         out_path = tmp_path / "x.jsonl"
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dims", "2", "--samples", "1", "--seed", "1",
                   "--out", str(out_path), flag])
         assert exc.value.code == 2
         assert not out_path.exists()
+        unknown = f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
+        assert unknown == flag.startswith("--tolerance")
 
     def test_duplicate_dims_is_usage_error(self, tmp_path):
         out_path = tmp_path / "x.jsonl"
@@ -306,6 +310,7 @@ BAD_INPUTS = [
     (f"{SWEEP} 2 --out {{out}} --tolerance inf", 2),
     (f"{SWEEP} 2 --out {{out}} --tolerance nan", 2),
     (f"{SWEEP} 2 --out {{out}} --tolerance 0", 2),
+    (f"{SWEEP} 2 --out {{out}} --tolerance 1e300", 2),
     (f"{VERIFY} 2 --grid 7", 2), (f"{VERIFY} 4 --n 2", 2), (f"{VERIFY} 2 --n 0", 2),
     (f"{VERIFY} 2 --samples 0", 2), (f"{VERIFY} 2 --measure uniform", 2),
     ("concurrence --coeffs 0,0", 1), ("concurrence --coeffs 0.5,-1", 1),

@@ -107,14 +107,13 @@ class TestExperimentConfig:
         with pytest.raises(InvalidDimensionError):
             ExperimentConfig(dims=(2,), samples=1, seed=-1)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(InvalidDimensionError):
-            ExperimentConfig(dims=(2,), samples=1, seed=0, tolerance=0.0)
-
-    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
-    def test_rejects_nonfinite_tolerance(self, tolerance):
-        with pytest.raises(InvalidDimensionError):
-            ExperimentConfig(dims=(2,), samples=1, seed=0, tolerance=tolerance)
+    def test_no_tolerance_and_keywords_only(self):
+        # theorem checks use THEOREM_TOL; keywords only, so that a call in an
+        # older field order cannot shift a value into output_path
+        with pytest.raises(TypeError):
+            ExperimentConfig(dims=(2,), samples=1, seed=0, tolerance=1e-9)
+        with pytest.raises(TypeError):
+            ExperimentConfig((2,), 1, 0)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
     def test_rejects_duplicate_dims(self, dims):
@@ -238,12 +237,13 @@ class TestRunSweep:
         assert sha256(serial) == sha256(parallel)
         assert s1.per_dim == s2.per_dim
 
-    def test_violations_match_record_flags(self, tmp_path, set_workers):
+    def test_violations_match_record_flags(self, tmp_path, monkeypatch, set_workers):
         # at a tolerance far below one ulp, m=2 states that saturate the
-        # upper envelope show up as rounding-level violations
+        # upper envelope show up as rounding-level violations; forked
+        # workers inherit the patched module
+        monkeypatch.setattr(harness, "THEOREM_TOL", 1e-300)
         out = tmp_path / "tight.jsonl"
-        cfg = ExperimentConfig(dims=(2, 4), samples=200, seed=3, tolerance=1e-300,
-                               output_path=str(out))
+        cfg = ExperimentConfig(dims=(2, 4), samples=200, seed=3, output_path=str(out))
         set_workers(2)
         summary = run_sweep(cfg)
         expected = []
@@ -332,7 +332,7 @@ class TestRunSweep:
         expected = [(2, lo, hi) for lo, hi in harness._chunk_ranges(10**6, 10000)]
         for cpus in (2, 1):
             set_workers(10000, cpus=cpus)
-            tasks = harness._iter_chunks(lambda task: task[4:], cfg)
+            tasks = harness._iter_chunks(lambda task: task[3:], cfg)
             assert list(tasks) == expected
         assert CountingPool.sizes == [2]  # one pool of two; one CPU ran serially
         assert CountingPool.peak <= 2 * 2
@@ -384,7 +384,7 @@ _SWEEP_CHUNK = harness._sweep_chunk
 def sweep_chunk_exits_at_m_three(task):
     """``_sweep_chunk`` whose process dies on an m=3 task; module-level, so
     that a pool can pickle it."""
-    if task[4] == 3:
+    if task[3] == 3:
         os._exit(1)
     return _SWEEP_CHUNK(task)
 
@@ -459,7 +459,7 @@ class TestSweepKernel:
     # gamma at m=3: libm pow(c, 2) and c * c differ in the last ulp here
     @example(seed=7919, m=3, offset=1, measure="haar", start=49, count=1)
     def test_records_match_scalar_api(self, seed, m, offset, measure, start, count):
-        task = (seed, measure, offset, THEOREM_TOL, m, start, start + count)
+        task = (seed, measure, offset, m, start, start + count)
         text, summary, violations = harness._sweep_chunk(task)
         expected = [scalar_line(seed, measure, offset, m, i)
                     for i in range(start, start + count)]
@@ -487,7 +487,7 @@ class TestSweepKernel:
         monkeypatch.setattr(harness, "_substreams", nan_at_six)
         with pytest.raises(bb.errors.InvariantError,
                            match=r"^sample m=3 index 6: coeffs must be finite"):
-            harness._sweep_chunk((1, "simplex", 0, THEOREM_TOL, 3, 5, 8))
+            harness._sweep_chunk((1, "simplex", 0, 3, 5, 8))
 
 
 class TestSeedDerivation:
@@ -545,7 +545,7 @@ class TestSeedDerivation:
         # a chunk straddling 2**32 is checked at the two-word index width too
         with pytest.raises(bb.errors.InvariantError,
                            match=rf"^sample m=2 index {2**32 + 1}: derived PCG64 state"):
-            harness._sweep_chunk((3, "haar", 0, THEOREM_TOL, 2, 2**32 - 2, 2**32 + 2))
+            harness._sweep_chunk((3, "haar", 0, 2, 2**32 - 2, 2**32 + 2))
 
 
 class TestResolveWorkers:
