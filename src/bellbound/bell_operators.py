@@ -50,9 +50,10 @@ __all__ = [
 
 
 def _check_hermitian(stack: np.ndarray, what: str) -> None:
-    """Each matrix on the last two axes is Hermitian within ``HERMITIAN_TOL`` entrywise."""
+    """Each matrix on the last two axes is Hermitian within ``HERMITIAN_TOL`` entrywise;
+    like every check here, written so that a NaN fails it."""
     defect = float(np.abs(stack - stack.conj().swapaxes(-1, -2)).max())
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:
         raise InvariantError(f"{what} is not Hermitian (defect {defect:.3e})")
 
 
@@ -61,7 +62,7 @@ def _check_observables(stack: np.ndarray) -> None:
     _check_hermitian(stack, "matrix")
     eigs = np.linalg.eigvalsh(stack)
     lo, hi = eigs.min(), eigs.max()
-    if lo < -1.0 - SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
+    if not (-1.0 - SPECTRUM_TOL <= lo and hi <= 1.0 + SPECTRUM_TOL):
         raise InvariantError(f"spectrum [{lo:.6f}, {hi:.6f}] leaves [-1, 1]")
 
 
@@ -69,7 +70,7 @@ def _real_part(values):
     """``values.real`` of a NumPy complex scalar or array of expectations, which a
     Hermitian operator makes real: a residue beyond ``IMAG_TOL`` aborts, never dropped."""
     residue = abs(values.imag)
-    if residue.max() > IMAG_TOL:
+    if not residue.max() <= IMAG_TOL:
         worst = values.imag.flat[residue.argmax()]
         raise NonHermitianResidueError(f"imaginary residue {worst:.3e} exceeds {IMAG_TOL:g}")
     return values.real

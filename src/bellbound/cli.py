@@ -1,7 +1,8 @@
 """Command-line front end; one subcommand per library operation.
 
-Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr),
-2 usage error (argparse).  Every number is printed with repr so re-parsing
+Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr; one
+line per theorem violation of ``sweep`` or per oracle gap beyond
+``ORACLE_TOL`` of ``verify``), 2 usage error (argparse).  Every number is printed with repr so re-parsing
 the output reproduces the value bit-for-bit.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 from . import bounds, harness, schmidt_state
 from .bell_operators import BellCoefficientMatrix
 from .errors import BellboundError, InvariantError
+from .tolerances import ORACLE_TOL
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -203,7 +205,10 @@ def _cmd_verify(args) -> int:
     for d in summary.per_dim:
         print(f"m={d.m} n={d.n} samples={d.samples} max_gap={d.max_gap!r}")
     print(f"max_gap = {summary.max_gap!r}")
-    return 0
+    gaps = [d for d in summary.per_dim if not d.max_gap <= ORACLE_TOL]
+    for d in gaps:
+        print(f"error: OracleGap: m={d.m} n={d.n} max_gap={d.max_gap!r}", file=sys.stderr)
+    return 1 if gaps else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

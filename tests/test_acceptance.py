@@ -32,6 +32,7 @@ from bellbound import (
     verify_oracle,
 )
 from bellbound.cli import main
+from bellbound.tolerances import ORACLE_TOL, SATURATION_TOL
 
 SWEEP_BUDGET_SECONDS = 180.0  # "under ~2 minutes on a laptop", with headroom
 
@@ -86,13 +87,13 @@ def test_criterion_2_oracle_equivalence(capsys):
             )
             summary = verify_oracle(cfg, grid_points=64)
             worst = max(worst, summary.max_gap)
-    ok = worst <= 1e-8
+    ok = worst <= ORACLE_TOL
     report(
         capsys, 2, ok,
         "closed formula vs dense grid, m in 2..6, n in {m, m+1}, "
         f"200 samples each, max gap {worst:.2e}",
     )
-    assert worst <= 1e-8
+    assert worst <= ORACLE_TOL
 
 
 def test_criterion_3_classical_bound(capsys):
@@ -126,13 +127,13 @@ def test_criterion_4_saturation(capsys):
             s = new_schmidt([math.sqrt(p), math.sqrt(1.0 - p)] + [0.0] * (m - 2))
             margin = upper_bound(concurrence(s)) - bell_value_formula(s)
             worst = max(worst, abs(margin))
-    ok = worst <= 1e-10
+    ok = worst <= SATURATION_TOL
     report(
         capsys, 4, ok,
         "two-nonzero states saturate the upper bound, 1000 states per "
         f"m in 2,4,6, worst |margin| {worst:.2e}",
     )
-    assert worst <= 1e-10
+    assert worst <= SATURATION_TOL
 
 
 def test_criterion_5_two_qubit_relation(capsys):
@@ -147,14 +148,14 @@ def test_criterion_5_two_qubit_relation(capsys):
             if not (2.0 * math.sqrt(2.0) * c - 1e-9 <= b <= upper_bound(c) + 1e-9):
                 chain_ok = False
             worst_identity = max(worst_identity, abs(b - upper_bound(c)))
-    ok = chain_ok and worst_identity <= 1e-10
+    ok = chain_ok and worst_identity <= SATURATION_TOL
     report(
         capsys, 5, ok,
         "m=2: 2*sqrt(2)*C <= B <= 2*sqrt(1+C^2) on 20000 samples and the "
         f"upper bound is an identity, worst gap {worst_identity:.2e}",
     )
     assert chain_ok
-    assert worst_identity <= 1e-10
+    assert worst_identity <= SATURATION_TOL
 
 
 def test_criterion_6_nonlocality_threshold(capsys):

@@ -31,6 +31,7 @@ from bellbound.errors import (
     InvalidIndexError,
     InvariantError,
     LengthMismatchError,
+    NonHermitianResidueError,
     TooLargeError,
 )
 
@@ -377,3 +378,24 @@ class TestBatchedEvaluator:
     def test_state_wider_than_second_party(self):
         with pytest.raises(DimensionMismatchError):
             max_expectation_grid(new_schmidt([1, 1, 1]), 2, 64)
+
+
+NAN, INF = math.nan, math.inf
+
+
+# every check fails on a NaN, where a `defect > tol` test would let it through
+@pytest.mark.parametrize("build, error, reason", [
+    (lambda: HermitianObservable(np.array([[NAN, 0], [0, 1]])), InvariantError,
+     r"^matrix is not Hermitian \(defect nan\)$"),
+    (lambda: HermitianObservable(np.array([[INF, 0], [0, 1]])), InvariantError,
+     r"^matrix is not Hermitian \(defect nan\)$"),
+    (lambda: HermitianObservable(np.array([[1, NAN], [NAN, 1]])), InvariantError,
+     r"^matrix is not Hermitian \(defect nan\)$"),
+    (lambda: BellOperator(1, 2, [[NAN, 0], [0, 1]]), InvariantError,
+     r"^operator is not Hermitian \(defect nan\)$"),
+    (lambda: bell_operators._real_part(np.array([1 + 1j * NAN])), NonHermitianResidueError,
+     r"^imaginary residue nan exceeds 1e-10$"),
+], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "bell-operator", "residue"])
+def test_checkers_reject_non_finite(build, error, reason):
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=reason):
+        build()

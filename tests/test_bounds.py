@@ -31,6 +31,7 @@ from bellbound import (
     upper_bound,
 )
 from bellbound.errors import NegativeInputError, OddDimensionError, TooLargeError
+from bellbound.tolerances import SATURATION_TOL
 
 SQ2 = math.sqrt(2.0)
 
@@ -289,7 +290,7 @@ class TestTheoremProperties:
         for _ in range(50):
             s = two_nonzero_state(m, rng)
             margin = upper_bound(concurrence(s)) - bell_value_formula(s)
-            assert abs(margin) <= 1e-10
+            assert abs(margin) <= SATURATION_TOL
 
     def test_two_qubit_upper_is_an_identity(self):
         # at m=2, K = C, so B = 2 sqrt(1 + C^2) exactly
@@ -298,7 +299,7 @@ class TestTheoremProperties:
             s = sample_haar(2, 2, rng)
             c = concurrence(s)
             b = bell_value_formula(s)
-            assert abs(b - upper_bound(c)) <= 1e-10
+            assert abs(b - upper_bound(c)) <= SATURATION_TOL
             assert b >= 2.0 * SQ2 * c - 1e-9
 
     @pytest.mark.parametrize("m", [2, 4, 6])

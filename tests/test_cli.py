@@ -20,7 +20,7 @@ import pytest
 import bellbound
 from bellbound import ExperimentConfig, SchmidtVector, concurrence, harness, run_sweep
 from bellbound.cli import main
-from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_ORACLE_DIM
+from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_ORACLE_DIM, ORACLE_TOL
 
 
 def run_cli(capsys, *argv):
@@ -259,7 +259,7 @@ class TestVerify:
         )
         assert code == 0
         pairs = parsed_lines(out)
-        assert float(pairs["max_gap"]) <= 1e-8
+        assert float(pairs["max_gap"]) <= ORACLE_TOL
 
     def test_n_defaults_to_m(self, capsys):
         code, out, _ = run_cli(
@@ -287,6 +287,24 @@ class TestVerify:
             main(["verify", "--m", "4", "--n", "2", "--samples", "1",
                   "--grid", "64", "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_gap_beyond_oracle_tol_exits_one(self, capsys, monkeypatch, set_workers):
+        argv = ["verify", "--m", "3", "--n", "4", "--samples", "5", "--grid", "64",
+                "--seed", "2"]
+        set_workers(1)  # the patch below reaches no worker process
+        assert run_cli(capsys, *argv)[0] == 0
+        grid = harness.max_expectation_grid
+
+        def off_by_a_micro(*args):
+            theta, value = grid(*args)
+            return theta, value + 1e-6
+
+        monkeypatch.setattr(harness, "max_expectation_grid", off_by_a_micro)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        pairs = parsed_lines(out)
+        assert float(pairs["max_gap"]) > ORACLE_TOL
+        assert err == f"error: OracleGap: m=3 n=4 max_gap={pairs['max_gap']}\n"
 
 
 EYE_PAST_GUARD = ";".join(",".join(map(str, row))

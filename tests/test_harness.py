@@ -27,7 +27,7 @@ from bellbound import (
 from bellbound.cli import main
 from bellbound.errors import InvalidDimensionError, IoFailureError, TooLargeError
 from bellbound.harness import resolve_workers
-from bellbound.tolerances import THEOREM_TOL
+from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
 
 RECORD_FIELDS = [
     "m",
@@ -584,7 +584,7 @@ class TestVerifyOracle:
             dims=(m,), samples=25, seed=5, second_dim_offset=offset
         )
         summary = verify_oracle(cfg, grid_points=64)
-        assert summary.max_gap <= 1e-8
+        assert summary.max_gap <= ORACLE_TOL
         assert summary.per_dim[0].n == m + offset
 
     def test_enforces_dense_guard(self):
