@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr; one
 line per theorem violation of ``sweep`` or per oracle gap beyond
-``ORACLE_TOL`` of ``verify``), 2 usage error (argparse).  Every number is printed with repr so re-parsing
-the output reproduces the value bit-for-bit.
+``ORACLE_TOL`` of ``verify``), 2 usage error (argparse).  Every number is
+printed with repr so re-parsing the output reproduces the value bit-for-bit.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ SPECTRUM_TOL = 1e-9      # slack on the [-1, 1] eigenvalue window
 IMAG_TOL = 1e-10         # largest imaginary residue discarded by expectation
 
 # -- theorem checking -------------------------------------------------------
-THEOREM_TOL = 1e-9       # default margin tolerance in sweeps
+THEOREM_TOL = 1e-9       # margin tolerance of the sweep's theorem checks
 ORACLE_TOL = 1e-8        # allowed |closed form - grid maximum|
 SATURATION_TOL = 1e-10   # upper-bound margin for two-coefficient states
 CERT_MARGIN = 1e-9       # strict excess over the classical value 2

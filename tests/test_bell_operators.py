@@ -380,20 +380,17 @@ class TestBatchedEvaluator:
             max_expectation_grid(new_schmidt([1, 1, 1]), 2, 64)
 
 
-NAN, INF = math.nan, math.inf
-
-
 # every check fails on a NaN, where a `defect > tol` test would let it through
 @pytest.mark.parametrize("build, error, reason", [
-    (lambda: HermitianObservable(np.array([[NAN, 0], [0, 1]])), InvariantError,
+    (lambda: HermitianObservable(np.array([[math.nan, 0], [0, 1]])), InvariantError,
      r"^matrix is not Hermitian \(defect nan\)$"),
-    (lambda: HermitianObservable(np.array([[INF, 0], [0, 1]])), InvariantError,
+    (lambda: HermitianObservable(np.array([[math.inf, 0], [0, 1]])), InvariantError,
      r"^matrix is not Hermitian \(defect nan\)$"),
-    (lambda: HermitianObservable(np.array([[1, NAN], [NAN, 1]])), InvariantError,
+    (lambda: HermitianObservable(np.array([[1, math.nan], [math.nan, 1]])), InvariantError,
      r"^matrix is not Hermitian \(defect nan\)$"),
-    (lambda: BellOperator(1, 2, [[NAN, 0], [0, 1]]), InvariantError,
+    (lambda: BellOperator(1, 2, [[math.nan, 0], [0, 1]]), InvariantError,
      r"^operator is not Hermitian \(defect nan\)$"),
-    (lambda: bell_operators._real_part(np.array([1 + 1j * NAN])), NonHermitianResidueError,
+    (lambda: bell_operators._real_part(np.array([1 + 1j * math.nan])), NonHermitianResidueError,
      r"^imaginary residue nan exceeds 1e-10$"),
 ], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "bell-operator", "residue"])
 def test_checkers_reject_non_finite(build, error, reason):
