@@ -47,6 +47,19 @@ GOLDEN_VERIFY = [
     pytest.param(("--m", "8", "--n", "8", "--samples", "8", "--measure", "simplex"),
                  "876b5db191fe005b00b2561f990bfc2e957c0f51994f708fad6847f4b0fb6379",
                  id="8x8-simplex"),
+    # a later --grid overrides the test's 64: grids of 17 and 65 end in a one-angle stack
+    pytest.param(("--m", "2", "--n", "2", "--samples", "130", "--measure", "haar", "--grid", "17"),
+                 "559244242a294b43e0fa5e62aafc35d731b87b93282717dbf1249a951a7543da",
+                 id="2x2-haar-grid17"),
+    pytest.param(("--m", "2", "--n", "2", "--samples", "130", "--measure", "haar", "--grid", "65"),
+                 "82ca44cf76f43361c82d3e80ca7e71b8be320a47dc139bc5d79c2d545a3b5a6d",
+                 id="2x2-haar-grid65"),
+    pytest.param(("--m", "8", "--n", "8", "--samples", "8", "--measure", "haar", "--grid", "17"),
+                 "6913ab13f6bedcac210f7af0a5229bb1159228d5ff0e24d3b05cbaf1518bb7c3",
+                 id="8x8-haar-grid17"),
+    pytest.param(("--m", "8", "--n", "8", "--samples", "8", "--measure", "haar", "--grid", "65"),
+                 "71cb223b9da4371f7edaf81b27f60d86604b40276c92ddb892fa265e15a5031d",
+                 id="8x8-haar-grid65"),
 ]
 
 
