@@ -31,6 +31,7 @@ from .tolerances import (
     GOLDEN_WIDTH,
     HERMITIAN_TOL,
     IMAG_TOL,
+    MAX_GRID_POINTS,
     MAX_ORACLE_DIM,
     SPECTRUM_TOL,
 )
@@ -49,10 +50,12 @@ __all__ = [
 ]
 
 
-def _check_hermitian(stack: np.ndarray, what: str) -> None:
+def _check_hermitian(stack: np.ndarray, what: str, work=None) -> None:
     """Each matrix on the last two axes is Hermitian within ``HERMITIAN_TOL`` entrywise;
-    like every check here, written so that a NaN fails it."""
-    defect = float(np.abs(stack - stack.conj().swapaxes(-1, -2)).max())
+    like every check here, written so that a NaN fails it; ``work`` is (complex, real) scratch."""
+    diff, mag = work or (np.empty_like(stack), np.empty(stack.shape))
+    np.subtract(stack, np.conjugate(stack.swapaxes(-1, -2), out=diff), out=diff)
+    defect = float(np.abs(diff, out=mag).max())
     if not defect <= HERMITIAN_TOL:
         raise InvariantError(f"{what} is not Hermitian (defect {defect:.3e})")
 
@@ -246,38 +249,69 @@ def expectation(op: BellOperator, s: SchmidtVector, dim_b: int) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal f on [lo, hi] to absolute width."""
+def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[float, float]:
+    """Golden-section maximum of a unimodal f on [lo, hi] to absolute width.  ``f`` maps a
+    list of angles to their values.  The loop keeps a one-angle search's arithmetic, so it
+    asks for the same angles, but evaluates each new one with all that the next
+    ``depth - 1`` steps can ask for, either way their comparisons go."""
+    known = {}
+
+    def ahead(lo, hi, x1, x2, steps):
+        if steps <= 0:
+            return []
+        if hi - lo <= width:
+            return [0.5 * (lo + hi)]
+        up, down = x1 + _INVPHI * (hi - x1), x2 - _INVPHI * (x2 - lo)  # lo to x1, hi to x2
+        return [up, down, *ahead(x1, hi, x2, up, steps - 1), *ahead(lo, x2, down, x1, steps - 1)]
+
+    def evaluate(*thetas):
+        thetas = list(dict.fromkeys(thetas))  # the last bracket's midpoint can come twice
+        known.update(zip(thetas, f(thetas).tolist()))
+
+    def value(x, *bracket):
+        if x not in known:
+            evaluate(x, *ahead(*bracket, depth - 1))
+        return known[x]
+
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    evaluate(x1, x2, *ahead(lo, hi, x1, x2, depth - 2))
+    f1, f2 = known[x1], known[x2]
     while hi - lo > width:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
+            f2 = value(x2, lo, hi, x1, x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
+            f1 = value(x1, lo, hi, x1, x2)
     mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+    return mid, value(mid, lo, hi, x1, x2)
 
 
-_BLOCK = 16  # angles per operator stack: at most 1 MB of operators at m*n = 64
+_BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
+
+
+def _golden_depth(side: int) -> int:
+    """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB (glibc's mmap
+    threshold): 3 up to m*n = 34, 2 up to 52; faster than one more at m*n = 20 and 64."""
+    return max(d for d in (1, 2, 3) if d == 1 or ((1 << d) - 1) * 16 * side**2 <= 128 << 10)
 
 
 def _family_values(s: SchmidtVector, b_pair):
-    """Dense expectations of the family on ``s`` at a 1-d array of angles.
+    """Dense expectations of the family on ``s`` at a 1-d sequence of angles.
 
-    Built once: the tiled ``s3``/``s1`` blocks of the first party and its
-    odd-m scalar slot, the contracted second-party side ``sum_j N_ij B_j``
-    of the CHSH matrix, and the embedded state ``psi``.  Each call builds
-    the ``(G, 2, m, m)`` stack of ``A_i(theta)``, assembles the ``(G, D, D)``
-    operators ``sum_i A_i (x) sum_j N_ij B_j`` with two broadcast Kronecker
-    products and takes all ``G`` expectations in one contraction.  Stacks and
-    values go through the checkers of :class:`HermitianObservable`,
-    :class:`BellOperator` and :func:`expectation`.
+    Built once: the tiled ``s3``/``s1`` blocks of the first party and its odd-m
+    scalar slot, the contracted second-party side ``sum_j N_ij B_j`` of the CHSH
+    matrix, the embedded state ``psi``, and ``max(G, _BLOCK)`` deep buffers that a
+    call of ``G`` angles writes its operators and their check into.  Each call
+    builds the ``(G, 2, m, m)`` stack of ``A_i(theta)``, assembles the ``(G, D, D)``
+    operators ``sum_i A_i (x) sum_j N_ij B_j`` with two broadcast Kronecker products
+    and takes all ``G`` expectations: in one matrix-vector product, whose last bits
+    differ between one row and more, or ``rowwise`` (``np.vecdot``), with a one-angle
+    stack's bits at any ``G``.  Stacks and values go through the checkers of
+    :class:`HermitianObservable`, :class:`BellOperator` and :func:`expectation`.
     """
     m, n = s.m, b_pair[0].dim
     if m > n:
@@ -290,33 +324,39 @@ def _family_values(s: SchmidtVector, b_pair):
     b_side = b_side[:, :, None, :]  # broadcasts as the second Kronecker factor
     psi = np.zeros(side, dtype=complex)
     psi[np.arange(m) * (n + 1)] = s.coeffs
+    bufs = []  # operators, complex and real scratch
 
-    def values(thetas: np.ndarray) -> np.ndarray:
+    def values(thetas, rowwise: bool = False) -> np.ndarray:
+        g = len(thetas)
+        if not bufs or len(bufs[0]) < g:
+            bufs[:] = [np.empty((max(g, _BLOCK), side, side), t) for t in (complex, complex, float)]
+        ops, work, mag = (buf[:g] for buf in bufs)
         cos = np.cos(thetas)[:, None, None, None]
         sin = np.sin(thetas)[:, None, None, None]
         a = cos * cos_part + sin * sin_parts + odd_slot
         _check_observables(a)
-        ops = (a[:, 0, :, None, :, None] * b_side[0]).reshape(-1, side, side)
-        ops += (a[:, 1, :, None, :, None] * b_side[1]).reshape(-1, side, side)
-        _check_hermitian(ops, "operator")
-        return _real_part((ops @ psi) @ psi.conj())
+        np.multiply(a[:, 0, :, None, :, None], b_side[0], out=ops.reshape(g, m, n, m, n))
+        np.multiply(a[:, 1, :, None, :, None], b_side[1], out=work.reshape(g, m, n, m, n))
+        ops += work
+        _check_hermitian(ops, "operator", (work, mag))
+        return _real_part(np.vecdot(psi, ops @ psi) if rowwise else (ops @ psi) @ psi.conj())
 
     return values
 
 
-def max_expectation_grid(
-    s: SchmidtVector, dim_b: int, grid_points: int
-) -> tuple[float, float]:
+def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tuple[float, float]:
     """Maximize the family's expectation over theta, matrices only.
 
     Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to
     the sign symmetry of the family -- then refines the best bracket by
     golden-section search down to absolute width ``GOLDEN_WIDTH``.  Grid
-    and refinement share one evaluator (``_family_values``): the grid in
-    stacks of ``_BLOCK`` angles, the refinement one angle at a time.  Each
-    evaluation assembles the dense operator from the validated observables
-    and takes its expectation on the embedded state; nothing uses the
-    closed form, so the result is an independent cross-check of it.
+    and refinement share one evaluator (``_family_values``) and its buffers:
+    the grid in stacks of ``_BLOCK`` angles, the refinement in stacks of the
+    angles its next ``_golden_depth`` steps can ask for, row by row to the bits of
+    one-angle stacks.  Each evaluation assembles the dense operator from the
+    validated observables and takes its expectation on the embedded state; nothing
+    uses the closed form, so the result is an independent cross-check of it.
+    Grids beyond ``MAX_GRID_POINTS`` raise.
 
     Returns
     -------
@@ -326,18 +366,14 @@ def max_expectation_grid(
     grid_points = int(grid_points)
     if grid_points < 8:
         raise InvalidDimensionError(f"grid_points must be at least 8, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise TooLargeError(f"dense oracle guard: grid_points = {grid_points} > {MAX_GRID_POINTS}")
     dim_b = int(dim_b)
     if dim_b < 1:
         raise InvalidDimensionError(f"dim_b must be positive, got {dim_b}")
     if s.m * dim_b > MAX_ORACLE_DIM:
-        raise TooLargeError(
-            f"dense oracle guard: m*dim_b = {s.m * dim_b} exceeds {MAX_ORACLE_DIM}"
-        )
+        raise TooLargeError(f"dense oracle guard: m*dim_b = {s.m * dim_b} exceeds {MAX_ORACLE_DIM}")
     values_at = _family_values(s, [build_b(dim_b, 0), build_b(dim_b, 1)])
-
-    def value_at(theta: float) -> float:
-        return float(values_at(np.array([theta]))[0])
-
     step = math.pi / grid_points
     thetas = np.arange(grid_points) * step
     values = np.concatenate(
@@ -345,7 +381,8 @@ def max_expectation_grid(
     )
     best = int(np.argmax(values))
     theta_best = best * step
-    theta, value = _golden_max(value_at, theta_best - step, theta_best + step, GOLDEN_WIDTH)
+    theta, value = _golden_max(lambda angles: values_at(angles, rowwise=True), theta_best - step,
+                               theta_best + step, GOLDEN_WIDTH, _golden_depth(s.m * dim_b))
     if values[best] >= value:  # keep the best evaluation seen, the grid angle on a tie
         theta, value = theta_best, float(values[best])
     return theta, value

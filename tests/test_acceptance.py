@@ -32,7 +32,7 @@ from bellbound import (
     verify_oracle,
 )
 from bellbound.cli import main
-from bellbound.tolerances import ORACLE_TOL, SATURATION_TOL
+from bellbound.tolerances import ORACLE_TOL, SATURATION_TOL, THEOREM_TOL
 
 SWEEP_BUDGET_SECONDS = 180.0  # "under ~2 minutes on a laptop", with headroom
 
@@ -145,7 +145,7 @@ def test_criterion_5_two_qubit_relation(capsys):
             s = sample_haar(2, 2, rng) if measure == "haar" else sample_simplex(2, rng)
             c = concurrence(s)
             b = bell_value_formula(s)
-            if not (2.0 * math.sqrt(2.0) * c - 1e-9 <= b <= upper_bound(c) + 1e-9):
+            if not (2.0 * math.sqrt(2.0) * c - THEOREM_TOL <= b <= upper_bound(c) + THEOREM_TOL):
                 chain_ok = False
             worst_identity = max(worst_identity, abs(b - upper_bound(c)))
     ok = chain_ok and worst_identity <= SATURATION_TOL

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellbound import (
@@ -34,6 +36,7 @@ from bellbound.errors import (
     NonHermitianResidueError,
     TooLargeError,
 )
+from bellbound.tolerances import GOLDEN_WIDTH, MAX_GRID_POINTS
 
 S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -317,6 +320,12 @@ class TestMaxExpectationGrid:
         with pytest.raises(InvalidDimensionError):
             max_expectation_grid(new_schmidt([1, 1]), 2, 7)
 
+    def test_grid_guard(self, monkeypatch):
+        # refused before the closure or the grid's angles are built
+        monkeypatch.setattr(bell_operators, "_family_values", None)
+        with pytest.raises(TooLargeError, match="grid_points"):
+            max_expectation_grid(new_schmidt([1, 1]), 2, MAX_GRID_POINTS + 1)
+
 
 class TestBatchedEvaluator:
     """The oracle's stacked evaluator against the scalar observable/operator API."""
@@ -337,9 +346,9 @@ class TestBatchedEvaluator:
         brackets = []
         golden = bell_operators._golden_max
 
-        def spy(f, lo, hi, width):
+        def spy(f, lo, hi, width, depth):
             brackets.append((lo, hi))
-            return golden(f, lo, hi, width)
+            return golden(f, lo, hi, width, depth)
 
         monkeypatch.setattr(bell_operators, "_golden_max", spy)
         rng = np.random.default_rng(grid_points)
@@ -353,6 +362,37 @@ class TestBatchedEvaluator:
             assert (lo, hi) == (best * step - step, best * step + step)
             assert lo <= theta <= hi
             assert value >= scalar[best] - 1e-12
+
+    @pytest.mark.parametrize("shape, most", [((2, 2), 20), ((4, 5), 20), ((8, 8), 51)])
+    def test_evaluator_calls_per_search(self, monkeypatch, shape, most):
+        # a one-angle golden search made 51 calls at grid 64: 4 grid stacks, 47 angles
+        calls = []
+        family_values = bell_operators._family_values
+
+        def counting(s, b_pair):
+            values_at = family_values(s, b_pair)
+
+            def count(*args, **kwargs):
+                calls.append(len(args[0]))
+                return values_at(*args, **kwargs)
+
+            return count
+
+        monkeypatch.setattr(bell_operators, "_family_values", counting)
+        m, n = shape
+        max_expectation_grid(sample_haar(m, n, np.random.default_rng(m * n)), n, 64)
+        assert 4 < len(calls) <= most
+
+    @pytest.mark.parametrize("rowwise", [False, True])
+    def test_reused_buffers_leak_no_rows(self, rowwise):
+        rng = np.random.default_rng(91)
+        s = sample_haar(5, 6, rng)
+        b_pair = [build_b(6, 0), build_b(6, 1)]
+        values_at = bell_operators._family_values(s, b_pair)
+        for size in (16, 3, 1, 16):
+            thetas = rng.uniform(0.0, math.pi, size)
+            fresh = bell_operators._family_values(s, b_pair)(thetas, rowwise=rowwise)
+            assert np.array_equal(values_at(thetas, rowwise=rowwise), fresh)
 
     @pytest.mark.parametrize("sigma_one, reason", [
         (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix is not Hermitian"),
@@ -396,3 +436,67 @@ class TestBatchedEvaluator:
 def test_checkers_reject_non_finite(build, error, reason):
     with np.errstate(invalid="ignore"), pytest.raises(error, match=reason):
         build()
+
+
+def sequential_golden_max(f, lo, hi, width):
+    """The oracle's golden search before its lookahead: one angle per call of ``f``."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > width:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    mid = 0.5 * (lo + hi)
+    return mid, f(mid)
+
+
+def sequential_grid_max(s, n, grid_points):
+    """``max_expectation_grid`` with the golden search above: the grid in stacks of
+    16 angles, each golden angle a one-angle stack of the default contraction."""
+    values_at = bell_operators._family_values(s, [build_b(n, 0), build_b(n, 1)])
+    step = math.pi / grid_points
+    thetas = np.arange(grid_points) * step
+    values = np.concatenate([values_at(thetas[lo : lo + 16]) for lo in range(0, grid_points, 16)])
+    best = int(np.argmax(values))
+    theta_best = best * step
+    theta, value = sequential_golden_max(lambda t: float(values_at(np.array([t]))[0]),
+                                         theta_best - step, theta_best + step, GOLDEN_WIDTH)
+    if values[best] >= value:
+        theta, value = theta_best, float(values[best])
+    return theta, value
+
+
+SHAPES = [(m, n) for m in range(1, 9) for n in sorted({m, m + 1, 8}) if m * n <= 64]
+GRIDS = [8, 9, 17, 37, 64, 65, 720]
+
+
+class TestGoldenLookahead:
+    """The golden search evaluates stacks of the angles its next steps can ask for;
+    theta and value must keep the bits of the one-angle search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.sampled_from(SHAPES), grid_points=st.sampled_from(GRIDS),
+           measure=st.sampled_from(["haar", "simplex"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_search(self, shape, grid_points, measure, seed):
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        s = sample_haar(m, n, rng) if measure == "haar" else sample_simplex(m, rng)
+        assert max_expectation_grid(s, n, grid_points) == sequential_grid_max(s, n, grid_points)
+
+    @pytest.mark.parametrize("grid_points", GRIDS)
+    @pytest.mark.parametrize("coeffs", [[1.0], [1.0, 0.0]])
+    def test_flat_family_matches_sequential_search(self, coeffs, grid_points):
+        s = new_schmidt(coeffs)
+        for n in sorted({s.m, s.m + 1, 8}):
+            assert max_expectation_grid(s, n, grid_points) == sequential_grid_max(s, n, grid_points)
+
+    @pytest.mark.parametrize("side, depth", [(1, 3), (34, 3), (35, 2), (52, 2), (53, 1), (64, 1)])
+    def test_depth_fits_the_stack_bound(self, side, depth):
+        assert bell_operators._golden_depth(side) == depth

@@ -31,7 +31,7 @@ from bellbound import (
     upper_bound,
 )
 from bellbound.errors import NegativeInputError, OddDimensionError, TooLargeError
-from bellbound.tolerances import SATURATION_TOL
+from bellbound.tolerances import SATURATION_TOL, THEOREM_TOL
 
 SQ2 = math.sqrt(2.0)
 
@@ -255,8 +255,8 @@ class TestTheoremProperties:
             )
             c = concurrence(s)
             b = bell_value_formula(s)
-            assert upper_bound(c) - b >= -1e-9
-            assert b - lower_bound(c) >= -1e-9
+            assert upper_bound(c) - b >= -THEOREM_TOL
+            assert b - lower_bound(c) >= -THEOREM_TOL
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_scalar_inequalities_hold(self, m):
@@ -300,7 +300,7 @@ class TestTheoremProperties:
             c = concurrence(s)
             b = bell_value_formula(s)
             assert abs(b - upper_bound(c)) <= SATURATION_TOL
-            assert b >= 2.0 * SQ2 * c - 1e-9
+            assert b >= 2.0 * SQ2 * c - THEOREM_TOL
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_threshold_consistency(self, m):

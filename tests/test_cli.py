@@ -20,7 +20,7 @@ import pytest
 import bellbound
 from bellbound import ExperimentConfig, SchmidtVector, concurrence, harness, run_sweep
 from bellbound.cli import main
-from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_ORACLE_DIM, ORACLE_TOL
+from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_GRID_POINTS, MAX_ORACLE_DIM, ORACLE_TOL
 
 
 def run_cli(capsys, *argv):
@@ -333,7 +333,9 @@ BAD_INPUTS = [
     (f"{VERIFY} 2 --samples 0", 2), (f"{VERIFY} 2 --measure uniform", 2),
     ("concurrence --coeffs 0,0", 1), ("concurrence --coeffs 0.5,-1", 1),
     ("bell --coeffs -1,0", 1), ("bounds --coeffs 0,0", 1), (f"jn --matrix {EYE_PAST_GUARD}", 1),
-    (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1), (f"{SWEEP} 2 --out {{tmp}}", 1),
+    (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1),
+    (f"{VERIFY} 2 --grid {MAX_GRID_POINTS + 1}", 1), (f"{VERIFY} 2 --grid {10**13}", 1),
+    (f"{SWEEP} 2 --out {{tmp}}", 1),
     (f"{SWEEP} 2 --out {{tmp}}/missing/x.jsonl", 1),
     (f"BELLBOUND_THREADS=many {SWEEP} 2 --out {{out}}", 1),
     (f"BELLBOUND_THREADS=-1 {SWEEP} 2 --out {{out}}", 1),

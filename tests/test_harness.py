@@ -192,8 +192,8 @@ class TestRunSweep:
         summary = run_sweep(cfg)
         for dim in summary.per_dim:
             assert dim.violations == 0
-            assert dim.min_theorem1_margin >= -1e-9
-            assert dim.min_theorem2_margin >= -1e-9
+            assert dim.min_theorem1_margin >= -THEOREM_TOL
+            assert dim.min_theorem2_margin >= -THEOREM_TOL
             assert dim.max_concurrence <= math.sqrt(2.0 * (dim.m - 1) / dim.m) + 1e-12
 
     def test_requires_output_path(self):
@@ -623,7 +623,7 @@ class TestScatterCb:
             m, c, b = int(m_txt), float(c_txt), float(b_txt)
             assert c >= last_c[m]
             last_c[m] = c
-            assert float(lo_txt) - 1e-9 <= b <= float(up_txt) + 1e-9
+            assert float(lo_txt) - THEOREM_TOL <= b <= float(up_txt) + THEOREM_TOL
 
     def test_round_trip_identity(self, tmp_path):
         # re-parsing a row and recomputing reproduces the printed values
@@ -649,7 +649,7 @@ class TestScatterCb:
         cfg = ExperimentConfig(dims=(4,), samples=2000, seed=37, output_path=str(out))
         lines = scatter_cb(cfg).read_text().splitlines()[1:]
         top = max(float(line.split(",")[2]) for line in lines)
-        assert top <= 2.0 * math.sqrt(1.0 + 1.5) + 1e-9  # 2 sqrt(1 + C_max^2)
+        assert top <= 2.0 * math.sqrt(1.0 + 1.5) + THEOREM_TOL  # 2 sqrt(1 + C_max^2)
 
 
 class TestOracleRecordsViaSweep:
