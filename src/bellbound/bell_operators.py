@@ -52,7 +52,7 @@ __all__ = [
 
 def _check_hermitian(stack: np.ndarray, what: str, work=None) -> None:
     """Each matrix on the last two axes is Hermitian within ``HERMITIAN_TOL`` entrywise;
-    like every check here, written so that a NaN fails it; ``work`` is (complex, real) scratch."""
+    like every check here, written so that a NaN fails it.  ``work``: (complex, real) scratch."""
     diff, mag = work or (np.empty_like(stack), np.empty(stack.shape))
     np.subtract(stack, np.conjugate(stack.swapaxes(-1, -2), out=diff), out=diff)
     defect = float(np.abs(diff, out=mag).max())
@@ -295,7 +295,7 @@ _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
 
 def _golden_depth(side: int) -> int:
     """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB (glibc's mmap
-    threshold): 3 up to m*n = 34, 2 up to 52; faster than one more at m*n = 20 and 64."""
+    threshold): 3 up to m*n = 34, 2 up to 52; it timed faster than one more at m*n = 20, 64."""
     return max(d for d in (1, 2, 3) if d == 1 or ((1 << d) - 1) * 16 * side**2 <= 128 << 10)
 
 
