@@ -12,7 +12,9 @@ formula.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,78 +293,64 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
 
 
 _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
+_LOCAL = threading.local()  # this thread's operator and check buffers (_operators)
 
 
 def _golden_depth(side: int) -> int:
-    """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB (glibc's mmap
-    threshold): 3 up to m*n = 34, 2 up to 52; it timed faster than one more at m*n = 20, 64."""
+    """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB: 3 up to m*n = 34,
+    2 up to 52; with reused buffers it timed no slower than one more at m*n = 20 and 54-64."""
     return max(d for d in (1, 2, 3) if d == 1 or ((1 << d) - 1) * 16 * side**2 <= 128 << 10)
 
 
-def _family_values(s: SchmidtVector, b_pair):
-    """Dense expectations of the family on ``s`` at a 1-d sequence of angles.
-
-    Built once: the tiled ``s3``/``s1`` blocks of the first party and its odd-m
-    scalar slot, the contracted second-party side ``sum_j N_ij B_j`` of the CHSH
-    matrix, the embedded state ``psi``, and ``max(G, _BLOCK)`` deep buffers that a
-    call of ``G`` angles writes its operators and their check into.  Each call
-    builds the ``(G, 2, m, m)`` stack of ``A_i(theta)``, assembles the ``(G, D, D)``
-    operators ``sum_i A_i (x) sum_j N_ij B_j`` with two broadcast Kronecker products
-    and takes all ``G`` expectations: in one matrix-vector product, whose last bits
-    differ between one row and more, or ``rowwise`` (``np.vecdot``), with a one-angle
-    stack's bits at any ``G``.  Stacks and values go through the checkers of
-    :class:`HermitianObservable`, :class:`BellOperator` and :func:`expectation`.
-    """
-    m, n = s.m, b_pair[0].dim
-    if m > n:
-        raise DimensionMismatchError(f"state rank {m} exceeds operator factors ({m}, {n})")
-    side = m * n
-    cos_part = _block_repeat(_SIGMA[3], m, tail=0.0)
-    sin_parts = np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0)
-    odd_slot = _block_repeat(np.zeros((2, 2)), m)
-    b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries, [b.entries for b in b_pair])
-    b_side = b_side[:, :, None, :]  # broadcasts as the second Kronecker factor
-    psi = np.zeros(side, dtype=complex)
-    psi[np.arange(m) * (n + 1)] = s.coeffs
-    bufs = []  # operators, complex and real scratch
-
-    def values(thetas, rowwise: bool = False) -> np.ndarray:
-        g = len(thetas)
-        if not bufs or len(bufs[0]) < g:
-            bufs[:] = [np.empty((max(g, _BLOCK), side, side), t) for t in (complex, complex, float)]
-        ops, work, mag = (buf[:g] for buf in bufs)
-        cos = np.cos(thetas)[:, None, None, None]
-        sin = np.sin(thetas)[:, None, None, None]
-        a = cos * cos_part + sin * sin_parts + odd_slot
-        _check_observables(a)
-        np.multiply(a[:, 0, :, None, :, None], b_side[0], out=ops.reshape(g, m, n, m, n))
-        np.multiply(a[:, 1, :, None, :, None], b_side[1], out=work.reshape(g, m, n, m, n))
-        ops += work
-        _check_hermitian(ops, "operator", (work, mag))
-        return _real_part(np.vecdot(psi, ops @ psi) if rowwise else (ops @ psi) @ psi.conj())
-
-    return values
+@functools.lru_cache(maxsize=None)
+def _family(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The state-independent parts of the family at (m, n), read-only: the tiled
+    ``s3``/``s1`` blocks of the first party and its odd-m scalar slot, and the
+    contracted second-party side ``sum_j N_ij B_j`` of the CHSH matrix on the checked
+    pair of :func:`build_b`.  Callers pass the dense-oracle guards first, which bound
+    the cache to the 144 shapes with m <= n and m*n <= ``MAX_ORACLE_DIM``."""
+    b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries, [build_b(n, w).entries for w in (0, 1)])
+    parts = (
+        _block_repeat(_SIGMA[3], m, tail=0.0),
+        np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0),
+        _block_repeat(np.zeros((2, 2)), m),
+        b_side[:, :, None, :],  # broadcasts as the second Kronecker factor
+    )
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
-def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tuple[float, float]:
-    """Maximize the family's expectation over theta, matrices only.
+def _operators(m: int, n: int, thetas) -> np.ndarray:
+    """The ``(G, D, D)`` operators ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles,
+    two broadcast Kronecker products of :func:`_family`'s parts; the ``(G, 2, m, m)``
+    first-party stack and the operators pass the checkers of :class:`HermitianObservable`
+    and :class:`BellOperator`.  A view of this thread's buffers, allocated once at the
+    largest stack asked for (at least 16 angles at D = 64, 2.6 MB with the check's
+    scratch), which the thread's next call overwrites."""
+    cos_part, sin_parts, odd_slot, b_side = _family(m, n)
+    g, size = len(thetas), len(thetas) * (m * n) ** 2
+    bufs = getattr(_LOCAL, "bufs", ())
+    if not bufs or len(bufs[0]) < size:
+        cap = max(size, _BLOCK * MAX_ORACLE_DIM**2)
+        bufs = _LOCAL.bufs = [np.empty(cap, t) for t in (complex, complex, float)]
+    ops, work, mag = (buf[:size].reshape(g, m * n, m * n) for buf in bufs)
+    cos = np.cos(thetas)[:, None, None, None]
+    sin = np.sin(thetas)[:, None, None, None]
+    a = cos * cos_part + sin * sin_parts + odd_slot
+    _check_observables(a)
+    np.multiply(a[:, 0, :, None, :, None], b_side[0], out=ops.reshape(g, m, n, m, n))
+    np.multiply(a[:, 1, :, None, :, None], b_side[1], out=work.reshape(g, m, n, m, n))
+    ops += work
+    _check_hermitian(ops, "operator", (work, mag))
+    return ops
 
-    Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to
-    the sign symmetry of the family -- then refines the best bracket by
-    golden-section search down to absolute width ``GOLDEN_WIDTH``.  Grid
-    and refinement share one evaluator (``_family_values``) and its buffers:
-    the grid in stacks of ``_BLOCK`` angles, the refinement in stacks of the
-    angles its next ``_golden_depth`` steps can ask for, row by row to the bits of
-    one-angle stacks.  Each evaluation assembles the dense operator from the
-    validated observables and takes its expectation on the embedded state; nothing
-    uses the closed form, so the result is an independent cross-check of it.
-    Grids beyond ``MAX_GRID_POINTS`` raise.
 
-    Returns
-    -------
-    (theta_star, value) : tuple of float
-        The maximizing angle and the maximum expectation.
-    """
+def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> list:
+    """:func:`max_expectation_grid`'s ``(theta, value)`` for each row of an ``(S, m)``
+    block that passed ``validate_rows``, with the bits of one call per row: each grid
+    stack is built once for the block, and a state keeps only its best grid index and
+    value (the first maximum, as ``np.argmax``) before its own golden search."""
     grid_points = int(grid_points)
     if grid_points < 8:
         raise InvalidDimensionError(f"grid_points must be at least 8, got {grid_points}")
@@ -371,18 +359,56 @@ def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tupl
     dim_b = int(dim_b)
     if dim_b < 1:
         raise InvalidDimensionError(f"dim_b must be positive, got {dim_b}")
-    if s.m * dim_b > MAX_ORACLE_DIM:
-        raise TooLargeError(f"dense oracle guard: m*dim_b = {s.m * dim_b} exceeds {MAX_ORACLE_DIM}")
-    values_at = _family_values(s, [build_b(dim_b, 0), build_b(dim_b, 1)])
+    count, m = rows.shape
+    if m * dim_b > MAX_ORACLE_DIM:
+        raise TooLargeError(f"dense oracle guard: m*dim_b = {m * dim_b} exceeds {MAX_ORACLE_DIM}")
+    if m > dim_b:
+        raise DimensionMismatchError(f"state rank {m} exceeds operator factors ({m}, {dim_b})")
+    psis = np.zeros((count, m * dim_b), dtype=complex)
+    psis[:, np.arange(m) * (dim_b + 1)] = rows
     step = math.pi / grid_points
     thetas = np.arange(grid_points) * step
-    values = np.concatenate(
-        [values_at(thetas[lo : lo + _BLOCK]) for lo in range(0, grid_points, _BLOCK)]
-    )
-    best = int(np.argmax(values))
-    theta_best = best * step
-    theta, value = _golden_max(lambda angles: values_at(angles, rowwise=True), theta_best - step,
-                               theta_best + step, GOLDEN_WIDTH, _golden_depth(s.m * dim_b))
-    if values[best] >= value:  # keep the best evaluation seen, the grid angle on a tie
-        theta, value = theta_best, float(values[best])
-    return theta, value
+    stack = np.empty((count, _BLOCK), dtype=complex)
+    best, top = np.zeros(count, dtype=int), np.full(count, -np.inf)
+    for lo in range(0, grid_points, _BLOCK):
+        ops = _operators(m, dim_b, thetas[lo : lo + _BLOCK])
+        for psi, row in zip(psis, stack):
+            row[: len(ops)] = (ops @ psi) @ psi.conj()
+        values = _real_part(stack[:, : len(ops)])
+        k = values.argmax(axis=1)
+        new = values[np.arange(count), k]
+        ahead = new > top  # strictly: an earlier stack keeps a tie
+        best[ahead], top[ahead] = lo + k[ahead], new[ahead]
+    depth, out = _golden_depth(m * dim_b), []
+    for psi, index, grid_value in zip(psis, best.tolist(), top.tolist()):
+        theta_best = index * step
+        theta, value = _golden_max(
+            lambda angles, psi=psi: _real_part(np.vecdot(psi, _operators(m, dim_b, angles) @ psi)),
+            theta_best - step, theta_best + step, GOLDEN_WIDTH, depth)
+        if grid_value >= value:  # keep the best evaluation seen, the grid angle on a tie
+            theta, value = theta_best, grid_value
+        out.append((theta, value))
+    return out
+
+
+def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tuple[float, float]:
+    """Maximize the family's expectation over theta, matrices only.
+
+    Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to
+    the sign symmetry of the family -- then refines the best bracket by
+    golden-section search down to absolute width ``GOLDEN_WIDTH``.  Grid
+    and refinement share one operator builder (``_operators``): the grid in
+    stacks of ``_BLOCK`` angles contracted as ``(ops @ psi) @ psi.conj()``, the
+    refinement in stacks of the angles its next ``_golden_depth`` steps can ask for,
+    row by row (``np.vecdot``) to the bits of one-angle stacks.  Each evaluation
+    assembles the dense operator from the validated observables and takes its
+    expectation on the embedded state (``_real_part``); nothing uses the closed form,
+    so the result is an independent cross-check of it.  Grids beyond
+    ``MAX_GRID_POINTS`` raise.  A block of one of :func:`max_expectation_block`.
+
+    Returns
+    -------
+    (theta_star, value) : tuple of float
+        The maximizing angle and the maximum expectation.
+    """
+    return max_expectation_block(s.coeffs[None, :], dim_b, grid_points)[0]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from bellbound import (
     BellCoefficientMatrix,
     BellOperator,
     HermitianObservable,
+    SchmidtVector,
     assemble_bell,
     build_a,
     build_b,
@@ -27,6 +30,7 @@ from bellbound import (
     sample_haar,
     sample_simplex,
 )
+from bellbound.bell_operators import max_expectation_block
 from bellbound.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -47,6 +51,25 @@ def family_value(s, dim_b, theta):
     a_pair = [build_a(theta, s.m, 0), build_a(theta, s.m, 1)]
     b_pair = [build_b(dim_b, 0), build_b(dim_b, 1)]
     return expectation(assemble_bell(CHSH_MATRIX, a_pair, b_pair), s, dim_b)
+
+
+def stack_values(s, dim_b, thetas, rowwise=False):
+    """The oracle's expectations of ``s`` on one operator stack of the family: one
+    matrix-vector product, or row by row (``np.vecdot``) as the golden search takes them."""
+    psi = np.zeros(s.m * dim_b, dtype=complex)
+    psi[np.arange(s.m) * (dim_b + 1)] = s.coeffs
+    ops = bell_operators._operators(s.m, dim_b, thetas)
+    return bell_operators._real_part(np.vecdot(psi, ops @ psi) if rowwise
+                                     else (ops @ psi) @ psi.conj())
+
+
+@pytest.fixture
+def fresh_family():
+    """An empty family cache, emptied again afterwards, around a test that
+    patches what the cached family is built from."""
+    bell_operators._family.cache_clear()
+    yield bell_operators._family
+    bell_operators._family.cache_clear()
 
 
 def paired_parameters(s):
@@ -321,8 +344,9 @@ class TestMaxExpectationGrid:
             max_expectation_grid(new_schmidt([1, 1]), 2, 7)
 
     def test_grid_guard(self, monkeypatch):
-        # refused before the closure or the grid's angles are built
-        monkeypatch.setattr(bell_operators, "_family_values", None)
+        # refused before the family or the grid's angles are built
+        monkeypatch.setattr(bell_operators, "_family", None)
+        monkeypatch.setattr(bell_operators, "_operators", None)
         with pytest.raises(TooLargeError, match="grid_points"):
             max_expectation_grid(new_schmidt([1, 1]), 2, MAX_GRID_POINTS + 1)
 
@@ -335,11 +359,10 @@ class TestBatchedEvaluator:
         rng = np.random.default_rng(700 + m)
         for n in (m, m + 1):
             s = sample_haar(m, n, rng)
-            values_at = bell_operators._family_values(s, [build_b(n, 0), build_b(n, 1)])
             thetas = np.concatenate([rng.uniform(-2.0 * math.pi, 3.0 * math.pi, 21),
                                      [0.0, math.pi / 2, math.pi, -math.pi]])
             expected = [family_value(s, n, theta) for theta in thetas]
-            assert_allclose(values_at(thetas), expected, rtol=0.0, atol=1e-12)
+            assert_allclose(stack_values(s, n, thetas), expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("grid_points", [8, 9, 37, 720])
     def test_grid_best_index_matches_scalar_path(self, grid_points, monkeypatch):
@@ -367,18 +390,13 @@ class TestBatchedEvaluator:
     def test_evaluator_calls_per_search(self, monkeypatch, shape, most):
         # a one-angle golden search made 51 calls at grid 64: 4 grid stacks, 47 angles
         calls = []
-        family_values = bell_operators._family_values
+        operators = bell_operators._operators
 
-        def counting(s, b_pair):
-            values_at = family_values(s, b_pair)
+        def counting(m, n, thetas):
+            calls.append(len(thetas))
+            return operators(m, n, thetas)
 
-            def count(*args, **kwargs):
-                calls.append(len(args[0]))
-                return values_at(*args, **kwargs)
-
-            return count
-
-        monkeypatch.setattr(bell_operators, "_family_values", counting)
+        monkeypatch.setattr(bell_operators, "_operators", counting)
         m, n = shape
         max_expectation_grid(sample_haar(m, n, np.random.default_rng(m * n)), n, 64)
         assert calls[:4] == [16, 16, 16, 16] and len(calls) <= most
@@ -387,33 +405,33 @@ class TestBatchedEvaluator:
     def test_reused_buffers_leak_no_rows(self, rowwise):
         rng = np.random.default_rng(91)
         s = sample_haar(5, 6, rng)
-        b_pair = [build_b(6, 0), build_b(6, 1)]
-        values_at = bell_operators._family_values(s, b_pair)
         for size in (16, 3, 1, 16):
             thetas = rng.uniform(0.0, math.pi, size)
-            fresh = bell_operators._family_values(s, b_pair)(thetas, rowwise=rowwise)
-            assert np.array_equal(values_at(thetas, rowwise=rowwise), fresh)
+            with ThreadPoolExecutor(1) as pool:  # a new thread allocates fresh buffers
+                fresh = pool.submit(stack_values, s, 6, thetas, rowwise).result(timeout=60)
+            assert np.array_equal(stack_values(s, 6, thetas, rowwise), fresh)
 
     @pytest.mark.parametrize("sigma_one, reason", [
         (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix is not Hermitian"),
         (1.5 * S1, "leaves"),
     ])
-    def test_first_party_stack_checks_fire(self, monkeypatch, sigma_one, reason):
+    def test_first_party_stack_checks_fire(self, monkeypatch, fresh_family, sigma_one, reason):
         s = new_schmidt([3.0, 2.0, 1.0])
-        b_pair = [build_b(4, 0), build_b(4, 1)]
+        b_pair = [build_b(4, 0), build_b(4, 1)]  # checked before the tampering
+        monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
         monkeypatch.setitem(bell_operators._SIGMA, 1, sigma_one)
-        values_at = bell_operators._family_values(s, b_pair)
         with pytest.raises(InvariantError, match=reason):
-            values_at(np.array([0.0, 0.4, 1.1]))
+            bell_operators._operators(3, 4, np.array([0.0, 0.4, 1.1]))
         with pytest.raises(InvariantError):
             max_expectation_grid(s, 4, 64)
 
-    def test_operator_stack_check_fires(self):
+    def test_operator_stack_check_fires(self, monkeypatch, fresh_family):
         # a second-party matrix that skipped validation makes the stack non-Hermitian
         skew = SimpleNamespace(dim=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        values_at = bell_operators._family_values(new_schmidt([1, 1]), [skew, build_b(2, 1)])
+        b_pair = [skew, build_b(2, 1)]
+        monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
         with pytest.raises(InvariantError, match="operator is not Hermitian"):
-            values_at(np.array([0.3]))
+            bell_operators._operators(2, 2, np.array([0.3]))
 
     def test_state_wider_than_second_party(self):
         with pytest.raises(DimensionMismatchError):
@@ -460,13 +478,13 @@ def sequential_golden_max(f, lo, hi, width):
 def sequential_grid_max(s, n, grid_points):
     """``max_expectation_grid`` with the golden search above: the grid in stacks of
     16 angles, each golden angle a one-angle stack of the default contraction."""
-    values_at = bell_operators._family_values(s, [build_b(n, 0), build_b(n, 1)])
     step = math.pi / grid_points
     thetas = np.arange(grid_points) * step
-    values = np.concatenate([values_at(thetas[lo : lo + 16]) for lo in range(0, grid_points, 16)])
+    values = np.concatenate([stack_values(s, n, thetas[lo : lo + 16])
+                             for lo in range(0, grid_points, 16)])
     best = int(np.argmax(values))
     theta_best = best * step
-    theta, value = sequential_golden_max(lambda t: float(values_at(np.array([t]))[0]),
+    theta, value = sequential_golden_max(lambda t: float(stack_values(s, n, np.array([t]))[0]),
                                          theta_best - step, theta_best + step, GOLDEN_WIDTH)
     if values[best] >= value:
         theta, value = theta_best, float(values[best])
@@ -500,3 +518,82 @@ class TestGoldenLookahead:
     @pytest.mark.parametrize("side, depth", [(1, 3), (34, 3), (35, 2), (52, 2), (53, 1), (64, 1)])
     def test_depth_fits_the_stack_bound(self, side, depth):
         assert bell_operators._golden_depth(side) == depth
+
+
+BLOCK_SHAPES = [(1, 2), (2, 2), (3, 4), (5, 6), (8, 8)]
+
+
+def block_of(m, n, count, seed):
+    """``count`` validated Haar rows of one (m, n), stacked as ``_draw_block`` returns them."""
+    rng = np.random.default_rng(seed)
+    return np.array([sample_haar(m, n, rng).coeffs for _ in range(count)])
+
+
+class TestBlockOracle:
+    """``max_expectation_block`` shares each grid stack among a block of states; every
+    state keeps the bits of its own ``max_expectation_grid`` call."""
+
+    @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_matches_one_state_calls(self, shape, grid_points):
+        m, n = shape
+        rows = block_of(m, n, 5, 40 * m + n)
+        expected = [max_expectation_grid(SchmidtVector(row), n, grid_points) for row in rows]
+        assert max_expectation_block(rows, n, grid_points) == expected
+
+    @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
+    def test_builds_each_grid_stack_once(self, monkeypatch, grid_points):
+        events = []
+        operators, golden = bell_operators._operators, bell_operators._golden_max
+
+        def counting(m, n, thetas):
+            events.append(len(thetas))
+            return operators(m, n, thetas)
+
+        def searching(*args):
+            events.append("golden")
+            return golden(*args)
+
+        monkeypatch.setattr(bell_operators, "_operators", counting)
+        monkeypatch.setattr(bell_operators, "_golden_max", searching)
+        max_expectation_block(block_of(3, 4, 5, 7), 4, grid_points)
+        grid = events[: events.index("golden")]
+        assert grid == [min(16, grid_points - lo) for lo in range(0, grid_points, 16)]
+        assert len(grid) == math.ceil(grid_points / 16)
+        assert events.count("golden") == 5
+
+    def test_threads_match_serial(self):
+        # thread-local buffers: four threads on different shapes, a short switch interval
+        jobs = [(block_of(m, n, 3, m * n), n) for m, n in ((2, 2), (3, 4), (5, 6), (8, 8))]
+        serial = [max_expectation_block(rows, n, 17) for rows, n in jobs]
+
+        def repeat(rows, n):
+            return [max_expectation_block(rows, n, 17) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(repeat, rows, n) for rows, n in jobs]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[expected] * 4 for expected in serial]
+
+    def test_family_is_read_only(self):
+        for part in bell_operators._family(3, 4):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[(0,) * part.ndim] = 2.0
+
+    @pytest.mark.parametrize("shape, grid_points, reason", [
+        ((8, 9), 64, "m\\*dim_b = 72"), ((2, 2), MAX_GRID_POINTS + 1, "grid_points"),
+    ])
+    def test_guards_come_before_the_cache(self, monkeypatch, fresh_family, shape, grid_points,
+                                          reason):
+        monkeypatch.setattr(bell_operators, "_operators", None)
+        m, n = shape
+        with pytest.raises(TooLargeError, match=reason):
+            max_expectation_block(np.full((2, m), m**-0.5), n, grid_points)
+        info = fresh_family.cache_info()
+        assert info.hits + info.misses == 0

@@ -293,13 +293,12 @@ class TestVerify:
                 "--seed", "2"]
         set_workers(1)  # the patch below reaches no worker process
         assert run_cli(capsys, *argv)[0] == 0
-        grid = harness.max_expectation_grid
+        block = harness.max_expectation_block
 
         def off_by_a_micro(*args):
-            theta, value = grid(*args)
-            return theta, value + 1e-6
+            return [(theta, value + 1e-6) for theta, value in block(*args)]
 
-        monkeypatch.setattr(harness, "max_expectation_grid", off_by_a_micro)
+        monkeypatch.setattr(harness, "max_expectation_block", off_by_a_micro)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         pairs = parsed_lines(out)

@@ -21,6 +21,7 @@ from bellbound import (
     harness,
     run_sweep,
     scatter_cb,
+    schmidt_state,
     substream,
     verify_oracle,
 )
@@ -586,6 +587,21 @@ class TestVerifyOracle:
         summary = verify_oracle(cfg, grid_points=64)
         assert summary.max_gap <= ORACLE_TOL
         assert summary.per_dim[0].n == m + offset
+
+    def test_rows_validated_once(self, monkeypatch, set_workers):
+        # _draw_block's validated rows go to the oracle as they are, not via SchmidtVector
+        set_workers(1)
+        calls = []
+        validate = schmidt_state.validate_rows
+
+        def counting(rows, *args):
+            calls.append(len(rows))
+            return validate(rows, *args)
+
+        monkeypatch.setattr(schmidt_state, "validate_rows", counting)
+        monkeypatch.setattr(harness, "validate_rows", counting)
+        verify_oracle(ExperimentConfig(dims=(2, 3), samples=5, seed=5), grid_points=8)
+        assert calls == [5, 5]
 
     def test_enforces_dense_guard(self):
         cfg = ExperimentConfig(dims=(8,), samples=1, seed=0, second_dim_offset=1)
