@@ -1,6 +1,6 @@
 """Golden pins of the CLI and scatter outputs, before any change to the code
-paths behind them: ``verify`` stdout, the ``scatter_cb`` CSV, ``bounds``
-JSON and ``jn`` values.  Each digest is a sha256 of the exact bytes.
+paths behind them: ``verify`` and ``sample`` stdout, the ``scatter_cb`` CSV,
+``bounds`` JSON and ``jn`` values.  Each digest is a sha256 of the exact bytes.
 """
 
 from __future__ import annotations
@@ -128,4 +128,36 @@ def seeded_matrix(kind: str, n: int) -> str:
 def test_jn_values_are_pinned(capsys, kind, expected):
     out = "".join(cli_stdout(capsys, "jn", f"--matrix={seeded_matrix(kind, n)}")
                   for n in range(2, 21))
+    assert digest(out) == expected
+
+
+# without --index, sample draws from default_rng(seed); with it, from the sweep's
+# substream, at an index of one uint32 word and at one of two
+GOLDEN_SAMPLE = [
+    pytest.param("haar", (),
+                 "ef73903efcb1837290ebc6fdaee0da0c3e8adbb513450c39f2b6ca5824f1aa92",
+                 id="haar-default-rng"),
+    pytest.param("haar", ("--index", "5"),
+                 "a42eb89e2b95986dc67f3c8dcb2db51d2df1f015a592db8e0707a11b2b367a58",
+                 id="haar-index-5"),
+    pytest.param("haar", ("--index", "4294967298"),
+                 "de982cc1d6ba13a2121608416dbb44ba8dd268e3351c62f698d85c8261e17ea7",
+                 id="haar-index-2**32+2"),
+    pytest.param("simplex", (),
+                 "a256d57bc4dbca9f4667f6bbe8c83d47acd7ce4f13ea76df9a8b8009146e3eba",
+                 id="simplex-default-rng"),
+    pytest.param("simplex", ("--index", "5"),
+                 "f004b159fc074ee91e073380ae9e8c112f3cf5706dba8d28944026fd3f0b18ba",
+                 id="simplex-index-5"),
+    pytest.param("simplex", ("--index", "4294967298"),
+                 "a2cc49dd44f5f1384303ba48651a1a5bb6ed17f34d5392bb3c086cf8b5a407ef",
+                 id="simplex-index-2**32+2"),
+]
+
+
+@pytest.mark.parametrize("measure,index,expected", GOLDEN_SAMPLE)
+def test_sample_stdout_is_pinned(capsys, measure, index, expected):
+    out = "".join(cli_stdout(capsys, "sample", "--seed", "29", "--measure", measure,
+                             "--m", str(m), "--n", str(n), *index)
+                  for m in (1, 2, 3, 8) for n in (m, m + 2))
     assert digest(out) == expected
