@@ -70,14 +70,14 @@ def theta_star(s: SchmidtVector) -> float:
 
 def upper_bound(c: float) -> float:
     """Upper Bell-value envelope ``2 sqrt(1 + c^2)`` at concurrence ``c``."""
-    if c < 0.0:
+    if not c >= 0.0:
         raise NegativeInputError(f"concurrence must be nonnegative, got {c!r}")
     return 2.0 * math.hypot(1.0, c)
 
 
 def lower_bound(c: float) -> float:
     """Lower Bell-value envelope ``sqrt(2 (1 + c^2))`` at concurrence ``c``."""
-    if c < 0.0:
+    if not c >= 0.0:
         raise NegativeInputError(f"concurrence must be nonnegative, got {c!r}")
     return math.sqrt(2.0) * math.hypot(1.0, c)
 

@@ -29,7 +29,7 @@ from .errors import (
     WorkerFailedError,
 )
 # sample_haar and sample_simplex are unused, but the benchmark's tracer wraps them here
-from .schmidt_state import sample_haar, sample_simplex, validate_rows
+from .schmidt_state import _draw_rows, sample_haar, sample_simplex, validate_rows
 from .tolerances import THEOREM_TOL, ZERO_TOL
 
 __all__ = [
@@ -256,29 +256,10 @@ def _substreams(seed: int, m: int, start: int, stop: int):
         yield rng
 
 
-def _draw_block(seed: int, measure: str, offset: int, m: int, start: int,
-                stop: int) -> np.ndarray:
-    """Validated coefficient rows of samples [start, stop) at one m.
-
-    Row by row the draws of ``sample_haar`` / ``sample_simplex`` on the same
-    substreams (``_substreams``), but with one stacked SVD (bitwise equal to
-    per-matrix calls) and the normalizations done on the whole block.
-    """
-    count = stop - start
-    streams = _substreams(seed, m, start, stop)
-    if measure == "haar":
-        z = np.empty((count, 2, m, m + offset))
-        for row, rng in enumerate(streams):
-            rng.standard_normal(out=z[row])  # real part, then imaginary, as sample_haar
-        sv = np.linalg.svd(z[:, 0] + 1j * z[:, 1], compute_uv=False)  # descending
-        rows = sv / np.sqrt(np.vecdot(sv, sv))[:, None]  # == sv / np.linalg.norm(sv)
-    else:
-        p = np.empty((count, m))
-        for row, rng in enumerate(streams):
-            rng.standard_exponential(out=p[row])
-        p /= p.sum(axis=1)[:, None]
-        rows = np.sqrt(p)
-        rows[:, ::-1].sort(axis=1)  # descending, in place
+def _draw_block(seed: int, measure: str, offset: int, m: int, start: int, stop: int) -> np.ndarray:
+    """Validated rows of samples [start, stop) at one m: ``_draw_rows``, the draw kernel
+    of ``sample_haar`` / ``sample_simplex``, on the range's ``_substreams``."""
+    rows = _draw_rows(_substreams(seed, m, start, stop), stop - start, measure, m, m + offset)
     try:
         validate_rows(rows, start)
     except InvariantError as exc:

@@ -127,7 +127,11 @@ def new_schmidt(raw) -> SchmidtVector:
         raise NonFiniteCoefficientError("amplitudes must be finite reals")
     if np.any(arr < 0.0):
         raise NegativeCoefficientError("amplitudes must be nonnegative")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if math.isinf(norm):  # squares overflow: rescale by the largest amplitude first
+        arr = arr / arr.max()
+        norm = float(np.linalg.norm(arr))
     if norm < ZERO_TOL:
         raise ZeroVectorError(f"amplitude norm {norm:.3e} is below {ZERO_TOL:g}")
     ordered = np.sort(arr)[::-1] / norm
@@ -186,9 +190,7 @@ def sample_haar(m: int, n: int, rng: np.random.Generator) -> SchmidtVector:
         raise InvalidDimensionError(f"dimensions must be positive, got m={m}, n={n}")
     if m > n:
         raise InvalidDimensionError(f"need m <= n, got m={m} > n={n}")
-    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    sv = np.linalg.svd(g, compute_uv=False)  # descending by construction
-    return SchmidtVector(sv / np.linalg.norm(sv))
+    return SchmidtVector(_draw_rows([rng], 1, "haar", m, n)[0])
 
 
 def sample_simplex(m: int, rng: np.random.Generator) -> SchmidtVector:
@@ -201,8 +203,23 @@ def sample_simplex(m: int, rng: np.random.Generator) -> SchmidtVector:
     m = int(m)
     if m < 1:
         raise InvalidDimensionError(f"m must be a positive integer, got {m}")
-    p = rng.standard_exponential(m)
-    p /= p.sum()
-    c = np.sqrt(p)
-    c[::-1].sort()  # descending, in place
-    return SchmidtVector(c)
+    return SchmidtVector(_draw_rows([rng], 1, "simplex", m, m)[0])
+
+
+def _draw_rows(streams, count: int, measure: str, m: int, n: int) -> np.ndarray:
+    """Unvalidated ``(count, m)`` descending coefficient rows, row i drawn from
+    the i-th generator in ``streams``: the one draw kernel of both measures,
+    with one stacked SVD for Haar (bitwise equal to per-matrix calls)."""
+    if measure == "haar":
+        z = np.empty((count, 2, m, n))
+        for row, rng in enumerate(streams):
+            rng.standard_normal(out=z[row])  # real part, then imaginary
+        sv = np.linalg.svd(z[:, 0] + 1j * z[:, 1], compute_uv=False)  # descending
+        return sv / np.sqrt(np.vecdot(sv, sv))[:, None]
+    p = np.empty((count, m))
+    for row, rng in enumerate(streams):
+        rng.standard_exponential(out=p[row])
+    p /= p.sum(axis=1)[:, None]
+    rows = np.sqrt(p)
+    rows[:, ::-1].sort(axis=1)  # descending, in place
+    return rows

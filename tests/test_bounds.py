@@ -104,10 +104,11 @@ class TestEnvelopes:
         assert lower_bound(math.sqrt(1.5)) == pytest.approx(math.sqrt(5.0), abs=1e-15)
 
     def test_reject_negative_concurrence(self):
-        with pytest.raises(NegativeInputError):
-            upper_bound(-0.1)
-        with pytest.raises(NegativeInputError):
-            lower_bound(-0.1)
+        for c in (-0.1, math.nan):
+            with pytest.raises(NegativeInputError):
+                upper_bound(c)
+            with pytest.raises(NegativeInputError):
+                lower_bound(c)
 
     def test_upper_dominates_lower_everywhere(self):
         for c in np.linspace(0.0, 3.0, 50):

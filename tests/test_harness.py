@@ -426,11 +426,31 @@ class TestGoldenSweeps:
         assert bool(pool_spy.sizes) == (workers > 1 and chunks > 1)
 
 
+def reference_haar(m, n, rng):
+    """Independent reference for the Haar draw of ``schmidt_state._draw_rows``:
+    one Gaussian matrix, one SVD, scaled by ``np.linalg.norm``."""
+    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    sv = np.linalg.svd(g, compute_uv=False)
+    return bb.SchmidtVector(sv / np.linalg.norm(sv))
+
+
+def reference_simplex(m, rng):
+    """Independent reference for the simplex draw of ``schmidt_state._draw_rows``."""
+    p = rng.standard_exponential(m)
+    p /= p.sum()
+    c = np.sqrt(p)
+    c[::-1].sort()
+    return bb.SchmidtVector(c)
+
+
+def reference_draw(measure, m, n, rng):
+    return reference_haar(m, n, rng) if measure == "haar" else reference_simplex(m, rng)
+
+
 def scalar_line(seed, measure, offset, m, index):
-    """One sweep record rebuilt from the public scalar API."""
+    """One sweep record rebuilt from the reference draws and the public scalar API."""
     n = m + offset
-    rng = substream(seed, m, index)
-    s = bb.sample_haar(m, n, rng) if measure == "haar" else bb.sample_simplex(m, rng)
+    s = reference_draw(measure, m, n, substream(seed, m, index))
     c = bb.concurrence(s)
     b = bb.bell_value_formula(s)
     up, lo = bb.upper_bound(c), bb.lower_bound(c)
@@ -445,6 +465,28 @@ def scalar_line(seed, measure, offset, m, index):
         "oracle_value": None, "oracle_gap": None,
     }
     return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+class TestDrawKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        m=st.one_of(st.integers(1, 12), st.just(33)),
+        offset=st.integers(0, 3),
+        measure=st.sampled_from(["haar", "simplex"]),
+        draws=st.integers(1, 4),
+    )
+    @example(seed=0, m=1, offset=0, measure="haar", draws=1)
+    @example(seed=0, m=33, offset=3, measure="simplex", draws=3)
+    def test_scalar_samplers_match_reference(self, seed, m, offset, measure, draws):
+        # a fresh generator, then draws in a row from the same one
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            if measure == "haar":
+                s = bb.sample_haar(m, m + offset, ours)
+            else:
+                s = bb.sample_simplex(m, ours)
+            assert s.coeffs.tobytes() == reference_draw(measure, m, m + offset, ref).coeffs.tobytes()
 
 
 class TestSweepKernel:

@@ -67,6 +67,12 @@ class TestNewSchmidt:
         with pytest.raises(ZeroVectorError):
             new_schmidt([0.0, 0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_amplitudes_do_not_overflow(self):
+        # the squares overflow, so the norm is taken after scaling by the largest
+        huge = new_schmidt([1e308, 1e308]).coeffs
+        assert huge.tobytes() == new_schmidt([1, 1]).coeffs.tobytes()
+
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=12
