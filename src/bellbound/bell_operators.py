@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InvalidDimensionError,
     InvalidIndexError,
     InvariantError,
     LengthMismatchError,
     NonHermitianResidueError,
     TooLargeError,
+    integer_arg,
 )
 from .schmidt_state import SchmidtVector
 from .tolerances import (
@@ -35,6 +35,7 @@ from .tolerances import (
     IMAG_TOL,
     MAX_GRID_POINTS,
     MAX_ORACLE_DIM,
+    MIN_GRID_POINTS,
     SPECTRUM_TOL,
 )
 
@@ -145,8 +146,9 @@ class BellOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise InvariantError("factor dimensions must be positive")
+        for name in ("dim_a", "dim_b"):
+            object.__setattr__(self, name, integer_arg(name, getattr(self, name), 1,
+                                                       error=InvariantError))
         side = self.dim_a * self.dim_b
         arr = np.array(self.entries, dtype=complex)
         if arr.shape != (side, side):
@@ -174,17 +176,18 @@ def _block_repeat(block: np.ndarray, dim: int, tail: float = 1.0) -> np.ndarray:
     return out
 
 
+def _dim_which(dim, which) -> tuple[int, int]:
+    """The checked ``dim`` (at least 1) and ``which`` (0 or 1) of :func:`build_a` / :func:`build_b`."""
+    return integer_arg("dim", dim, 1), integer_arg("which", which, 0, 2, InvalidIndexError)
+
+
 def build_a(theta: float, dim: int, which: int) -> HermitianObservable:
     """First-party observable of the family at measurement angle ``theta``.
 
     ``which=0`` tiles ``cos(theta) s3 + sin(theta) s1``; ``which=1`` flips
     the sign of the ``s1`` part.  ``dim=1`` degenerates to the scalar 1.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be positive, got {dim}")
-    if which not in (0, 1):
-        raise InvalidIndexError(f"which must be 0 or 1, got {which!r}")
+    dim, which = _dim_which(dim, which)
     sign = 1.0 if which == 0 else -1.0
     block = math.cos(theta) * _SIGMA[3] + sign * math.sin(theta) * _SIGMA[1]
     return HermitianObservable(_block_repeat(block, dim))
@@ -192,11 +195,7 @@ def build_a(theta: float, dim: int, which: int) -> HermitianObservable:
 
 def build_b(dim: int, which: int) -> HermitianObservable:
     """Second-party observable: tiled ``s3`` (``which=0``) or ``s1`` (``which=1``)."""
-    dim = int(dim)
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be positive, got {dim}")
-    if which not in (0, 1):
-        raise InvalidIndexError(f"which must be 0 or 1, got {which!r}")
+    dim, which = _dim_which(dim, which)
     return HermitianObservable(_block_repeat(_SIGMA[3 if which == 0 else 1], dim))
 
 
@@ -351,14 +350,10 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     block that passed ``validate_rows``, with the bits of one call per row: each grid
     stack is built once for the block, and a state keeps only its best grid index and
     value (the first maximum, as ``np.argmax``) before its own golden search."""
-    grid_points = int(grid_points)
-    if grid_points < 8:
-        raise InvalidDimensionError(f"grid_points must be at least 8, got {grid_points}")
+    grid_points = integer_arg("grid_points", grid_points, MIN_GRID_POINTS)
     if grid_points > MAX_GRID_POINTS:
         raise TooLargeError(f"dense oracle guard: grid_points = {grid_points} > {MAX_GRID_POINTS}")
-    dim_b = int(dim_b)
-    if dim_b < 1:
-        raise InvalidDimensionError(f"dim_b must be positive, got {dim_b}")
+    dim_b = integer_arg("dim_b", dim_b, 1)
     count, m = rows.shape
     if m * dim_b > MAX_ORACLE_DIM:
         raise TooLargeError(f"dense oracle guard: m*dim_b = {m * dim_b} exceeds {MAX_ORACLE_DIM}")

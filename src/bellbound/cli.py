@@ -9,6 +9,7 @@ printed with repr so re-parsing the output reproduces the value bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import bounds, harness, schmidt_state
 from .bell_operators import BellCoefficientMatrix
-from .errors import BellboundError, InvariantError
-from .tolerances import ORACLE_TOL
+from .errors import BellboundError, InvalidDimensionError, InvariantError, integer_arg
+from .tolerances import MIN_GRID_POINTS, ORACLE_TOL
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -65,48 +66,26 @@ def _matrix_flag(text: str) -> BellCoefficientMatrix:
         raise argparse.ArgumentTypeError(f"--matrix {exc}, got {text!r}") from None
 
 
-def _dims_flag(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--dims expects comma-separated integers, got {text!r}"
-        ) from None
-    if not dims or any(m < 1 for m in dims):
-        raise argparse.ArgumentTypeError(f"--dims entries must be positive, got {text!r}")
-    if len(set(dims)) != len(dims):
-        raise argparse.ArgumentTypeError(f"--dims entries must be distinct, got {text!r}")
-    return dims
-
-
-def _int_at_least(minimum: int):
-    """Argparse type for an integer flag with a lower bound."""
+def _int_flag(*bounds: int):
+    """Argparse type: the flag's text as an int through ``integer_arg(..., *bounds)``,
+    whose error argparse reports as a usage error (exit 2)."""
 
     def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):  # text that is no integer stays text
+            text = int(text)
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}"
-            )
-        return value
+            return integer_arg("value", text, *bounds)
+        except InvalidDimensionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-
-
-def _seed_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--seed expects an integer, got {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("--seed must fit an unsigned 64-bit integer")
-    return value
+def _dims_flag(text: str) -> tuple[int, ...]:
+    dims = tuple(map(_int_flag(1), text.split(",")))
+    if len(set(dims)) != len(dims):
+        raise argparse.ArgumentTypeError(f"--dims entries must be distinct, got {text!r}")
+    return dims
 
 
 def _second_dim(args) -> int:
@@ -146,12 +125,13 @@ def _cmd_jn(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    n = _second_dim(args)  # checked for either measure, though only Haar draws on n
     if args.index is None:
         rng = np.random.default_rng(args.seed)
     else:
         rng = harness.substream(args.seed, args.m, args.index)
     if args.measure == "haar":
-        s = schmidt_state.sample_haar(args.m, _second_dim(args), rng)
+        s = schmidt_state.sample_haar(args.m, n, rng)
     else:
         s = schmidt_state.sample_simplex(args.m, rng)
     print(s.to_json())
@@ -189,14 +169,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n = _second_dim(args)
-    config = harness.ExperimentConfig(
-        dims=(args.m,),
-        samples=args.samples,
-        seed=args.seed,
-        measure=args.measure,
-        second_dim_offset=n - args.m,
-    )
+    config = harness.ExperimentConfig(dims=(args.m,), samples=args.samples, seed=args.seed,
+                                      measure=args.measure,
+                                      second_dim_offset=_second_dim(args) - args.m)
     summary = harness.verify_oracle(config, grid_points=args.grid)
     print(f"measure = {summary.measure}")
     print(f"seed = {summary.seed}")
@@ -237,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_jn)
 
     p = sub.add_parser("sample", help="draw one random state")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--seed", type=_seed_flag, required=True)
+    p.add_argument("--m", type=_int_flag(1), required=True)
+    p.add_argument("--n", type=_int_flag(1), default=None)
+    p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
-    p.add_argument("--index", type=_int_at_least(0), default=None,
+    p.add_argument("--index", type=_int_flag(0), default=None,
                    help="replay sweep record INDEX of (seed, m); for a Haar sweep "
                         "pass --n as m plus its --offset")
     p.set_defaults(func=_cmd_sample)
@@ -249,20 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Monte-Carlo theorem sweep to JSONL")
     p.add_argument("--dims", type=_dims_flag, required=True,
                    help="comma-separated m values, e.g. 2,4,6")
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed_flag, required=True)
+    p.add_argument("--samples", type=_int_flag(1), required=True)
+    p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
     p.add_argument("--out", required=True, help="JSONL output path")
-    p.add_argument("--offset", type=_int_at_least(0), default=0,
+    p.add_argument("--offset", type=_int_flag(0), default=0,
                    help="n = m + offset for the second factor (default 0)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="closed formula vs dense grid oracle")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--grid", type=_int_at_least(8), default=720)
-    p.add_argument("--seed", type=_seed_flag, required=True)
+    p.add_argument("--m", type=_int_flag(1), required=True)
+    p.add_argument("--n", type=_int_flag(1), default=None)
+    p.add_argument("--samples", type=_int_flag(1), required=True)
+    p.add_argument("--grid", type=_int_flag(MIN_GRID_POINTS), default=720)
+    p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
     p.add_argument("--measure", choices=harness.MEASURES, default="haar")
     p.set_defaults(func=_cmd_verify)
 

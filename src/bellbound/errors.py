@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one check of integer arguments (:func:`integer_arg`).
 
 Everything raised on purpose derives from :class:`BellboundError`, so callers
 can catch one type at the boundary.  The value-like errors also subclass
@@ -6,6 +6,10 @@ can catch one type at the boundary.  The value-like errors also subclass
 """
 
 from __future__ import annotations
+
+import contextlib
+import math
+import operator
 
 __all__ = [
     "BellboundError",
@@ -24,6 +28,7 @@ __all__ = [
     "InvariantError",
     "IoFailureError",
     "WorkerFailedError",
+    "integer_arg",
 ]
 
 
@@ -89,3 +94,16 @@ class IoFailureError(BellboundError):
 
 class WorkerFailedError(BellboundError):
     """A worker process of the chunk pool died before returning its chunk."""
+
+
+def integer_arg(name: str, value, low: int, high: float = math.inf,
+                error: type[BellboundError] = InvalidDimensionError) -> int:
+    """``operator.index(value)`` when it lies in [low, high), else ``error`` naming
+    ``name``, the range and the value: the one check of every integer argument, which
+    never truncates, so 2.5 and "3" fail as an out-of-range value does."""
+    with contextlib.suppress(TypeError):  # no integer at all
+        number = operator.index(value)
+        if low <= number < high:
+            return number
+    span = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+    raise error(f"{name} must be an integer {span}, got {value!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .errors import (
     InvariantError,
     IoFailureError,
     WorkerFailedError,
+    integer_arg,
 )
 # sample_haar and sample_simplex are unused, but the benchmark's tracer wraps them here
 from .schmidt_state import _draw_rows, sample_haar, sample_simplex, validate_rows
@@ -62,27 +64,18 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(integer_arg("dims entry", m, 1) for m in self.dims)
         if not dims:
             raise InvalidDimensionError("dims must be nonempty")
-        if any(m < 1 for m in dims):
-            raise InvalidDimensionError(f"dims must be positive, got {dims}")
         if len(set(dims)) != len(dims):
             raise InvalidDimensionError(f"dims must be distinct, got {dims}")
         object.__setattr__(self, "dims", dims)
-        if int(self.samples) < 1:
-            raise InvalidDimensionError(f"samples must be >= 1, got {self.samples}")
-        object.__setattr__(self, "samples", int(self.samples))
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidDimensionError("seed must fit an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "samples", integer_arg("samples", self.samples, 1))
+        object.__setattr__(self, "seed", integer_arg("seed", self.seed, 0, 2**64))
+        object.__setattr__(self, "second_dim_offset",
+                           integer_arg("second_dim_offset", self.second_dim_offset, 0))
         if self.measure not in MEASURES:
-            raise InvalidDimensionError(
-                f"measure must be one of {MEASURES}, got {self.measure!r}"
-            )
-        if int(self.second_dim_offset) < 0:
-            raise InvalidDimensionError("second_dim_offset must be nonnegative")
-        object.__setattr__(self, "second_dim_offset", int(self.second_dim_offset))
+            raise InvalidDimensionError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.output_path is not None:
             object.__setattr__(self, "output_path", str(self.output_path))
 
@@ -341,13 +334,9 @@ def resolve_workers() -> int:
     unset means auto, the number of CPUs this process may run on (``_usable_cpus``).
     """
     raw = os.environ.get("BELLBOUND_THREADS", "0").strip() or "0"
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise InvalidDimensionError(f"BELLBOUND_THREADS must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise InvalidDimensionError("BELLBOUND_THREADS must be nonnegative")
-    return requested or _usable_cpus()
+    with contextlib.suppress(ValueError):  # text that is no integer stays text
+        raw = int(raw)
+    return integer_arg("BELLBOUND_THREADS", raw, 0) or _usable_cpus()
 
 
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
@@ -482,7 +471,7 @@ def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
     per_dim = tuple(OracleDimension(m, m + config.second_dim_offset, config.samples, gap)
                     for m, gap in worst.items())
     return OracleSummary(measure=config.measure, seed=config.seed,
-                         samples_per_dim=config.samples, grid_points=int(grid_points),
+                         samples_per_dim=config.samples, grid_points=operator.index(grid_points),
                          per_dim=per_dim, max_gap=max(d.max_gap for d in per_dim))
 
 

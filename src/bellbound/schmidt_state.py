@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
-    InvalidDimensionError,
     InvariantError,
     NegativeCoefficientError,
     NonFiniteCoefficientError,
     ZeroVectorError,
+    integer_arg,
 )
 from .tolerances import NORM_TOL, ZERO_TOL
 
@@ -134,7 +134,7 @@ def new_schmidt(raw) -> SchmidtVector:
         norm = float(np.linalg.norm(arr))
     if norm < ZERO_TOL:
         raise ZeroVectorError(f"amplitude norm {norm:.3e} is below {ZERO_TOL:g}")
-    ordered = np.sort(arr)[::-1] / norm
+    ordered = np.sort(np.abs(arr))[::-1] / norm  # abs: a -0.0 amplitude becomes 0.0
     return SchmidtVector(ordered)
 
 
@@ -156,9 +156,7 @@ def max_concurrence(m: int) -> float:
 
     Attained by the uniform coefficient vector ``(1/sqrt(m), ...)``.
     """
-    m = int(m)
-    if m < 1:
-        raise InvalidDimensionError(f"m must be a positive integer, got {m}")
+    m = integer_arg("m", m, 1)
     return math.sqrt(2.0 * (m - 1) / m)
 
 
@@ -185,11 +183,8 @@ def sample_haar(m: int, n: int, rng: np.random.Generator) -> SchmidtVector:
     rng : numpy.random.Generator
         Source of randomness; the caller owns seeding.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise InvalidDimensionError(f"dimensions must be positive, got m={m}, n={n}")
-    if m > n:
-        raise InvalidDimensionError(f"need m <= n, got m={m} > n={n}")
+    m = integer_arg("m", m, 1)
+    n = integer_arg("n", n, m)
     return SchmidtVector(_draw_rows([rng], 1, "haar", m, n)[0])
 
 
@@ -200,9 +195,7 @@ def sample_simplex(m: int, rng: np.random.Generator) -> SchmidtVector:
     the squared coefficients.  Compared with the Haar marginal this measure
     puts much more weight near degenerate spectra, so sweeps run under both.
     """
-    m = int(m)
-    if m < 1:
-        raise InvalidDimensionError(f"m must be a positive integer, got {m}")
+    m = integer_arg("m", m, 1)
     return SchmidtVector(_draw_rows([rng], 1, "simplex", m, m)[0])
 
 

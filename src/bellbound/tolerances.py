@@ -26,6 +26,7 @@ GOLDEN_WIDTH = 1e-10     # golden-section bracket width at termination
 
 # -- size guards ------------------------------------------------------------
 MAX_ORACLE_DIM = 64      # largest m*n the dense oracle will assemble
+MIN_GRID_POINTS = 8      # smallest grid the dense oracle will scan
 MAX_GRID_POINTS = 1 << 20  # largest grid the dense oracle will scan
 MAX_EXHAUSTIVE_N = 24    # classical_bound refuses larger sign spaces
 MAX_NAIVE_N = 8          # classical_bound_naive enumerates 4^n pairs

@@ -132,6 +132,13 @@ class TestBell:
         assert repr(theta_star(s)) == pairs["theta_star"]
         assert repr(bell_value_formula(s)) == pairs["bell_value"]
 
+    def test_negative_zero_amplitude_prints_unsigned(self, capsys):
+        code, out, _ = run_cli(capsys, "bell", "--coeffs=1,-0.0")
+        assert code == 0
+        assert "-0.0" not in out
+        pairs = parsed_lines(out)
+        assert (pairs["coeffs"], pairs["k"], pairs["theta_star"]) == ("[1.0, 0.0]", "0.0", "0.0")
+
 
 class TestBounds:
     def test_prints_flat_json_report(self, capsys):
@@ -186,6 +193,12 @@ class TestSample:
             _, printed, _ = run_cli(capsys, "sample", "--seed", "5", "--m", "4",
                                     "--index", str(start + k))
             assert json.loads(printed) == row
+
+    def test_non_integral_flag_is_usage_error_with_reason(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--m", "2.5", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "argument --m: value must be an integer >= 1, got '2.5'" in capsys.readouterr().err
 
     def test_negative_index_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -320,16 +333,22 @@ BAD_INPUTS = [
     ("sample --m 0 --seed 1", 2), ("sample --m 2 --seed -1", 2),
     (f"sample --m 2 --seed {2**64}", 2), ("sample --m 2 --seed 1 --measure uniform", 2),
     ("sample --m 4 --n 2 --seed 1", 2), ("sample --m 4 --n 2 --seed 1 --index 3", 2),
+    ("sample --measure simplex --m 3 --n 1 --seed 1", 2),
+    ("sample --m 2.5 --seed 1", 2), ("sample --m 2 --n 2.0 --seed 1", 2),
+    ("sample --m 2 --seed 3.5", 2), ("sample --m 2 --seed 1 --index 0.5", 2),
     ("sample --m 2 --seed 1 --index -1", 2), ("sample --m 2 --seed 1 --index x", 2),
     (f"{SWEEP} 2,2 --out {{out}}", 2), (f"{SWEEP} 0 --out {{out}}", 2),
     (f"{SWEEP} 2,x --out {{out}}", 2), (f"{SWEEP} 2", 2),
     (f"{SWEEP} 2 --out {{out}} --samples 0", 2), (f"{SWEEP} 2 --out {{out}} --offset -1", 2),
+    (f"{SWEEP} 4.5 --out {{out}}", 2), (f"{SWEEP} 2 --out {{out}} --samples 1.9", 2),
+    (f"{SWEEP} 2 --out {{out}} --offset 0.5", 2),
     (f"{SWEEP} 2 --out {{out}} --tolerance inf", 2),
     (f"{SWEEP} 2 --out {{out}} --tolerance nan", 2),
     (f"{SWEEP} 2 --out {{out}} --tolerance 0", 2),
     (f"{SWEEP} 2 --out {{out}} --tolerance 1e300", 2),
     (f"{VERIFY} 2 --grid 7", 2), (f"{VERIFY} 4 --n 2", 2), (f"{VERIFY} 2 --n 0", 2),
     (f"{VERIFY} 2 --samples 0", 2), (f"{VERIFY} 2 --measure uniform", 2),
+    (f"{VERIFY} 2 --grid 8.5", 2), (f"{VERIFY} 2.5", 2),
     ("concurrence --coeffs 0,0", 1), ("concurrence --coeffs 0.5,-1", 1),
     ("bell --coeffs -1,0", 1), ("bounds --coeffs 0,0", 1), (f"jn --matrix {EYE_PAST_GUARD}", 1),
     (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1),
@@ -338,6 +357,7 @@ BAD_INPUTS = [
     (f"{SWEEP} 2 --out {{tmp}}/missing/x.jsonl", 1),
     (f"BELLBOUND_THREADS=many {SWEEP} 2 --out {{out}}", 1),
     (f"BELLBOUND_THREADS=-1 {SWEEP} 2 --out {{out}}", 1),
+    (f"BELLBOUND_THREADS=2.5 {SWEEP} 2 --out {{out}}", 1),
     (f"BELLBOUND_THREADS=many {VERIFY} 2", 1),
 ]
 

@@ -619,6 +619,14 @@ class TestResolveWorkers:
         with pytest.raises(InvalidDimensionError):
             resolve_workers()
 
+    @pytest.mark.parametrize("text,got", [("2.5", "'2.5'"), ("-1", "-1")])
+    def test_non_integral_or_negative_rejected(self, monkeypatch, text, got):
+        # the text is parsed with int(), then checked as every integer argument is
+        monkeypatch.setenv("BELLBOUND_THREADS", text)
+        with pytest.raises(InvalidDimensionError,
+                           match=f"^BELLBOUND_THREADS must be an integer >= 0, got {got}$"):
+            resolve_workers()
+
 
 class TestVerifyOracle:
     @pytest.mark.parametrize("m,offset", [(2, 0), (2, 1), (3, 0)])

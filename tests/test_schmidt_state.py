@@ -50,6 +50,10 @@ class TestNewSchmidt:
         s = new_schmidt(np.array([3.0, 4.0]))
         assert_allclose(s.coeffs, [0.8, 0.6], rtol=1e-15)
 
+    @pytest.mark.parametrize("raw", [[1.0, -0.0], [-0.0, 1.0], [-0.0, 3.0, 4.0]])
+    def test_negative_zero_loses_its_sign(self, raw):
+        assert not np.signbit(new_schmidt(raw).coeffs).any()
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             new_schmidt([])
