@@ -168,9 +168,8 @@ def pauli(k: int) -> HermitianObservable:
 def _block_repeat(block: np.ndarray, dim: int, tail: float = 1.0) -> np.ndarray:
     """Tile a 2x2 block down the diagonal; odd dims end in the scalar ``tail``."""
     out = np.zeros((dim, dim), dtype=complex)
-    pairs = dim // 2
-    if pairs:
-        out[: 2 * pairs, : 2 * pairs] = np.kron(np.eye(pairs), block)
+    even = dim - dim % 2
+    out[:even, :even] = np.kron(np.eye(dim // 2), block)
     if dim % 2:
         out[-1, -1] = tail
     return out
@@ -236,7 +235,7 @@ def expectation(op: BellOperator, s: SchmidtVector, dim_b: int) -> float:
     ``i * (dim_b + 1)``.  An imaginary residue beyond ``IMAG_TOL`` aborts
     (``_real_part``).
     """
-    if op.dim_b != dim_b:
+    if op.dim_b != integer_arg("dim_b", dim_b, 1):
         raise DimensionMismatchError(f"operator has dim_b={op.dim_b}, caller said {dim_b}")
     if s.m > op.dim_a or s.m > dim_b:
         raise DimensionMismatchError(
@@ -254,7 +253,9 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
     """Golden-section maximum of a unimodal f on [lo, hi] to absolute width.  ``f`` maps a
     list of angles to their values.  The loop keeps a one-angle search's arithmetic, so it
     asks for the same angles, but evaluates each new one with all that the next
-    ``depth - 1`` steps can ask for, either way their comparisons go."""
+    ``depth - 1`` steps can ask for either way, and with the path down to width 1.5e-8
+    (~sqrt(eps): f1 - f2 meets rounding) if each goes toward the peak ``mid + atan2(b, a)``
+    of the family's form ``f(mid + t) = a cos t + b sin t + c`` through x1, x2 and mid."""
     known = {}
 
     def ahead(lo, hi, x1, x2, steps):
@@ -265,19 +266,27 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
         up, down = x1 + _INVPHI * (hi - x1), x2 - _INVPHI * (x2 - lo)  # lo to x1, hi to x2
         return [up, down, *ahead(x1, hi, x2, up, steps - 1), *ahead(lo, x2, down, x1, steps - 1)]
 
+    def path(lo, hi, x1, x2):  # a wrong guess costs an evaluation, never a bit
+        while hi - lo > max(width, 1.5e-8):
+            lo, hi, x1, x2 = ((x1, hi, x2, x1 + _INVPHI * (hi - x1)) if x1 + x2 < 2.0 * peak
+                              else (lo, x2, x2 - _INVPHI * (x2 - lo), x1))
+            yield from (x1, x2)
+
     def evaluate(*thetas):
-        thetas = list(dict.fromkeys(thetas))  # the last bracket's midpoint can come twice
+        thetas = [t for t in dict.fromkeys(thetas) if t not in known]
         known.update(zip(thetas, f(thetas).tolist()))
 
     def value(x, *bracket):
         if x not in known:
-            evaluate(x, *ahead(*bracket, depth - 1))
+            evaluate(x, *ahead(*bracket, depth - 1), *path(*bracket))
         return known[x]
 
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    evaluate(x1, x2, *ahead(lo, hi, x1, x2, depth - 2))
+    evaluate(x1, x2, mid := 0.5 * (lo + hi))
     f1, f2 = known[x1], known[x2]
+    # b and a of f(mid + t) from t = -d, 0, d, both times 2 (1 - cos d) > 0, d = (x2 - x1) / 2
+    peak = mid + math.atan2((f2 - f1) * math.tan((x2 - x1) / 4), 2.0 * known[mid] - f1 - f2)
     while hi - lo > width:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
@@ -296,8 +305,8 @@ _LOCAL = threading.local()  # this thread's operator and check buffers (_operato
 
 
 def _golden_depth(side: int) -> int:
-    """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB: 3 up to m*n = 34,
-    2 up to 52; with reused buffers it timed no slower than one more at m*n = 20 and 54-64."""
+    """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB, 3 up to m*n = 34
+    and 2 up to 52: with the golden path, 2-3% faster on the benchmark's shapes than 2 or 3."""
     return max(d for d in (1, 2, 3) if d == 1 or ((1 << d) - 1) * 16 * side**2 <= 128 << 10)
 
 
@@ -370,16 +379,17 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
         for psi, row in zip(psis, stack):
             row[: len(ops)] = (ops @ psi) @ psi.conj()
         values = _real_part(stack[:, : len(ops)])
-        k = values.argmax(axis=1)
-        new = values[np.arange(count), k]
+        k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]
     depth, out = _golden_depth(m * dim_b), []
+    most = _BLOCK * MAX_ORACLE_DIM**2 // (m * dim_b) ** 2  # angles per golden stack, <= 1 MB
     for psi, index, grid_value in zip(psis, best.tolist(), top.tolist()):
         theta_best = index * step
-        theta, value = _golden_max(
-            lambda angles, psi=psi: _real_part(np.vecdot(psi, _operators(m, dim_b, angles) @ psi)),
-            theta_best - step, theta_best + step, GOLDEN_WIDTH, depth)
+        theta, value = _golden_max(lambda angles, psi=psi: np.concatenate([
+            _real_part(np.vecdot(psi, _operators(m, dim_b, angles[i : i + most]) @ psi))
+            for i in range(0, len(angles), most)]), theta_best - step, theta_best + step,
+            GOLDEN_WIDTH, depth)
         if grid_value >= value:  # keep the best evaluation seen, the grid angle on a tie
             theta, value = theta_best, grid_value
         out.append((theta, value))
@@ -387,23 +397,18 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
 
 
 def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tuple[float, float]:
-    """Maximize the family's expectation over theta, matrices only.
+    """Maximize the family's expectation over theta, matrices only; returns
+    ``(theta_star, value)``, the maximizing angle and the maximum expectation.
 
-    Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to
-    the sign symmetry of the family -- then refines the best bracket by
-    golden-section search down to absolute width ``GOLDEN_WIDTH``.  Grid
-    and refinement share one operator builder (``_operators``): the grid in
-    stacks of ``_BLOCK`` angles contracted as ``(ops @ psi) @ psi.conj()``, the
-    refinement in stacks of the angles its next ``_golden_depth`` steps can ask for,
-    row by row (``np.vecdot``) to the bits of one-angle stacks.  Each evaluation
-    assembles the dense operator from the validated observables and takes its
-    expectation on the embedded state (``_real_part``); nothing uses the closed form,
-    so the result is an independent cross-check of it.  Grids beyond
-    ``MAX_GRID_POINTS`` raise.  A block of one of :func:`max_expectation_block`.
-
-    Returns
-    -------
-    (theta_star, value) : tuple of float
-        The maximizing angle and the maximum expectation.
+    Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to the sign
+    symmetry of the family -- in stacks of ``_BLOCK`` angles contracted as
+    ``(ops @ psi) @ psi.conj()``, then refines the best bracket by golden-section search
+    (:func:`_golden_max`) down to width ``GOLDEN_WIDTH``: each stack holds the angles its
+    next ``_golden_depth`` steps can ask for, and the path its resolved comparisons take
+    toward the fitted peak, split at 1 MB and contracted row by row (``np.vecdot``) to the
+    bits of one-angle stacks.  Every evaluation builds the dense operators from checked
+    observables (``_operators``) and takes the expectation on the embedded state
+    (``_real_part``); nothing uses the closed form, so the result cross-checks it.
+    Grids beyond ``MAX_GRID_POINTS`` raise.  A block of one of :func:`max_expectation_block`.
     """
     return max_expectation_block(s.coeffs[None, :], dim_b, grid_points)[0]

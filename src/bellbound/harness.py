@@ -132,12 +132,12 @@ class OracleSummary:
 
 
 def substream(seed: int, m: int, index: int) -> np.random.Generator:
-    """Per-sample generator seeded by the (seed, m, index) triple.
-
-    SeedSequence hashes the triple into independent stream state, so draws
-    never depend on scheduling or on how samples are chunked across workers.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, m, index))))
+    """Per-sample generator seeded by the (seed, m, index) triple, which ``integer_arg``
+    checks: seed in [0, 2**64), m >= 1, index >= 0.  SeedSequence hashes the triple into
+    independent stream state, so draws never depend on scheduling or on chunking."""
+    triple = (integer_arg("seed", seed, 0, 2**64), integer_arg("m", m, 1),
+              integer_arg("index", index, 0))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(triple)))
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's

@@ -51,7 +51,7 @@ class SchmidtVector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float)
+        arr = np.array(self.coeffs, dtype=float) + 0.0  # + 0.0 clears the sign of a -0.0
         if arr.ndim != 1 or arr.size == 0:
             raise InvariantError("coeffs must be a nonempty 1-D real array")
         validate_rows(arr[None, :])
@@ -134,8 +134,7 @@ def new_schmidt(raw) -> SchmidtVector:
         norm = float(np.linalg.norm(arr))
     if norm < ZERO_TOL:
         raise ZeroVectorError(f"amplitude norm {norm:.3e} is below {ZERO_TOL:g}")
-    ordered = np.sort(np.abs(arr))[::-1] / norm  # abs: a -0.0 amplitude becomes 0.0
-    return SchmidtVector(ordered)
+    return SchmidtVector(np.sort(arr)[::-1] / norm)
 
 
 def concurrence(s: SchmidtVector) -> float:

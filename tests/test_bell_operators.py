@@ -386,9 +386,10 @@ class TestBatchedEvaluator:
             assert lo <= theta <= hi
             assert value >= scalar[best] - 1e-12
 
-    @pytest.mark.parametrize("shape, most", [((2, 2), 20), ((4, 5), 20), ((8, 8), 51)])
+    @pytest.mark.parametrize("shape, most", [((2, 2), 11), ((4, 5), 11), ((8, 8), 20)])
     def test_evaluator_calls_per_search(self, monkeypatch, shape, most):
-        # a one-angle golden search made 51 calls at grid 64: 4 grid stacks, 47 angles
+        # at grid 64 a one-angle golden search made 51 calls (4 grid stacks, 47 angles),
+        # the depth lookahead alone 20 / 20 / 51, and with the golden path 11 / 11 / 20
         calls = []
         operators = bell_operators._operators
 
@@ -400,6 +401,7 @@ class TestBatchedEvaluator:
         m, n = shape
         max_expectation_grid(sample_haar(m, n, np.random.default_rng(m * n)), n, 64)
         assert calls[:4] == [16, 16, 16, 16] and len(calls) <= most
+        assert max(calls) * (m * n) ** 2 <= 16 * 64**2  # no stack beyond 1 MB
 
     @pytest.mark.parametrize("rowwise", [False, True])
     def test_reused_buffers_leak_no_rows(self, rowwise):
@@ -518,6 +520,63 @@ class TestGoldenLookahead:
     @pytest.mark.parametrize("side, depth", [(1, 3), (34, 3), (35, 2), (52, 2), (53, 1), (64, 1)])
     def test_depth_fits_the_stack_bound(self, side, depth):
         assert bell_operators._golden_depth(side) == depth
+
+
+def sinusoid(peak, calls, amplitude=1.0):
+    """``a cos + b sin + c``, the family's form in theta, peaking at ``peak``; angle by
+    angle in scalar arithmetic, so each value has the same bits in any stack.  Appends
+    the length of each stack it is asked for to ``calls``."""
+    def f(thetas):
+        calls.append(len(thetas))
+        return np.array([amplitude * math.cos(theta - peak) + 0.5 for theta in thetas])
+    return f
+
+
+class TestGoldenPath:
+    """Each golden stack also holds the path the comparisons take if each goes toward
+    the peak fitted through x1, x2 and the midpoint.  A guess only chooses what is
+    evaluated: the search asks for the same angles, with the same bits."""
+
+    @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
+    @pytest.mark.parametrize("measure", ["haar", "simplex"])
+    def test_matches_sequential_search(self, grid_points, measure):
+        rng = np.random.default_rng(grid_points)
+        for m, n in ((1, 2), (2, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (8, 8)):
+            s = sample_haar(m, n, rng) if measure == "haar" else sample_simplex(m, rng)
+            assert max_expectation_grid(s, n, grid_points) == sequential_grid_max(s, n, grid_points)
+
+    @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
+    @pytest.mark.parametrize("index", ["first", "last"])
+    @pytest.mark.parametrize("where", [-1.3, -0.9, -0.2, 0.0, 0.45, 1.0, 1.6])
+    @pytest.mark.parametrize("turns", [-1, 0, 1])
+    def test_edge_brackets(self, grid_points, index, where, turns):
+        # the brackets of grid index 0 and grid - 1, around 0 and pi, with the peak
+        # inside, on the edge or outside, and given as each of three 2 pi images
+        step = math.pi / grid_points
+        centre = 0.0 if index == "first" else (grid_points - 1) * step
+        peak = centre + where * step + 2 * math.pi * turns
+        calls, reference = [], []
+        got = bell_operators._golden_max(sinusoid(peak, calls), centre - step, centre + step,
+                                         GOLDEN_WIDTH, 3)
+        f = sinusoid(peak, reference)
+        assert got == sequential_golden_max(lambda t: f([t])[0], centre - step,
+                                            centre + step, GOLDEN_WIDTH)
+        # one stack for x1, x2 and the midpoint, one for the path, then the noise steps
+        # (a peak on the midpoint leaves the first comparisons to rounding); the sign
+        # of the fitted peak flipped makes 14 to 18 stacks
+        assert len(calls) <= 9 < len(reference)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-300, 1e-17])
+    def test_flat_fit(self, depth, amplitude):
+        # f flat or below rounding: the fitted peak means nothing, the bits still hold
+        step = math.pi / 64
+        calls, reference = [], []
+        got = bell_operators._golden_max(sinusoid(0.3, calls, amplitude), 0.3 - step,
+                                         0.3 + step, GOLDEN_WIDTH, depth)
+        f = sinusoid(0.3, reference, amplitude)
+        assert got == sequential_golden_max(lambda t: f([t])[0], 0.3 - step, 0.3 + step,
+                                            GOLDEN_WIDTH)
 
 
 BLOCK_SHAPES = [(1, 2), (2, 2), (3, 4), (5, 6), (8, 8)]

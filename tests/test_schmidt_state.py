@@ -104,6 +104,11 @@ class TestSchmidtVectorValidation:
         with pytest.raises(InvariantError):
             SchmidtVector(np.array([-1.0]))
 
+    @pytest.mark.parametrize("coeffs, text", [([1.0, -0.0], "[1.0, 0.0]"),
+                                              ([0.8, 0.6, -0.0, -0.0], "[0.8, 0.6, 0.0, 0.0]")])
+    def test_clears_the_sign_of_a_negative_zero(self, coeffs, text):
+        assert SchmidtVector(np.array(coeffs)).to_json() == text
+
     def test_rejects_empty(self):
         with pytest.raises(InvariantError):
             SchmidtVector(np.array([]))
