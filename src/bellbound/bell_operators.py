@@ -6,8 +6,8 @@ party measures block copies of ``s3`` and ``s1``.  Odd local dimensions end
 in a scalar block equal to 1.  Contracted against the CHSH coefficient
 matrix ``[[1, 1], [1, -1]]`` this family realizes the closed-form Bell value
 ``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the dense
-evaluation path in this module is the independent numerical oracle for that
-formula.
+evaluation path in this module, which writes only the operator entries the
+Kronecker product can make nonzero and checks all, is the formula's independent oracle.
 """
 
 from __future__ import annotations
@@ -312,31 +312,31 @@ def _golden_depth(side: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _family(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """The state-independent parts of the family at (m, n), read-only: the tiled
-    ``s3``/``s1`` blocks of the first party and its odd-m scalar slot, and the
-    contracted second-party side ``sum_j N_ij B_j`` of the CHSH matrix on the checked
-    pair of :func:`build_b`.  Callers pass the dense-oracle guards first, which bound
-    the cache to the 144 shapes with m <= n and m*n <= ``MAX_ORACLE_DIM``."""
+    """The state-independent parts of the family at (m, n), read-only: the tiled ``s3``/``s1``
+    blocks of the first party and its odd-m scalar slot; at each operator position (flat) where
+    their nonzero entries meet those of the side ``sum_j N_ij B_j`` (CHSH matrix, checked
+    :func:`build_b`) in a Kronecker product, the flat first-party index and the side's two
+    entries; and those positions.  Callers pass the dense-oracle guards first: <= 144 shapes."""
     b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries, [build_b(n, w).entries for w in (0, 1)])
-    parts = (
-        _block_repeat(_SIGMA[3], m, tail=0.0),
-        np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0),
-        _block_repeat(np.zeros((2, 2)), m),
-        b_side[:, :, None, :],  # broadcasts as the second Kronecker factor
-    )
+    parts = [_block_repeat(_SIGMA[3], m, tail=0.0),
+             np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0),
+             _block_repeat(np.zeros((2, 2)), m)]
+    at = np.flatnonzero(np.kron(np.any([parts[0], *parts[1], parts[2]], 0), np.any(b_side, 0)))
+    (i, j), (k, l) = np.divmod(np.divmod(at, m * n), n)  # row i * n + k, column j * n + l
+    parts += [i * m + j, b_side.reshape(2, -1)[:, k * n + l], at]
     for part in parts:
         part.setflags(write=False)
-    return parts
+    return tuple(parts)
 
 
 def _operators(m: int, n: int, thetas) -> np.ndarray:
-    """The ``(G, D, D)`` operators ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles,
-    two broadcast Kronecker products of :func:`_family`'s parts; the ``(G, 2, m, m)``
-    first-party stack and the operators pass the checkers of :class:`HermitianObservable`
-    and :class:`BellOperator`.  A view of this thread's buffers, allocated once at the
-    largest stack asked for (at least 16 angles at D = 64, 2.6 MB with the check's
-    scratch), which the thread's next call overwrites."""
-    cos_part, sin_parts, odd_slot, b_side = _family(m, n)
+    """The ``(G, D, D)`` operators ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles:
+    zero but at :func:`_family`'s positions, where each is ``a_0 b_0 + a_1 b_1`` of its
+    entries.  The ``(G, 2, m, m)`` first-party stack and the whole operators pass the
+    checkers of :class:`HermitianObservable` and :class:`BellOperator`.  A view of this
+    thread's buffers, allocated once at the largest stack asked for (at least 16 angles at
+    D = 64, 2.6 MB with the check's scratch), which the thread's next call overwrites."""
+    cos_part, sin_parts, odd_slot, a_at, b_side, at = _family(m, n)
     g, size = len(thetas), len(thetas) * (m * n) ** 2
     bufs = getattr(_LOCAL, "bufs", ())
     if not bufs or len(bufs[0]) < size:
@@ -347,9 +347,9 @@ def _operators(m: int, n: int, thetas) -> np.ndarray:
     sin = np.sin(thetas)[:, None, None, None]
     a = cos * cos_part + sin * sin_parts + odd_slot
     _check_observables(a)
-    np.multiply(a[:, 0, :, None, :, None], b_side[0], out=ops.reshape(g, m, n, m, n))
-    np.multiply(a[:, 1, :, None, :, None], b_side[1], out=work.reshape(g, m, n, m, n))
-    ops += work
+    terms = a.reshape(g, 2, m * m)[:, :, a_at] * b_side
+    ops.fill(0.0)
+    ops.reshape(g, -1)[:, at] = terms[:, 0] + terms[:, 1]
     _check_hermitian(ops, "operator", (work, mag))
     return ops
 

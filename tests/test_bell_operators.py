@@ -63,6 +63,19 @@ def stack_values(s, dim_b, thetas, rowwise=False):
                                      else (ops @ psi) @ psi.conj())
 
 
+# 0, pi/2 and pi, negative angles and angles beyond 2 pi
+ANGLES = np.array([0.0, math.pi / 2, math.pi, -math.pi, -0.7, 2.3, 2.0 * math.pi + 0.4, 11.0])
+
+
+def kron_operators(m, n, thetas):
+    """``sum_i A_i(theta) (x) sum_j N_ij B_j`` from the scalar observables, one ``np.kron``
+    per first-party setting, on the second party that ``bell_operators`` builds."""
+    b_pair = [bell_operators.build_b(n, j).entries for j in (0, 1)]
+    sides = [w[0] * b_pair[0] + w[1] * b_pair[1] for w in CHSH_MATRIX.entries]
+    return np.array([np.kron(build_a(t, m, 0).entries, sides[0])
+                     + np.kron(build_a(t, m, 1).entries, sides[1]) for t in thetas])
+
+
 @pytest.fixture
 def fresh_family():
     """An empty family cache, emptied again afterwards, around a test that
@@ -364,6 +377,28 @@ class TestBatchedEvaluator:
             expected = [family_value(s, n, theta) for theta in thetas]
             assert_allclose(stack_values(s, n, thetas), expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_operators_equal_kron_reference(self, m):
+        # bit for bit, on every shape the oracle's guards admit: m <= n, m * n <= 64
+        for n in range(m, 64 // m + 1):
+            assert np.array_equal(bell_operators._operators(m, n, ANGLES),
+                                  kron_operators(m, n, ANGLES)), (m, n)
+
+    def test_positions_come_from_the_parts(self, monkeypatch, fresh_family):
+        # a second party without a zero entry: positions assumed from the tiling would
+        # leave most of each operator out
+        def dense_b(dim, which):
+            spread = np.full((dim, dim), 1.0 / dim)  # a projector, spectrum {0, 1}
+            return HermitianObservable(0.5 * np.eye(dim) + 0.5 * spread if which == 0
+                                       else 0.3 * np.eye(dim) - 0.6 * spread)
+
+        monkeypatch.setattr(bell_operators, "build_b", dense_b)
+        for m, n in ((1, 2), (2, 3), (3, 5), (4, 4)):
+            ops = bell_operators._operators(m, n, ANGLES)
+            assert np.array_equal(ops, kron_operators(m, n, ANGLES))
+            first_party = np.count_nonzero(build_a(ANGLES[-1], m, 0).entries)
+            assert np.count_nonzero(ops[-1]) == first_party * n * n
+
     @pytest.mark.parametrize("grid_points", [8, 9, 37, 720])
     def test_grid_best_index_matches_scalar_path(self, grid_points, monkeypatch):
         brackets = []
@@ -412,6 +447,21 @@ class TestBatchedEvaluator:
             with ThreadPoolExecutor(1) as pool:  # a new thread allocates fresh buffers
                 fresh = pool.submit(stack_values, s, 6, thetas, rowwise).result(timeout=60)
             assert np.array_equal(stack_values(s, 6, thetas, rowwise), fresh)
+
+    def test_reused_buffers_keep_no_entries(self):
+        # 8x8, then 3x5, then 1x2 in one thread: only the zero fill clears the larger
+        # shapes' entries from the reused buffers
+        thetas = np.random.default_rng(92).uniform(-math.pi, 3.0 * math.pi, 16)
+        jobs = [(8, 8, thetas), (3, 5, thetas[:5]), (1, 2, thetas[:3])]
+
+        def build(*jobs):
+            return [bell_operators._operators(*job).copy() for job in jobs]
+
+        with ThreadPoolExecutor(1) as pool:
+            reused = pool.submit(build, *jobs).result(timeout=60)
+        for job, ops in zip(jobs, reused):
+            with ThreadPoolExecutor(1) as pool:  # a new thread allocates fresh buffers
+                assert np.array_equal(ops, pool.submit(build, job).result(timeout=60)[0])
 
     @pytest.mark.parametrize("sigma_one, reason", [
         (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix is not Hermitian"),
