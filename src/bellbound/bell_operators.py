@@ -5,9 +5,10 @@ The first party measures ``A_0, A_1`` built from block copies of
 party measures block copies of ``s3`` and ``s1``.  Odd local dimensions end
 in a scalar block equal to 1.  Contracted against the CHSH coefficient
 matrix ``[[1, 1], [1, -1]]`` this family realizes the closed-form Bell value
-``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the dense
-evaluation path in this module, which writes only the operator entries the
-Kronecker product can make nonzero and checks all, is the formula's independent oracle.
+``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the dense evaluation path
+in this module, which writes only the operator entries the Kronecker product can make
+nonzero and checks all, is the formula's independent oracle.  Its grid stacks are checked
+once per (m, n, grid) and cached while their entries fit 256 KiB, 16 grids at most.
 """
 
 from __future__ import annotations
@@ -19,25 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidIndexError,
-    InvariantError,
-    LengthMismatchError,
-    NonHermitianResidueError,
-    TooLargeError,
-    integer_arg,
-)
+from .errors import (DimensionMismatchError, InvalidIndexError, InvariantError,
+                     LengthMismatchError, NonHermitianResidueError, TooLargeError, integer_arg)
 from .schmidt_state import SchmidtVector
-from .tolerances import (
-    GOLDEN_WIDTH,
-    HERMITIAN_TOL,
-    IMAG_TOL,
-    MAX_GRID_POINTS,
-    MAX_ORACLE_DIM,
-    MIN_GRID_POINTS,
-    SPECTRUM_TOL,
-)
+from .tolerances import (GOLDEN_WIDTH, HERMITIAN_TOL, IMAG_TOL, MAX_GRID_POINTS,
+                         MAX_ORACLE_DIM, MIN_GRID_POINTS, SPECTRUM_TOL)
 
 __all__ = [
     "HermitianObservable",
@@ -91,12 +78,8 @@ _SIGMA = {
 
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
-    """Dense complex Hermitian matrix with spectrum inside [-1, 1].
-
-    Hermiticity is required within ``HERMITIAN_TOL`` entrywise and the
-    eigenvalue window within ``SPECTRUM_TOL``; both are checked at
-    construction so downstream code never revalidates.
-    """
+    """Dense complex Hermitian matrix (within ``HERMITIAN_TOL`` entrywise) with spectrum
+    inside [-1, 1] (within ``SPECTRUM_TOL``), checked at construction."""
 
     entries: np.ndarray
 
@@ -301,7 +284,8 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
 
 
 _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
-_LOCAL = threading.local()  # this thread's operator and check buffers (_operators)
+_GRID_BYTES = 256 << 10  # per cached grid (_grid): grid 64 at m*n = 64; 16 hold <= 4 MiB
+_LOCAL = threading.local()  # this thread's operator and check buffers (_scatter)
 
 
 def _golden_depth(side: int) -> int:
@@ -329,36 +313,55 @@ def _family(m: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(parts)
 
 
+def _scatter(entries: np.ndarray, at: np.ndarray, side: int):
+    """This thread's ``(G, side, side)`` operator buffer, zero but for ``entries`` at the flat
+    positions ``at``, and the Hermitian check's scratch: allocated once at the largest stack
+    asked for (>= 16 angles at D = 64, 2.6 MB in all), overwritten by the next call."""
+    g, size = len(entries), len(entries) * side**2
+    bufs = getattr(_LOCAL, "bufs", ())
+    if not bufs or len(bufs[0]) < size:
+        bufs = _LOCAL.bufs = [np.empty(max(size, _BLOCK * MAX_ORACLE_DIM**2), t)
+                              for t in (complex, complex, float)]
+    ops, *work = (buf[:size].reshape(g, side, side) for buf in bufs)
+    ops.fill(0.0)
+    ops.reshape(g, -1)[:, at] = entries
+    return ops, work
+
+
 def _operators(m: int, n: int, thetas) -> np.ndarray:
     """The ``(G, D, D)`` operators ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles:
     zero but at :func:`_family`'s positions, where each is ``a_0 b_0 + a_1 b_1`` of its
-    entries.  The ``(G, 2, m, m)`` first-party stack and the whole operators pass the
-    checkers of :class:`HermitianObservable` and :class:`BellOperator`.  A view of this
-    thread's buffers, allocated once at the largest stack asked for (at least 16 angles at
-    D = 64, 2.6 MB with the check's scratch), which the thread's next call overwrites."""
+    entries.  The ``(G, 2, m, m)`` first-party stack and the whole operators pass the checkers of
+    :class:`HermitianObservable` and :class:`BellOperator`.  A view of :func:`_scatter`'s buffer."""
     cos_part, sin_parts, odd_slot, a_at, b_side, at = _family(m, n)
-    g, size = len(thetas), len(thetas) * (m * n) ** 2
-    bufs = getattr(_LOCAL, "bufs", ())
-    if not bufs or len(bufs[0]) < size:
-        cap = max(size, _BLOCK * MAX_ORACLE_DIM**2)
-        bufs = _LOCAL.bufs = [np.empty(cap, t) for t in (complex, complex, float)]
-    ops, work, mag = (buf[:size].reshape(g, m * n, m * n) for buf in bufs)
-    cos = np.cos(thetas)[:, None, None, None]
-    sin = np.sin(thetas)[:, None, None, None]
+    cos, sin = (f(thetas)[:, None, None, None] for f in (np.cos, np.sin))
     a = cos * cos_part + sin * sin_parts + odd_slot
     _check_observables(a)
-    terms = a.reshape(g, 2, m * m)[:, :, a_at] * b_side
-    ops.fill(0.0)
-    ops.reshape(g, -1)[:, at] = terms[:, 0] + terms[:, 1]
-    _check_hermitian(ops, "operator", (work, mag))
+    terms = a.reshape(len(thetas), 2, m * m)[:, :, a_at] * b_side
+    ops, work = _scatter(terms[:, 0] + terms[:, 1], at, m * n)
+    _check_hermitian(ops, "operator", work)
     return ops
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(m: int, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_family`'s positions and, read-only, the operator entries there at each grid
+    angle ``k pi / grid_points``, taken from the stacks of ``_BLOCK`` angles that
+    :func:`_operators` builds and checks.  Callers ask only within ``_GRID_BYTES``."""
+    thetas, at = np.arange(grid_points) * (math.pi / grid_points), _family(m, n)[-1]
+    entries = np.concatenate([_operators(m, n, thetas[lo : lo + _BLOCK]).reshape(
+        -1, (m * n) ** 2)[:, at] for lo in range(0, grid_points, _BLOCK)])
+    entries.setflags(write=False)
+    return at, entries
 
 
 def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> list:
     """:func:`max_expectation_grid`'s ``(theta, value)`` for each row of an ``(S, m)``
     block that passed ``validate_rows``, with the bits of one call per row: each grid
-    stack is built once for the block, and a state keeps only its best grid index and
-    value (the first maximum, as ``np.argmax``) before its own golden search."""
+    stack serves the whole block, and a state keeps only its best grid index and value
+    (the first maximum, as ``np.argmax``) before its own golden search.  A grid whose
+    entries fit ``_GRID_BYTES`` is built and checked once per shape (:func:`_grid`), then
+    scattered into the zeroed buffer on each call; a larger one is built on each call."""
     grid_points = integer_arg("grid_points", grid_points, MIN_GRID_POINTS)
     if grid_points > MAX_GRID_POINTS:
         raise TooLargeError(f"dense oracle guard: grid_points = {grid_points} > {MAX_GRID_POINTS}")
@@ -372,13 +375,13 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     psis[:, np.arange(m) * (dim_b + 1)] = rows
     step = math.pi / grid_points
     thetas = np.arange(grid_points) * step
-    stack = np.empty((count, _BLOCK), dtype=complex)
+    grid = (_grid(m, dim_b, grid_points)  # complex entries, 16 B each
+            if grid_points * _family(m, dim_b)[-1].size * 16 <= _GRID_BYTES else None)
     best, top = np.zeros(count, dtype=int), np.full(count, -np.inf)
     for lo in range(0, grid_points, _BLOCK):
-        ops = _operators(m, dim_b, thetas[lo : lo + _BLOCK])
-        for psi, row in zip(psis, stack):
-            row[: len(ops)] = (ops @ psi) @ psi.conj()
-        values = _real_part(stack[:, : len(ops)])
+        ops = (_scatter(grid[1][lo : lo + _BLOCK], grid[0], m * dim_b)[0] if grid
+               else _operators(m, dim_b, thetas[lo : lo + _BLOCK]))
+        values = _real_part(np.array([(ops @ psi) @ psi.conj() for psi in psis]))
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]
@@ -400,15 +403,12 @@ def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tupl
     """Maximize the family's expectation over theta, matrices only; returns
     ``(theta_star, value)``, the maximizing angle and the maximum expectation.
 
-    Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to the sign
-    symmetry of the family -- in stacks of ``_BLOCK`` angles contracted as
-    ``(ops @ psi) @ psi.conj()``, then refines the best bracket by golden-section search
-    (:func:`_golden_max`) down to width ``GOLDEN_WIDTH``: each stack holds the angles its
-    next ``_golden_depth`` steps can ask for, and the path its resolved comparisons take
-    toward the fitted peak, split at 1 MB and contracted row by row (``np.vecdot``) to the
-    bits of one-angle stacks.  Every evaluation builds the dense operators from checked
-    observables (``_operators``) and takes the expectation on the embedded state
-    (``_real_part``); nothing uses the closed form, so the result cross-checks it.
-    Grids beyond ``MAX_GRID_POINTS`` raise.  A block of one of :func:`max_expectation_block`.
+    Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to the sign symmetry
+    of the family -- in stacks of ``_BLOCK`` angles, then refines the best bracket by golden-
+    section search (:func:`_golden_max`) down to ``GOLDEN_WIDTH``.  Every operator is built
+    and checked by :func:`_operators`: a grid's once per shape while its entries fit
+    ``_GRID_BYTES`` = 256 KiB (:func:`_grid`), a golden stack's on each call.  Nothing uses
+    the closed form, so the result cross-checks it.  Grids beyond ``MAX_GRID_POINTS`` raise.
+    A block of one of :func:`max_expectation_block`.
     """
     return max_expectation_block(s.coeffs[None, :], dim_b, grid_points)[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -78,11 +79,32 @@ def kron_operators(m, n, thetas):
 
 @pytest.fixture
 def fresh_family():
-    """An empty family cache, emptied again afterwards, around a test that
-    patches what the cached family is built from."""
+    """Empty family and grid caches, emptied again afterwards, around a test that
+    patches what the cached family is built from; yields the family cache."""
     bell_operators._family.cache_clear()
+    bell_operators._grid.cache_clear()
     yield bell_operators._family
     bell_operators._family.cache_clear()
+    bell_operators._grid.cache_clear()
+
+
+def spy_builds(monkeypatch):
+    """A list that records the angle count of every ``_operators`` build and
+    ``"golden"`` at the start of every golden search."""
+    events = []
+    operators, golden = bell_operators._operators, bell_operators._golden_max
+
+    def counting(m, n, thetas):
+        events.append(len(thetas))
+        return operators(m, n, thetas)
+
+    def searching(*args):
+        events.append("golden")
+        return golden(*args)
+
+    monkeypatch.setattr(bell_operators, "_operators", counting)
+    monkeypatch.setattr(bell_operators, "_golden_max", searching)
+    return events
 
 
 def paired_parameters(s):
@@ -392,12 +414,22 @@ class TestBatchedEvaluator:
             return HermitianObservable(0.5 * np.eye(dim) + 0.5 * spread if which == 0
                                        else 0.3 * np.eye(dim) - 0.6 * spread)
 
+        shapes = ((1, 2), (2, 3), (3, 5), (4, 4))
+        for m, n in shapes:  # warm grid caches, then a family rebuilt from other parts
+            max_expectation_grid(new_schmidt([1.0] * m), n, 64)
+        warm = {shape: bell_operators._grid(*shape, 64) for shape in shapes}
+        fresh_family.cache_clear()
         monkeypatch.setattr(bell_operators, "build_b", dense_b)
-        for m, n in ((1, 2), (2, 3), (3, 5), (4, 4)):
+        for m, n in shapes:
             ops = bell_operators._operators(m, n, ANGLES)
             assert np.array_equal(ops, kron_operators(m, n, ANGLES))
             first_party = np.count_nonzero(build_a(ANGLES[-1], m, 0).entries)
             assert np.count_nonzero(ops[-1]) == first_party * n * n
+            # a cached grid keeps the positions its entries were taken from, so a call
+            # scatters them without a shape mismatch
+            at, entries = bell_operators._grid(m, n, 64)
+            assert at is warm[m, n][0] and entries.shape == (64, at.size)
+            max_expectation_grid(new_schmidt([1.0] * m), n, 64)
 
     @pytest.mark.parametrize("grid_points", [8, 9, 37, 720])
     def test_grid_best_index_matches_scalar_path(self, grid_points, monkeypatch):
@@ -424,19 +456,19 @@ class TestBatchedEvaluator:
     @pytest.mark.parametrize("shape, most", [((2, 2), 11), ((4, 5), 11), ((8, 8), 20)])
     def test_evaluator_calls_per_search(self, monkeypatch, shape, most):
         # at grid 64 a one-angle golden search made 51 calls (4 grid stacks, 47 angles),
-        # the depth lookahead alone 20 / 20 / 51, and with the golden path 11 / 11 / 20
-        calls = []
-        operators = bell_operators._operators
-
-        def counting(m, n, thetas):
-            calls.append(len(thetas))
-            return operators(m, n, thetas)
-
-        monkeypatch.setattr(bell_operators, "_operators", counting)
+        # the depth lookahead alone 20 / 20 / 51, and with the golden path 11 / 11 / 20 on
+        # a cold grid cache; a warm one leaves the golden stacks, 7 / 7 / 16 on this state
+        # (6-9 / 6-9 / 16-19 over 40 Haar states)
+        events = spy_builds(monkeypatch)
         m, n = shape
-        max_expectation_grid(sample_haar(m, n, np.random.default_rng(m * n)), n, 64)
-        assert calls[:4] == [16, 16, 16, 16] and len(calls) <= most
-        assert max(calls) * (m * n) ** 2 <= 16 * 64**2  # no stack beyond 1 MB
+        s = sample_haar(m, n, np.random.default_rng(m * n))
+        bell_operators._grid.cache_clear()
+        cold = max_expectation_grid(s, n, 64)
+        cold_events, events[:] = events[:], []
+        assert cold_events[:5] == [16, 16, 16, 16, "golden"] and len(cold_events) - 1 <= most
+        assert max(cold_events[5:]) * (m * n) ** 2 <= 16 * 64**2  # no stack beyond 1 MB
+        assert max_expectation_grid(s, n, 64) == cold
+        assert events == ["golden", *cold_events[5:]] and len(events) - 1 <= most - 4
 
     @pytest.mark.parametrize("rowwise", [False, True])
     def test_reused_buffers_leak_no_rows(self, rowwise):
@@ -469,21 +501,34 @@ class TestBatchedEvaluator:
     ])
     def test_first_party_stack_checks_fire(self, monkeypatch, fresh_family, sigma_one, reason):
         s = new_schmidt([3.0, 2.0, 1.0])
+        max_expectation_grid(s, 4, 64)  # a warm grid cache, then a family rebuilt from
+        fresh_family.cache_clear()  # tampered parts: the golden stacks are checked
         b_pair = [build_b(4, 0), build_b(4, 1)]  # checked before the tampering
         monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
         monkeypatch.setitem(bell_operators._SIGMA, 1, sigma_one)
         with pytest.raises(InvariantError, match=reason):
             bell_operators._operators(3, 4, np.array([0.0, 0.4, 1.1]))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=reason):
+            max_expectation_grid(s, 4, 64)
+        bell_operators._grid.cache_clear()  # and so are the grid stacks of a cold cache
+        with pytest.raises(InvariantError, match=reason):
             max_expectation_grid(s, 4, 64)
 
     def test_operator_stack_check_fires(self, monkeypatch, fresh_family):
         # a second-party matrix that skipped validation makes the stack non-Hermitian
+        s = new_schmidt([2.0, 1.0])
+        max_expectation_grid(s, 2, 64)  # a warm grid cache, then a family rebuilt
+        fresh_family.cache_clear()
         skew = SimpleNamespace(dim=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         b_pair = [skew, build_b(2, 1)]
         monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
         with pytest.raises(InvariantError, match="operator is not Hermitian"):
             bell_operators._operators(2, 2, np.array([0.3]))
+        with pytest.raises(InvariantError, match="operator is not Hermitian"):
+            max_expectation_grid(s, 2, 64)
+        bell_operators._grid.cache_clear()
+        with pytest.raises(InvariantError, match="operator is not Hermitian"):
+            max_expectation_grid(s, 2, 64)
 
     def test_state_wider_than_second_party(self):
         with pytest.raises(DimensionMismatchError):
@@ -630,6 +675,7 @@ class TestGoldenPath:
 
 
 BLOCK_SHAPES = [(1, 2), (2, 2), (3, 4), (5, 6), (8, 8)]
+BENCH_SHAPES = [(m, n) for m in range(2, 7) for n in (m, m + 1)] + [(8, 8)]  # bench/oracle.py
 
 
 def block_of(m, n, count, seed):
@@ -652,24 +698,18 @@ class TestBlockOracle:
 
     @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
     def test_builds_each_grid_stack_once(self, monkeypatch, grid_points):
-        events = []
-        operators, golden = bell_operators._operators, bell_operators._golden_max
-
-        def counting(m, n, thetas):
-            events.append(len(thetas))
-            return operators(m, n, thetas)
-
-        def searching(*args):
-            events.append("golden")
-            return golden(*args)
-
-        monkeypatch.setattr(bell_operators, "_operators", counting)
-        monkeypatch.setattr(bell_operators, "_golden_max", searching)
-        max_expectation_block(block_of(3, 4, 5, 7), 4, grid_points)
+        events = spy_builds(monkeypatch)
+        rows = block_of(3, 4, 5, 7)
+        bell_operators._grid.cache_clear()
+        cold = max_expectation_block(rows, 4, grid_points)
         grid = events[: events.index("golden")]
         assert grid == [min(16, grid_points - lo) for lo in range(0, grid_points, 16)]
         assert len(grid) == math.ceil(grid_points / 16)
         assert events.count("golden") == 5
+        golden, events[:] = events[len(grid):], []
+        # a warm cache: the grid stacks are scattered from the cache, never built again
+        assert max_expectation_block(rows, 4, grid_points) == cold
+        assert events == golden
 
     def test_threads_match_serial(self):
         # thread-local buffers: four threads on different shapes, a short switch interval
@@ -695,6 +735,71 @@ class TestBlockOracle:
             with pytest.raises(ValueError):
                 part[(0,) * part.ndim] = 2.0
 
+    @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
+    @pytest.mark.parametrize("measure", ["haar", "simplex"])
+    def test_warm_calls_match_cold_calls(self, measure, grid_points):
+        # the benchmark's 11 shapes and 1x2: a cold call builds and caches the grid, a
+        # warm one scatters the cached entries; 8x8 at grid 65 is over budget, never cached
+        rng = np.random.default_rng(grid_points)
+        for m, n in [(1, 2), *BENCH_SHAPES]:
+            rows = np.array([(sample_haar(m, n, rng) if measure == "haar"
+                              else sample_simplex(m, rng)).coeffs for _ in range(3)])
+            bell_operators._grid.cache_clear()
+            cold = max_expectation_block(rows, n, grid_points)
+            hits = bell_operators._grid.cache_info().hits
+            assert max_expectation_block(rows, n, grid_points) == cold, (m, n)
+            cached = (m, n, grid_points) != (8, 8, 65)
+            assert bell_operators._grid.cache_info().hits == hits + cached
+
+    def test_cached_grids_are_read_only(self):
+        for m, n in ((1, 2), (3, 4), (8, 8)):
+            max_expectation_block(block_of(m, n, 1, 3), n, 64)
+            for part in bell_operators._grid(m, n, 64):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[(0,) * part.ndim] = 2
+                with pytest.raises(ValueError):
+                    part.fill(0)
+
+    def test_threads_race_on_a_cold_shape(self):
+        # four threads miss the cache of one shape at once and each builds its grid
+        jobs = [block_of(5, 6, 3, seed) for seed in range(4)]
+        serial = [max_expectation_block(rows, 6, 64) for rows in jobs]
+        bell_operators._grid.cache_clear()
+        start = threading.Barrier(4)
+
+        def race(rows):
+            start.wait(timeout=60)
+            return [max_expectation_block(rows, 6, 64) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(race, rows) for rows in jobs]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[expected] * 3 for expected in serial]
+        assert bell_operators._grid.cache_info().currsize == 1
+
+    def test_grid_cache_is_bounded(self):
+        # 64 angles x 256 entries x 16 B fill the 256 KiB of one grid at 8x8; grid 1024
+        # would take 4 MiB, so it is built on each call and never cached
+        cache = bell_operators._grid
+        cache.cache_clear()
+        max_expectation_block(block_of(8, 8, 1, 5), 8, 1024)
+        assert cache.cache_info().currsize == 0
+        for m, n in BENCH_SHAPES:
+            max_expectation_block(block_of(m, n, 1, 5), n, 64)
+        sizes = [cache(m, n, 64)[1].nbytes for m, n in BENCH_SHAPES]
+        assert cache.cache_info().currsize == len(BENCH_SHAPES) == cache.cache_info().misses
+        assert max(sizes) == bell_operators._GRID_BYTES == 256 << 10
+        assert sum(sizes) < 1 << 20  # 0.96 MiB for the 11 shapes
+        for grid_points in range(8, 40):  # more grids than the cache holds
+            max_expectation_block(block_of(2, 3, 1, 5), 3, grid_points)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == 16
+
     @pytest.mark.parametrize("shape, grid_points, reason", [
         ((8, 9), 64, "m\\*dim_b = 72"), ((2, 2), MAX_GRID_POINTS + 1, "grid_points"),
     ])
@@ -704,5 +809,5 @@ class TestBlockOracle:
         m, n = shape
         with pytest.raises(TooLargeError, match=reason):
             max_expectation_block(np.full((2, m), m**-0.5), n, grid_points)
-        info = fresh_family.cache_info()
-        assert info.hits + info.misses == 0
+        for info in (fresh_family.cache_info(), bell_operators._grid.cache_info()):
+            assert info.hits + info.misses == 0
