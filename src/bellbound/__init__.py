@@ -6,102 +6,61 @@ and through a dense-matrix oracle, computes exhaustive classical bounds, and
 runs seeded Monte-Carlo sweeps checking the concurrence envelopes
 
     sqrt(2 (1 + C^2))  <=  B  <=  2 sqrt(1 + C^2)      (even Schmidt rank).
+
+Importing the package loads only ``errors``, ``tolerances`` and
+``schmidt_state``.  ``bell_operators``, ``bounds``, ``harness`` and ``cli``
+load on first use of one of their names (PEP 562 module ``__getattr__``), so
+a CLI call pays only for the modules its subcommand runs.
 """
 
 from __future__ import annotations
 
-from . import errors, tolerances
-from .bell_operators import (
-    CHSH_MATRIX,
-    BellCoefficientMatrix,
-    BellOperator,
-    HermitianObservable,
-    assemble_bell,
-    build_a,
-    build_b,
-    expectation,
-    max_expectation_grid,
-    pauli,
-)
-from .bounds import (
-    BoundReport,
-    NonlocalityCertificate,
-    bell_value_formula,
-    bound_report,
-    classical_bound,
-    classical_bound_naive,
-    core_inequalities,
-    gamma_value,
-    is_nonlocal_certified,
-    k_value,
-    lower_bound,
-    nonlocality_certificate,
-    theta_star,
-    upper_bound,
-)
-from .harness import (
-    MEASURES,
-    ExperimentConfig,
-    OracleSummary,
-    SweepSummary,
-    run_sweep,
-    scatter_cb,
-    substream,
-    verify_oracle,
-)
-from .schmidt_state import (
-    SchmidtVector,
-    concurrence,
-    effective_rank,
-    max_concurrence,
-    new_schmidt,
-    sample_haar,
-    sample_simplex,
-)
+import importlib
+
+from . import errors, schmidt_state, tolerances
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "tolerances",
-    "SchmidtVector",
-    "new_schmidt",
-    "concurrence",
-    "max_concurrence",
-    "effective_rank",
-    "sample_haar",
-    "sample_simplex",
-    "HermitianObservable",
-    "BellCoefficientMatrix",
-    "BellOperator",
-    "CHSH_MATRIX",
-    "pauli",
-    "build_a",
-    "build_b",
-    "assemble_bell",
-    "expectation",
-    "max_expectation_grid",
-    "BoundReport",
-    "NonlocalityCertificate",
-    "k_value",
-    "gamma_value",
-    "bell_value_formula",
-    "theta_star",
-    "upper_bound",
-    "lower_bound",
-    "core_inequalities",
-    "classical_bound",
-    "classical_bound_naive",
-    "nonlocality_certificate",
-    "is_nonlocal_certified",
-    "bound_report",
-    "MEASURES",
-    "ExperimentConfig",
-    "SweepSummary",
-    "OracleSummary",
-    "run_sweep",
-    "verify_oracle",
-    "scatter_cb",
-    "substream",
-    "__version__",
-]
+# submodule -> the public names the package re-exports from it; every submodule
+# here but schmidt_state loads on first use of its own name or one of these
+_EXPORTS = {
+    "schmidt_state": ("SchmidtVector", "new_schmidt", "concurrence", "max_concurrence",
+                      "effective_rank", "sample_haar", "sample_simplex", "MEASURES"),
+    "bell_operators": ("HermitianObservable", "BellCoefficientMatrix", "BellOperator",
+                       "CHSH_MATRIX", "pauli", "build_a", "build_b", "assemble_bell",
+                       "expectation", "max_expectation_grid"),
+    "bounds": ("BoundReport", "NonlocalityCertificate", "k_value", "gamma_value",
+               "bell_value_formula", "theta_star", "upper_bound", "lower_bound",
+               "core_inequalities", "classical_bound", "classical_bound_naive",
+               "nonlocality_certificate", "is_nonlocal_certified", "bound_report"),
+    "harness": ("ExperimentConfig", "SweepSummary", "OracleSummary", "run_sweep",
+                "verify_oracle", "scatter_cb", "substream"),
+    "cli": (),
+}
+_OWNER = {name: owner for owner, names in _EXPORTS.items() for name in names}
+
+__all__ = ["errors", "tolerances", *_OWNER, "__version__"]
+
+
+def _bind(owner: str):
+    """Import module ``owner`` and bind every name the package exports from it."""
+    module = importlib.import_module(f".{owner}", __name__)
+    globals().update((name, getattr(module, name)) for name in _EXPORTS[owner])
+    return module
+
+
+_bind("schmidt_state")
+
+
+def __getattr__(name: str):
+    """Load a lazy module, or the module that owns a public name, on first use."""
+    if name in _EXPORTS:
+        return _bind(name)
+    if name in _OWNER:
+        _bind(_OWNER[name])
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

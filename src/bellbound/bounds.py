@@ -144,16 +144,20 @@ def classical_bound(n_matrix: BellCoefficientMatrix) -> float:
     ``max_a sum_j |sum_i N_ij a_i|``; and ``(a, b) -> (-a, -b)`` leaves the
     objective unchanged, so ``a_n`` can be pinned to +1: the first half of
     the sign rows.  Both reductions are verified against
-    :func:`classical_bound_naive` in the test suite.
+    :func:`classical_bound_naive` in the test suite.  The rows go in chunks
+    of 2^14 that share their 14 low bits, so one block is built and only its
+    high-bit columns are rewritten per chunk.  A bound that overflows float64
+    raises :class:`TooLargeError`.
     """
     n = n_matrix.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLargeError(f"exhaustive search guard: n={n} exceeds {MAX_EXHAUSTIVE_N}")
-    best = 0.0
-    total, chunk = 1 << (n - 1), 1 << 14
-    for start in range(0, total, chunk):
-        signs = _sign_space(n, start, min(start + chunk, total))
-        best = max(best, float(np.abs(signs @ n_matrix.entries).sum(axis=1).max()))
+    best, total, low = 0.0, 1 << (n - 1), 14
+    signs = _sign_space(n, 0, min(total, 1 << low))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, len(signs)):
+            signs[:, low:] = _sign_space(n, start, start + 1)[0, low:]
+            best = max(best, _finite(np.abs(signs @ n_matrix.entries).sum(axis=1).max()))
     return best
 
 
@@ -163,7 +167,15 @@ def classical_bound_naive(n_matrix: BellCoefficientMatrix) -> float:
     if n > MAX_NAIVE_N:
         raise TooLargeError(f"naive enumeration guard: n={n} exceeds {MAX_NAIVE_N}")
     signs = _sign_space(n, 0, 1 << n)
-    return float(np.abs(signs @ n_matrix.entries @ signs.T).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.abs(signs @ n_matrix.entries @ signs.T).max())
+
+
+def _finite(bound) -> float:
+    """``bound`` as a float; :class:`TooLargeError` when it overflowed float64."""
+    if not math.isfinite(bound):
+        raise TooLargeError(f"classical bound is not finite in float64, got {float(bound)!r}")
+    return float(bound)
 
 
 @dataclass(frozen=True)

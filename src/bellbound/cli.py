@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr; one
 line per theorem violation of ``sweep`` or per oracle gap beyond
 ``ORACLE_TOL`` of ``verify``), 2 usage error (argparse).  Every number is
 printed with repr so re-parsing the output reproduces the value bit-for-bit.
+Each handler imports the modules it runs, so a call loads no other one.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, harness, schmidt_state
-from .bell_operators import BellCoefficientMatrix
+from . import schmidt_state
 from .errors import BellboundError, InvalidDimensionError, InvariantError, integer_arg
 from .tolerances import MIN_GRID_POINTS, ORACLE_TOL
 
@@ -50,7 +50,9 @@ def _coeffs_flag(text: str) -> list[float]:
         ) from None
 
 
-def _matrix_flag(text: str) -> BellCoefficientMatrix:
+def _matrix_flag(text: str):
+    from .bell_operators import BellCoefficientMatrix
+
     try:
         rows = [[float(tok) for tok in row.split(",")] for row in text.split(";")]
     except ValueError:
@@ -104,6 +106,8 @@ def _cmd_concurrence(args) -> int:
 
 
 def _cmd_bell(args) -> int:
+    from . import bounds
+
     s = schmidt_state.new_schmidt(args.coeffs)
     print(f"coeffs = {s.to_json()}")
     print(f"k = {bounds.k_value(s)!r}")
@@ -114,12 +118,16 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     s = schmidt_state.new_schmidt(args.coeffs)
     print(bounds.bound_report(s).to_json())
     return 0
 
 
 def _cmd_jn(args) -> int:
+    from . import bounds
+
     print(repr(bounds.classical_bound(args.matrix)))
     return 0
 
@@ -129,6 +137,8 @@ def _cmd_sample(args) -> int:
     if args.index is None:
         rng = np.random.default_rng(args.seed)
     else:
+        from . import harness
+
         rng = harness.substream(args.seed, args.m, args.index)
     if args.measure == "haar":
         s = schmidt_state.sample_haar(args.m, n, rng)
@@ -139,6 +149,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import harness
+
     config = harness.ExperimentConfig(dims=args.dims, samples=args.samples, seed=args.seed,
                                       measure=args.measure, second_dim_offset=args.offset,
                                       output_path=args.out)
@@ -169,6 +181,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     config = harness.ExperimentConfig(dims=(args.m,), samples=args.samples, seed=args.seed,
                                       measure=args.measure,
                                       second_dim_offset=_second_dim(args) - args.m)
@@ -215,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_flag(1), required=True)
     p.add_argument("--n", type=_int_flag(1), default=None)
     p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
-    p.add_argument("--measure", choices=harness.MEASURES, default="haar")
+    p.add_argument("--measure", choices=schmidt_state.MEASURES, default="haar")
     p.add_argument("--index", type=_int_flag(0), default=None,
                    help="replay sweep record INDEX of (seed, m); for a Haar sweep "
                         "pass --n as m plus its --offset")
@@ -226,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated m values, e.g. 2,4,6")
     p.add_argument("--samples", type=_int_flag(1), required=True)
     p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
-    p.add_argument("--measure", choices=harness.MEASURES, default="haar")
+    p.add_argument("--measure", choices=schmidt_state.MEASURES, default="haar")
     p.add_argument("--out", required=True, help="JSONL output path")
     p.add_argument("--offset", type=_int_flag(0), default=0,
                    help="n = m + offset for the second factor (default 0)")
@@ -238,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_flag(1), required=True)
     p.add_argument("--grid", type=_int_flag(MIN_GRID_POINTS), default=720)
     p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
-    p.add_argument("--measure", choices=harness.MEASURES, default="haar")
+    p.add_argument("--measure", choices=schmidt_state.MEASURES, default="haar")
     p.set_defaults(func=_cmd_verify)
 
     return parser

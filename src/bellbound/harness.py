@@ -31,7 +31,7 @@ from .errors import (
     integer_arg,
 )
 # sample_haar and sample_simplex are unused, but the benchmark's tracer wraps them here
-from .schmidt_state import _draw_rows, sample_haar, sample_simplex, validate_rows
+from .schmidt_state import MEASURES, _draw_rows, sample_haar, sample_simplex, validate_rows
 from .tolerances import THEOREM_TOL, ZERO_TOL
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "verify_oracle",
     "scatter_cb",
 ]
-
-MEASURES = ("haar", "simplex")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -35,7 +35,10 @@ __all__ = [
     "sample_haar",
     "sample_simplex",
     "validate_rows",
+    "MEASURES",
 ]
+
+MEASURES = ("haar", "simplex")  # the draw kernel's distributions
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from bellbound import (
     theta_star,
     upper_bound,
 )
+from bellbound.bounds import _sign_space
 from bellbound.errors import NegativeInputError, OddDimensionError, TooLargeError
 from bellbound.tolerances import SATURATION_TOL, THEOREM_TOL
 
@@ -166,6 +167,32 @@ class TestClassicalBound:
             classical_bound(BellCoefficientMatrix(np.eye(25)))
         with pytest.raises(TooLargeError):
             classical_bound_naive(BellCoefficientMatrix(np.eye(9)))
+
+    @pytest.mark.parametrize("bound", [classical_bound, classical_bound_naive])
+    def test_overflow_is_a_domain_error(self, bound):
+        # the sums overflow float64: numpy gives inf (fast path) or nan (naive), not J
+        with pytest.raises(TooLargeError, match="not finite"):
+            bound(BellCoefficientMatrix(np.full((3, 3), 1e308)))
+
+    @pytest.mark.parametrize("kind", ["normal", "integer", "mixed"])
+    def test_shared_sign_block_keeps_every_bit(self, kind):
+        # n >= 16 spans several 2^14-row chunks; the reference builds each afresh
+        def chunked(nm):
+            total, chunk = 1 << (nm.n - 1), 1 << 14
+            return max(float(np.abs(_sign_space(nm.n, start, min(start + chunk, total))
+                                    @ nm.entries).sum(axis=1).max())
+                       for start in range(0, total, chunk))
+
+        rng = np.random.default_rng(["normal", "integer", "mixed"].index(kind))
+        for n in range(1, 21):
+            if kind == "normal":
+                entries = rng.standard_normal((n, n))
+            elif kind == "integer":
+                entries = rng.integers(-5, 6, (n, n)).astype(float)
+            else:
+                entries = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-3, 2, (n, n))
+            nm = BellCoefficientMatrix(entries)
+            assert classical_bound(nm) == chunked(nm), n
 
 
 class TestNonlocalityCertificate:

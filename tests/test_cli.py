@@ -351,6 +351,7 @@ BAD_INPUTS = [
     (f"{VERIFY} 2 --grid 8.5", 2), (f"{VERIFY} 2.5", 2),
     ("concurrence --coeffs 0,0", 1), ("concurrence --coeffs 0.5,-1", 1),
     ("bell --coeffs -1,0", 1), ("bounds --coeffs 0,0", 1), (f"jn --matrix {EYE_PAST_GUARD}", 1),
+    ("jn --matrix 1e308,1e308;1e308,1e308", 1),
     (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1),
     (f"{VERIFY} 2 --grid {MAX_GRID_POINTS + 1}", 1), (f"{VERIFY} 2 --grid {10**13}", 1),
     (f"{SWEEP} 2 --out {{tmp}}", 1),
@@ -469,3 +470,31 @@ class TestImportPath:
                              env=package_env(), timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
+
+    CORE = ("cli", "errors", "schmidt_state", "tolerances")
+    KERNEL = CORE + ("bell_operators", "bounds")
+
+    MODULE_SETS = [
+        ("concurrence --coeffs 1,2", CORE),
+        ("sample --m 3 --seed 1", CORE),
+        ("sample --m 3 --seed 1 --measure simplex", CORE),
+        ("bell --coeffs 1,2", KERNEL),
+        ("bounds --coeffs 1,2", KERNEL),
+        ("jn --matrix 1,1;1,-1", KERNEL),
+        ("sample --m 3 --seed 1 --index 2", KERNEL + ("harness",)),
+        ("sweep --dims 2 --samples 1 --seed 1 --out {out}", KERNEL + ("harness",)),
+        ("verify --m 2 --samples 1 --grid 8 --seed 1", KERNEL + ("harness",)),
+    ]
+
+    @pytest.mark.parametrize("line,loaded", MODULE_SETS, ids=[line for line, _ in MODULE_SETS])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, line, loaded):
+        # each handler imports what it runs; a fresh process shows what a call loads
+        argv = shlex.split(line.format(out=tmp_path / "x.jsonl"))
+        code = ("import sys; from bellbound.cli import main; import contextlib, io\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('bellbound.')))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**package_env(), "BELLBOUND_THREADS": "1"}, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"{sorted(f'bellbound.{m}' for m in loaded)}\n"
