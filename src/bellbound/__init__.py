@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 # here but schmidt_state loads on first use of its own name or one of these
 _EXPORTS = {
     "schmidt_state": ("SchmidtVector", "new_schmidt", "concurrence", "max_concurrence",
-                      "effective_rank", "sample_haar", "sample_simplex", "MEASURES"),
+                      "effective_rank", "sample_haar", "sample_simplex", "substream", "MEASURES"),
     "bell_operators": ("HermitianObservable", "BellCoefficientMatrix", "BellOperator",
                        "CHSH_MATRIX", "pauli", "build_a", "build_b", "assemble_bell",
                        "expectation", "max_expectation_grid"),
@@ -34,7 +34,7 @@ _EXPORTS = {
                "core_inequalities", "classical_bound", "classical_bound_naive",
                "nonlocality_certificate", "is_nonlocal_certified", "bound_report"),
     "harness": ("ExperimentConfig", "SweepSummary", "OracleSummary", "run_sweep",
-                "verify_oracle", "scatter_cb", "substream"),
+                "verify_oracle", "scatter_cb"),
     "cli": (),
 }
 _OWNER = {name: owner for owner, names in _EXPORTS.items() for name in names}

@@ -134,12 +134,8 @@ def _cmd_jn(args) -> int:
 
 def _cmd_sample(args) -> int:
     n = _second_dim(args)  # checked for either measure, though only Haar draws on n
-    if args.index is None:
-        rng = np.random.default_rng(args.seed)
-    else:
-        from . import harness
-
-        rng = harness.substream(args.seed, args.m, args.index)
+    rng = (np.random.default_rng(args.seed) if args.index is None
+           else schmidt_state.substream(args.seed, args.m, args.index))
     if args.measure == "haar":
         s = schmidt_state.sample_haar(args.m, n, rng)
     else:

@@ -30,8 +30,9 @@ from .errors import (
     WorkerFailedError,
     integer_arg,
 )
-# sample_haar and sample_simplex are unused, but the benchmark's tracer wraps them here
-from .schmidt_state import MEASURES, _draw_rows, sample_haar, sample_simplex, validate_rows
+# the benchmark's tracer wraps sample_haar, sample_simplex (both unused) and substream here
+from .schmidt_state import (MEASURES, _draw_rows, sample_haar, sample_simplex, substream,
+                            validate_rows)
 from .tolerances import THEOREM_TOL, ZERO_TOL
 
 __all__ = [
@@ -129,22 +130,12 @@ class OracleSummary:
     max_gap: float
 
 
-def substream(seed: int, m: int, index: int) -> np.random.Generator:
-    """Per-sample generator seeded by the (seed, m, index) triple, which ``integer_arg``
-    checks: seed in [0, 2**64), m >= 1, index >= 0.  SeedSequence hashes the triple into
-    independent stream state, so draws never depend on scheduling or on chunking."""
-    triple = (integer_arg("seed", seed, 0, 2**64), integer_arg("m", m, 1),
-              integer_arg("index", index, 0))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(triple)))
-
-
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier; NumPy keeps both fixed across versions
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx); NumPy keeps
+# them fixed across versions
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 
 
 def _words(value: int) -> list[int]:
@@ -212,39 +203,41 @@ def _seed_words(seed: int, m: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _pcg64_state(s0: int, s1: int, i0: int, i1: int) -> dict:
-    """The ``PCG64.state`` that seeding from ``generate_state`` words s0..i1 sets."""
-    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Seed sequence whose ``generate_state(4, np.uint64)`` is one precomputed
+    ``_seed_words`` row; PCG64 seeds from the row's buffer in C."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
 
 
 def _substreams(seed: int, m: int, start: int, stop: int):
-    """Yield, for each index in [start, stop), a generator in the state
-    ``substream(seed, m, index)`` starts in.
+    """Yield, for each index in [start, stop), a generator of its own in the
+    state ``substream(seed, m, index)`` starts in, valid for as long as it is held.
 
-    The seeds of the whole range are hashed at once (``_seed_words``) and
-    one ``PCG64`` is re-seeded per index, so a yielded generator is valid
-    until the next is yielded.  The derived states of the first and the
-    last index are checked against NumPy's own seeding, so the block never
-    drifts from the scalar ``substream`` unnoticed, at either index width
-    of a range that straddles 2**32.  A single index is cheaper seeded by ``substream``.
+    The seeds of the whole range are hashed at once (``_seed_words``), and each
+    ``PCG64`` seeds in C from its row through ``_Words``.  PCG64 reads a row's
+    four words from its buffer, so the block is made C-contiguous: a row of a
+    Fortran-ordered block would seed another state.  The states of the first and
+    the last index are checked against NumPy's own seeding, so the block never
+    drifts from the scalar ``substream`` unnoticed, at either index width of a
+    range that straddles 2**32.  A single index is cheaper seeded by ``substream``.
     """
     if stop - start == 1:
         yield substream(seed, m, start)
         return
-    words = _seed_words(seed, m, start, stop).tolist()
+    words = np.ascontiguousarray(_seed_words(seed, m, start, stop))
     for index, row in {start: words[0], stop - 1: words[-1]}.items():
-        bit_generator = np.random.PCG64(np.random.SeedSequence((seed, m, index)))
-        if _pcg64_state(*row) != bit_generator.state:
+        seq = np.random.SeedSequence((seed, m, index))
+        if np.random.PCG64(_Words(row)).state != np.random.PCG64(seq).state:
             raise InvariantError(
                 f"sample m={m} index {index}: derived PCG64 state differs from NumPy's seeding"
             )
-    rng = np.random.Generator(bit_generator)
     for row in words:
-        bit_generator.state = _pcg64_state(*row)
-        yield rng
+        yield np.random.Generator(np.random.PCG64(_Words(row)))
 
 
 def _draw_block(seed: int, measure: str, offset: int, m: int, start: int, stop: int) -> np.ndarray:

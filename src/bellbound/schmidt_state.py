@@ -35,6 +35,7 @@ __all__ = [
     "sample_haar",
     "sample_simplex",
     "validate_rows",
+    "substream",
     "MEASURES",
 ]
 
@@ -199,6 +200,15 @@ def sample_simplex(m: int, rng: np.random.Generator) -> SchmidtVector:
     """
     m = integer_arg("m", m, 1)
     return SchmidtVector(_draw_rows([rng], 1, "simplex", m, m)[0])
+
+
+def substream(seed: int, m: int, index: int) -> np.random.Generator:
+    """Per-sample generator seeded by the (seed, m, index) triple, which ``integer_arg``
+    checks: seed in [0, 2**64), m >= 1, index >= 0.  SeedSequence hashes the triple into
+    independent stream state, so draws never depend on scheduling or on chunking."""
+    triple = (integer_arg("seed", seed, 0, 2**64), integer_arg("m", m, 1),
+              integer_arg("index", index, 0))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(triple)))
 
 
 def _draw_rows(streams, count: int, measure: str, m: int, n: int) -> np.ndarray:

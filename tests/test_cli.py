@@ -478,10 +478,10 @@ class TestImportPath:
         ("concurrence --coeffs 1,2", CORE),
         ("sample --m 3 --seed 1", CORE),
         ("sample --m 3 --seed 1 --measure simplex", CORE),
+        ("sample --m 3 --seed 1 --index 2", CORE),
         ("bell --coeffs 1,2", KERNEL),
         ("bounds --coeffs 1,2", KERNEL),
         ("jn --matrix 1,1;1,-1", KERNEL),
-        ("sample --m 3 --seed 1 --index 2", KERNEL + ("harness",)),
         ("sweep --dims 2 --samples 1 --seed 1 --out {out}", KERNEL + ("harness",)),
         ("verify --m 2 --samples 1 --grid 8 --seed 1", KERNEL + ("harness",)),
     ]

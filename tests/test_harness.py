@@ -547,15 +547,24 @@ class TestSeedDerivation:
     @example(seed=2**32, m=33, start=0, count=6)
     @example(seed=2**64 - 1, m=40, start=2**32 - 1, count=2)
     def test_matches_numpy_seeding(self, seed, m, start, count):
-        words = harness._seed_words(seed, m, start, start + count).tolist()
+        # the contiguous block, as _substreams builds it
+        words = np.ascontiguousarray(harness._seed_words(seed, m, start, start + count))
         streams = harness._substreams(seed, m, start, start + count)
         assert len(words) == count
         for index, row, rng in zip(range(start, start + count), words, streams):
             seq = np.random.SeedSequence((seed, m, index))
-            assert row == seq.generate_state(4, np.uint64).tolist()
-            assert harness._pcg64_state(*row) == np.random.PCG64(seq).state
+            assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+            assert np.random.PCG64(harness._Words(row)).state == np.random.PCG64(seq).state
             assert rng.integers(2**63, size=4).tolist() == \
                 substream(seed, m, index).integers(2**63, size=4).tolist()
+
+    @pytest.mark.parametrize("start,stop", [(0, 6), (2**32 - 3, 2**32 + 3)])
+    def test_generators_stay_valid_after_the_next_is_yielded(self, start, stop):
+        streams = list(harness._substreams(11, 4, start, stop))  # every one yielded first
+        assert len(streams) == stop - start
+        for index, rng in zip(range(start, stop), streams):
+            assert rng.integers(2**63, size=4).tolist() == \
+                substream(11, 4, index).integers(2**63, size=4).tolist()
 
     def test_wrong_derivation_fails_the_run(self, tmp_path, monkeypatch, set_workers):
         seed_words = harness._seed_words
