@@ -8,7 +8,7 @@ matrix ``[[1, 1], [1, -1]]`` this family realizes the closed-form Bell value
 ``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the dense evaluation path
 in this module, which writes only the operator entries the Kronecker product can make
 nonzero and checks all, is the formula's independent oracle.  Its grid stacks are checked
-once per (m, n, grid) and cached while their entries fit 256 KiB, 16 grids at most.
+once each while cached, the 64 last used.
 """
 
 from __future__ import annotations
@@ -284,7 +284,6 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
 
 
 _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
-_GRID_BYTES = 256 << 10  # per cached grid (_grid): grid 64 at m*n = 64; 16 hold <= 4 MiB
 _LOCAL = threading.local()  # this thread's operator and check buffers (_scatter)
 
 
@@ -343,25 +342,25 @@ def _operators(m: int, n: int, thetas) -> np.ndarray:
     return ops
 
 
-@functools.lru_cache(maxsize=16)
-def _grid(m: int, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_family`'s positions and, read-only, the operator entries there at each grid
-    angle ``k pi / grid_points``, taken from the stacks of ``_BLOCK`` angles that
-    :func:`_operators` builds and checks.  Callers ask only within ``_GRID_BYTES``."""
-    thetas, at = np.arange(grid_points) * (math.pi / grid_points), _family(m, n)[-1]
-    entries = np.concatenate([_operators(m, n, thetas[lo : lo + _BLOCK]).reshape(
-        -1, (m * n) ** 2)[:, at] for lo in range(0, grid_points, _BLOCK)])
+@functools.lru_cache(maxsize=64)
+def _grid(m: int, n: int, grid_points: int, lo: int) -> np.ndarray:
+    """Read-only, the entries at :func:`_family`'s positions of the grid stack that
+    :func:`_operators` builds and checks at the angles ``k pi / grid_points``, ``lo <= k <
+    lo + _BLOCK`` (the last stack ends at ``grid_points``).  A stack holds at most 16 x 256
+    entries (64 KiB), so the cache holds at most 4 MiB whatever the grid."""
+    thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)
+    entries = _operators(m, n, thetas).reshape(len(thetas), -1)[:, _family(m, n)[-1]]
     entries.setflags(write=False)
-    return at, entries
+    return entries
 
 
 def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> list:
     """:func:`max_expectation_grid`'s ``(theta, value)`` for each row of an ``(S, m)``
     block that passed ``validate_rows``, with the bits of one call per row: each grid
     stack serves the whole block, and a state keeps only its best grid index and value
-    (the first maximum, as ``np.argmax``) before its own golden search.  A grid whose
-    entries fit ``_GRID_BYTES`` is built and checked once per shape (:func:`_grid`), then
-    scattered into the zeroed buffer on each call; a larger one is built on each call."""
+    (the first maximum, as ``np.argmax``) before its own golden search.  Each grid stack
+    is built and checked once while :func:`_grid` caches it, then scattered into the
+    zeroed buffer on each call."""
     grid_points = integer_arg("grid_points", grid_points, MIN_GRID_POINTS)
     if grid_points > MAX_GRID_POINTS:
         raise TooLargeError(f"dense oracle guard: grid_points = {grid_points} > {MAX_GRID_POINTS}")
@@ -373,14 +372,10 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
         raise DimensionMismatchError(f"state rank {m} exceeds operator factors ({m}, {dim_b})")
     psis = np.zeros((count, m * dim_b), dtype=complex)
     psis[:, np.arange(m) * (dim_b + 1)] = rows
-    step = math.pi / grid_points
-    thetas = np.arange(grid_points) * step
-    grid = (_grid(m, dim_b, grid_points)  # complex entries, 16 B each
-            if grid_points * _family(m, dim_b)[-1].size * 16 <= _GRID_BYTES else None)
+    step, at = math.pi / grid_points, _family(m, dim_b)[-1]
     best, top = np.zeros(count, dtype=int), np.full(count, -np.inf)
     for lo in range(0, grid_points, _BLOCK):
-        ops = (_scatter(grid[1][lo : lo + _BLOCK], grid[0], m * dim_b)[0] if grid
-               else _operators(m, dim_b, thetas[lo : lo + _BLOCK]))
+        ops = _scatter(_grid(m, dim_b, grid_points, lo), at, m * dim_b)[0]
         values = _real_part(np.array([(ops @ psi) @ psi.conj() for psi in psis]))
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
@@ -406,9 +401,9 @@ def max_expectation_grid(s: SchmidtVector, dim_b: int, grid_points: int) -> tupl
     Scans a uniform grid on [0, pi) -- the expectation is pi-periodic up to the sign symmetry
     of the family -- in stacks of ``_BLOCK`` angles, then refines the best bracket by golden-
     section search (:func:`_golden_max`) down to ``GOLDEN_WIDTH``.  Every operator is built
-    and checked by :func:`_operators`: a grid's once per shape while its entries fit
-    ``_GRID_BYTES`` = 256 KiB (:func:`_grid`), a golden stack's on each call.  Nothing uses
-    the closed form, so the result cross-checks it.  Grids beyond ``MAX_GRID_POINTS`` raise.
+    and checked by :func:`_operators`: a grid stack's once while :func:`_grid` caches it,
+    a golden stack's on each call.  Nothing uses the closed form, so the result
+    cross-checks it.  Grids beyond ``MAX_GRID_POINTS`` raise.
     A block of one of :func:`max_expectation_block`.
     """
     return max_expectation_block(s.coeffs[None, :], dim_b, grid_points)[0]

@@ -398,18 +398,21 @@ def _atomic_output(path: str | None):
     Writes to a temporary file beside the target and moves it into place
     with ``os.replace`` on success; on any error the temporary file is
     removed and nothing appears at ``path``.  Every file writer opens its
-    output here; a ``None`` path is an ``IoFailureError``.
+    output here; a ``None`` path is an ``IoFailureError``.  Each call opens
+    a temporary name of its own, exclusively: of two writers of one target,
+    the last to finish leaves its whole output.
     """
     if path is None:
         raise IoFailureError("no output file: config.output_path is None")
     target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target),
-                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."
+                       f"{os.getpid()}.{os.urandom(6).hex()}.tmp")
     try:
         if os.path.exists(target) and not os.path.isfile(target):
             raise IoFailureError(f"cannot write {path}: not a regular file")
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")  # a failed open removes nothing
         try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            with fh:
                 yield fh
             os.replace(tmp, target)
         except BaseException:

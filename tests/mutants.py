@@ -1,0 +1,124 @@
+"""Mutation check: each mutant of the source below must make one of its tests fail.
+
+    python3 tests/mutants.py [NAME ...]
+
+Copies the checkout's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and first runs every listed test there unchanged; they must pass.  Then, one
+mutant at a time, it replaces one exact text in one source file of the copy, runs that
+mutant's tests and puts the file back.  Each mutant is printed with the test that killed
+it, ``SURVIVED`` (all its tests passed) or ``STALE`` (its text does not occur exactly
+once, so the mutant no longer fits the source).  Exits 1 on any survivor or stale
+mutant.  The checkout is never written.  pytest does not collect this file (no ``test_``
+prefix); a run takes about 20 s on 2 CPUs.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/bellbound
+    old: str  # must occur exactly once
+    new: str
+    tests: tuple[str, ...]  # pytest node ids that should kill it
+
+
+BELL = "tests/test_bell_operators.py"
+HARNESS = "tests/test_harness.py"
+GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
+
+MUTANTS = [
+    Mutant("grid stack drops lo", "bell_operators.py", GRID,
+           "thetas = np.arange(min(lo + _BLOCK, grid_points) - lo) * (math.pi / grid_points)",
+           (f"{BELL}::TestGoldenPath::test_matches_sequential_search",)),
+    Mutant("grid stack drops grid_points", "bell_operators.py", GRID,
+           "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / 64)",
+           (f"{BELL}::TestGoldenPath::test_matches_sequential_search",
+            f"{BELL}::TestBatchedEvaluator::test_grid_best_index_matches_scalar_path")),
+    Mutant("a later stack wins a tie", "bell_operators.py",
+           "ahead = new > top", "ahead = new >= top",
+           (f"{BELL}::TestGoldenLookahead::test_flat_family_matches_sequential_search",)),
+    Mutant("_real_part never raises", "bell_operators.py",
+           "if not residue.max() <= IMAG_TOL:", "if False:",
+           (f"{BELL}::test_checkers_reject_non_finite",)),
+    Mutant("_check_hermitian at 1e3 x HERMITIAN_TOL", "bell_operators.py",
+           "if not defect <= HERMITIAN_TOL:", "if not defect <= 1e3 * HERMITIAN_TOL:",
+           (f"{BELL}::test_hermitian_check_is_at_hermitian_tol",)),
+    Mutant("theorem gate at 1e-6", "harness.py",
+           "(t1 >= -THEOREM_TOL).tolist(), (t2 >= -THEOREM_TOL).tolist()",
+           "(t1 >= -1e-6).tolist(), (t2 >= -1e-6).tolist()",
+           (f"{HARNESS}::TestRunSweep::test_violations_match_record_flags",)),
+    Mutant("_atomic_output writes the target in place", "harness.py",
+           'tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."\n'
+           '                       f"{os.getpid()}.{os.urandom(6).hex()}.tmp")',
+           "tmp = target",
+           (f"{HARNESS}::TestRunSweep::test_failed_run_keeps_the_file_it_would_replace",
+            f"{HARNESS}::TestRunSweep::test_two_writers_of_one_file")),
+    Mutant("_atomic_output names its file by pid only", "harness.py",
+           'f"{os.getpid()}.{os.urandom(6).hex()}.tmp"', 'f"{os.getpid()}.tmp"',
+           (f"{HARNESS}::TestRunSweep::test_two_writers_of_one_file",)),
+]
+
+
+def run_tests(tree: Path, tests) -> list[str]:
+    """The node ids of the tests that failed (or errored) among ``tests`` in ``tree``;
+    stops at the first failure."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600)
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    if proc.returncode not in (0, 1):  # 1: tests failed; anything else: pytest did not run
+        failed.append(f"pytest exit {proc.returncode}: {proc.stdout[-300:]}{proc.stderr[-300:]}")
+    return failed
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    if len(chosen) != (len(argv) or len(MUTANTS)):
+        known = "\n  ".join(m.name for m in MUTANTS)
+        print(f"unknown mutant name; the mutants are:\n  {known}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="bellbound-mutants-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        tests = sorted({test for m in chosen for test in m.tests})
+        broken = run_tests(tree, tests)
+        if broken:
+            print(f"the tests fail with no mutant applied: {broken}", file=sys.stderr)
+            return 1
+        bad = 0
+        for mutant in chosen:
+            source = tree / "src" / "bellbound" / mutant.path
+            original = source.read_text()
+            if original.count(mutant.old) != 1:
+                outcome = "STALE"
+            else:
+                source.write_text(original.replace(mutant.old, mutant.new))
+                try:
+                    failed = run_tests(tree, mutant.tests)
+                finally:
+                    source.write_text(original)
+                outcome = f"killed by {failed[0]}" if failed else "SURVIVED"
+            bad += not outcome.startswith("killed")
+            print(f"{mutant.name:<45} {outcome}", flush=True)
+        print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -41,7 +41,7 @@ from bellbound.errors import (
     NonHermitianResidueError,
     TooLargeError,
 )
-from bellbound.tolerances import GOLDEN_WIDTH, MAX_GRID_POINTS
+from bellbound.tolerances import GOLDEN_WIDTH, HERMITIAN_TOL, MAX_GRID_POINTS
 
 S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -80,12 +80,24 @@ def kron_operators(m, n, thetas):
 @pytest.fixture
 def fresh_family():
     """Empty family and grid caches, emptied again afterwards, around a test that
-    patches what the cached family is built from; yields the family cache."""
-    bell_operators._family.cache_clear()
-    bell_operators._grid.cache_clear()
-    yield bell_operators._family
-    bell_operators._family.cache_clear()
-    bell_operators._grid.cache_clear()
+    patches what the cached family is built from; yields the function that empties
+    both.  A cached grid stack holds entries at the family's positions, so the two
+    caches are emptied together."""
+    caches = bell_operators._family, bell_operators._grid  # before a test patches either
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def unchecked_grid(m, n, grid_points, lo):
+    """A stand-in for ``bell_operators._grid`` that builds and checks nothing: zero
+    entries at the family's positions, so that a search reaches its golden stacks."""
+    return np.zeros((min(16, grid_points - lo), bell_operators._family(m, n)[-1].size), complex)
 
 
 def spy_builds(monkeypatch):
@@ -415,21 +427,21 @@ class TestBatchedEvaluator:
                                        else 0.3 * np.eye(dim) - 0.6 * spread)
 
         shapes = ((1, 2), (2, 3), (3, 5), (4, 4))
-        for m, n in shapes:  # warm grid caches, then a family rebuilt from other parts
+        rng = np.random.default_rng(409)
+        for m, n in shapes:  # warm caches, then a family rebuilt from other parts
             max_expectation_grid(new_schmidt([1.0] * m), n, 64)
-        warm = {shape: bell_operators._grid(*shape, 64) for shape in shapes}
-        fresh_family.cache_clear()
+        fresh_family()
         monkeypatch.setattr(bell_operators, "build_b", dense_b)
         for m, n in shapes:
             ops = bell_operators._operators(m, n, ANGLES)
             assert np.array_equal(ops, kron_operators(m, n, ANGLES))
             first_party = np.count_nonzero(build_a(ANGLES[-1], m, 0).entries)
             assert np.count_nonzero(ops[-1]) == first_party * n * n
-            # a cached grid keeps the positions its entries were taken from, so a call
-            # scatters them without a shape mismatch
-            at, entries = bell_operators._grid(m, n, 64)
-            assert at is warm[m, n][0] and entries.shape == (64, at.size)
-            max_expectation_grid(new_schmidt([1.0] * m), n, 64)
+            # the grid stacks hold the entries at the rebuilt positions, so a call keeps
+            # the bits of a search on whole operators
+            s = sample_haar(m, n, rng)
+            assert max_expectation_grid(s, n, 64) == sequential_grid_max(s, n, 64)
+            assert bell_operators._grid(m, n, 64, 48).shape == (16, first_party * n * n)
 
     @pytest.mark.parametrize("grid_points", [8, 9, 37, 720])
     def test_grid_best_index_matches_scalar_path(self, grid_points, monkeypatch):
@@ -501,32 +513,28 @@ class TestBatchedEvaluator:
     ])
     def test_first_party_stack_checks_fire(self, monkeypatch, fresh_family, sigma_one, reason):
         s = new_schmidt([3.0, 2.0, 1.0])
-        max_expectation_grid(s, 4, 64)  # a warm grid cache, then a family rebuilt from
-        fresh_family.cache_clear()  # tampered parts: the golden stacks are checked
         b_pair = [build_b(4, 0), build_b(4, 1)]  # checked before the tampering
         monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
-        monkeypatch.setitem(bell_operators._SIGMA, 1, sigma_one)
+        monkeypatch.setitem(bell_operators._SIGMA, 1, sigma_one)  # a family of tampered parts
         with pytest.raises(InvariantError, match=reason):
             bell_operators._operators(3, 4, np.array([0.0, 0.4, 1.1]))
-        with pytest.raises(InvariantError, match=reason):
+        with pytest.raises(InvariantError, match=reason):  # the grid stacks of a cold cache
             max_expectation_grid(s, 4, 64)
-        bell_operators._grid.cache_clear()  # and so are the grid stacks of a cold cache
+        monkeypatch.setattr(bell_operators, "_grid", unchecked_grid)  # and the golden stacks
         with pytest.raises(InvariantError, match=reason):
             max_expectation_grid(s, 4, 64)
 
     def test_operator_stack_check_fires(self, monkeypatch, fresh_family):
         # a second-party matrix that skipped validation makes the stack non-Hermitian
         s = new_schmidt([2.0, 1.0])
-        max_expectation_grid(s, 2, 64)  # a warm grid cache, then a family rebuilt
-        fresh_family.cache_clear()
         skew = SimpleNamespace(dim=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         b_pair = [skew, build_b(2, 1)]
         monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
         with pytest.raises(InvariantError, match="operator is not Hermitian"):
             bell_operators._operators(2, 2, np.array([0.3]))
         with pytest.raises(InvariantError, match="operator is not Hermitian"):
-            max_expectation_grid(s, 2, 64)
-        bell_operators._grid.cache_clear()
+            max_expectation_grid(s, 2, 64)  # the grid stacks of a cold cache
+        monkeypatch.setattr(bell_operators, "_grid", unchecked_grid)  # and the golden stacks
         with pytest.raises(InvariantError, match="operator is not Hermitian"):
             max_expectation_grid(s, 2, 64)
 
@@ -551,6 +559,15 @@ class TestBatchedEvaluator:
 def test_checkers_reject_non_finite(build, error, reason):
     with np.errstate(invalid="ignore"), pytest.raises(error, match=reason):
         build()
+
+
+@pytest.mark.parametrize("build", [HermitianObservable, lambda arr: BellOperator(1, 2, arr)],
+                         ids=["observable", "operator"])
+def test_hermitian_check_is_at_hermitian_tol(build):
+    # a defect of half HERMITIAN_TOL passes, one of ten times it fails
+    build(np.array([[0.0, 1.0 + 0.5 * HERMITIAN_TOL], [1.0, 0.0]]))
+    with pytest.raises(InvariantError, match="not Hermitian"):
+        build(np.array([[0.0, 1.0 + 10.0 * HERMITIAN_TOL], [1.0, 0.0]]))
 
 
 def sequential_golden_max(f, lo, hi, width):
@@ -738,31 +755,33 @@ class TestBlockOracle:
     @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
     @pytest.mark.parametrize("measure", ["haar", "simplex"])
     def test_warm_calls_match_cold_calls(self, measure, grid_points):
-        # the benchmark's 11 shapes and 1x2: a cold call builds and caches the grid, a
-        # warm one scatters the cached entries; 8x8 at grid 65 is over budget, never cached
+        # the benchmark's 11 shapes and 1x2: a cold call builds and caches each grid
+        # stack, a warm one scatters the cached entries of every stack
         rng = np.random.default_rng(grid_points)
+        stacks = math.ceil(grid_points / 16)
         for m, n in [(1, 2), *BENCH_SHAPES]:
             rows = np.array([(sample_haar(m, n, rng) if measure == "haar"
                               else sample_simplex(m, rng)).coeffs for _ in range(3)])
             bell_operators._grid.cache_clear()
             cold = max_expectation_block(rows, n, grid_points)
-            hits = bell_operators._grid.cache_info().hits
+            info = bell_operators._grid.cache_info()
+            assert (info.hits, info.misses) == (0, stacks)
             assert max_expectation_block(rows, n, grid_points) == cold, (m, n)
-            cached = (m, n, grid_points) != (8, 8, 65)
-            assert bell_operators._grid.cache_info().hits == hits + cached
+            assert bell_operators._grid.cache_info().hits == stacks
 
     def test_cached_grids_are_read_only(self):
         for m, n in ((1, 2), (3, 4), (8, 8)):
             max_expectation_block(block_of(m, n, 1, 3), n, 64)
-            for part in bell_operators._grid(m, n, 64):
-                assert not part.flags.writeable
+            for lo in range(0, 64, 16):
+                entries = bell_operators._grid(m, n, 64, lo)
+                assert not entries.flags.writeable
                 with pytest.raises(ValueError):
-                    part[(0,) * part.ndim] = 2
+                    entries[0, 0] = 2
                 with pytest.raises(ValueError):
-                    part.fill(0)
+                    entries.fill(0)
 
     def test_threads_race_on_a_cold_shape(self):
-        # four threads miss the cache of one shape at once and each builds its grid
+        # four threads miss the cache of one shape at once and each builds its 4 stacks
         jobs = [block_of(5, 6, 3, seed) for seed in range(4)]
         serial = [max_expectation_block(rows, 6, 64) for rows in jobs]
         bell_operators._grid.cache_clear()
@@ -781,24 +800,34 @@ class TestBlockOracle:
         finally:
             sys.setswitchinterval(interval)
         assert results == [[expected] * 3 for expected in serial]
-        assert bell_operators._grid.cache_info().currsize == 1
+        assert bell_operators._grid.cache_info().currsize == 4
 
     def test_grid_cache_is_bounded(self):
-        # 64 angles x 256 entries x 16 B fill the 256 KiB of one grid at 8x8; grid 1024
-        # would take 4 MiB, so it is built on each call and never cached
+        # a stack holds 16 angles x at most 256 entries (8x8) x 16 B = 64 KiB, so the 64
+        # stacks the cache holds take at most 4 MiB, whatever the grid
+        guarded = [(m, n) for m in range(1, 9) for n in range(m, 64 // m + 1)]
+        assert max(bell_operators._family(m, n)[-1].size for m, n in guarded) == 256
         cache = bell_operators._grid
         cache.cache_clear()
-        max_expectation_block(block_of(8, 8, 1, 5), 8, 1024)
-        assert cache.cache_info().currsize == 0
-        for m, n in BENCH_SHAPES:
-            max_expectation_block(block_of(m, n, 1, 5), n, 64)
-        sizes = [cache(m, n, 64)[1].nbytes for m, n in BENCH_SHAPES]
-        assert cache.cache_info().currsize == len(BENCH_SHAPES) == cache.cache_info().misses
-        assert max(sizes) == bell_operators._GRID_BYTES == 256 << 10
-        assert sum(sizes) < 1 << 20  # 0.96 MiB for the 11 shapes
-        for grid_points in range(8, 40):  # more grids than the cache holds
+        for _ in range(2):  # the benchmark's 44 stacks are built once, then only scattered
+            for m, n in BENCH_SHAPES:
+                max_expectation_block(block_of(m, n, 1, 5), n, 64)
+        assert cache.cache_info()[:] == (44, 44, 64, 44)  # hits, misses, maxsize, currsize
+        sizes = [cache(m, n, 64, lo).nbytes for m, n in BENCH_SHAPES for lo in range(0, 64, 16)]
+        assert max(sizes) == 64 << 10 and sum(sizes) < 1 << 20  # 0.96 MiB for the 11 shapes
+        for grid_points in (8, 9, 17, 64, 65, 1040):  # more stacks than the cache holds
             max_expectation_block(block_of(2, 3, 1, 5), 3, grid_points)
-        assert cache.cache_info().currsize == cache.cache_info().maxsize == 16
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == 64
+
+    def test_grid_beyond_the_cache(self):
+        # 65 stacks, one more than the cache holds: the least recently used stack is
+        # always the one a call asks for next, so every call builds every stack again
+        s = sample_haar(2, 2, np.random.default_rng(1040))
+        bell_operators._grid.cache_clear()
+        expected = sequential_grid_max(s, 2, 1040)
+        assert max_expectation_grid(s, 2, 1040) == expected  # cold
+        assert max_expectation_grid(s, 2, 1040) == expected  # repeated
+        assert bell_operators._grid.cache_info()[:2] == (0, 130)
 
     @pytest.mark.parametrize("shape, grid_points, reason", [
         ((8, 9), 64, "m\\*dim_b = 72"), ((2, 2), MAX_GRID_POINTS + 1, "grid_points"),
@@ -809,5 +838,5 @@ class TestBlockOracle:
         m, n = shape
         with pytest.raises(TooLargeError, match=reason):
             max_expectation_block(np.full((2, m), m**-0.5), n, grid_points)
-        for info in (fresh_family.cache_info(), bell_operators._grid.cache_info()):
+        for info in (bell_operators._family.cache_info(), bell_operators._grid.cache_info()):
             assert info.hits + info.misses == 0

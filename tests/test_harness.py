@@ -7,7 +7,8 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -357,6 +358,53 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match="kernel failed"):
             writer(cfg)
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_the_file_it_would_replace(self, tmp_path, monkeypatch,
+                                                        set_workers):
+        set_workers(1)
+
+        def fails(task):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(harness, "_sweep_chunk", fails)
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"an earlier run\n")
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            run_sweep(ExperimentConfig(dims=(2,), samples=10, seed=5, output_path=str(out)))
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"an earlier run\n"
+
+    def test_two_writers_of_one_file(self, tmp_path, monkeypatch, set_workers):
+        # two threads write one target: each has a temporary file of its own, so both
+        # return and the file holds the whole output of one of them
+        set_workers(1)
+        serial = []
+        for seed in (1, 2):
+            path = tmp_path / f"serial-{seed}.jsonl"
+            run_sweep(ExperimentConfig(dims=(2, 4, 6, 8), samples=300, seed=seed,
+                                       output_path=str(path)))
+            serial.append(path.read_bytes())
+        chunks, start = harness._iter_chunks, threading.Barrier(2, timeout=60)
+
+        def after_both_opened(*args):  # both temporary files are open before a write
+            start.wait()
+            yield from chunks(*args)
+
+        def write(seed):
+            try:
+                return run_sweep(ExperimentConfig(dims=(2, 4, 6, 8), samples=300, seed=seed,
+                                                  output_path=str(tmp_path / "out.jsonl")))
+            finally:
+                start.abort()  # a writer that fails before the barrier frees the other
+
+        monkeypatch.setattr(harness, "_iter_chunks", after_both_opened)
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(write, seed) for seed in (1, 2)]
+            summaries = [future.result(timeout=120) for future in futures]
+        assert [summary.records_written for summary in summaries] == [1200, 1200]
+        assert (tmp_path / "out.jsonl").read_bytes() in serial
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "out.jsonl", "serial-1.jsonl", "serial-2.jsonl"]
 
     def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, set_workers, capsys):
         # a real pool of two processes, one of which exits on the m=3 chunk
