@@ -26,12 +26,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "schmidt_state": ("SchmidtVector", "new_schmidt", "concurrence", "max_concurrence",
                       "effective_rank", "sample_haar", "sample_simplex", "substream", "MEASURES"),
-    "bell_operators": ("HermitianObservable", "BellCoefficientMatrix", "BellOperator",
-                       "CHSH_MATRIX", "pauli", "build_a", "build_b", "assemble_bell",
-                       "expectation", "max_expectation_grid"),
-    "bounds": ("BoundReport", "NonlocalityCertificate", "k_value", "gamma_value",
-               "bell_value_formula", "theta_star", "upper_bound", "lower_bound",
-               "core_inequalities", "classical_bound", "classical_bound_naive",
+    "bell_operators": ("HermitianObservable", "BellOperator", "pauli", "build_a", "build_b",
+                       "assemble_bell", "expectation", "max_expectation_grid"),
+    "bounds": ("BellCoefficientMatrix", "CHSH_MATRIX", "BoundReport", "NonlocalityCertificate",
+               "k_value", "gamma_value", "bell_value_formula", "theta_star", "upper_bound",
+               "lower_bound", "core_inequalities", "classical_bound", "classical_bound_naive",
                "nonlocality_certificate", "is_nonlocal_certified", "bound_report"),
     "harness": ("ExperimentConfig", "SweepSummary", "OracleSummary", "run_sweep",
                 "verify_oracle", "scatter_cb"),

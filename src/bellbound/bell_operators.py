@@ -3,12 +3,12 @@
 The first party measures ``A_0, A_1`` built from block copies of
 ``cos(theta) s3 +/- sin(theta) s1`` over consecutive basis pairs; the second
 party measures block copies of ``s3`` and ``s1``.  Odd local dimensions end
-in a scalar block equal to 1.  Contracted against the CHSH coefficient
-matrix ``[[1, 1], [1, -1]]`` this family realizes the closed-form Bell value
-``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the dense evaluation path
-in this module, which writes only the operator entries the Kronecker product can make
-nonzero and checks all, is the formula's independent oracle.  Its grid stacks are checked
-once each while cached, the 64 last used.
+in a scalar block equal to 1.  Contracted against ``bounds.CHSH_MATRIX`` (the closed-form
+layer owns the coefficient matrices and never loads this module) this family realizes the
+closed-form Bell value ``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the
+dense evaluation path here, which writes only the operator entries the Kronecker product
+can make nonzero and checks all, is the formula's independent oracle.  Its grid stacks are
+checked once each while cached, the 64 last used.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import CHSH_MATRIX, BellCoefficientMatrix
 from .errors import (DimensionMismatchError, InvalidIndexError, InvariantError,
                      LengthMismatchError, NonHermitianResidueError, TooLargeError, integer_arg)
 from .schmidt_state import SchmidtVector
@@ -28,9 +29,7 @@ from .tolerances import (GOLDEN_WIDTH, HERMITIAN_TOL, IMAG_TOL, MAX_GRID_POINTS,
 
 __all__ = [
     "HermitianObservable",
-    "BellCoefficientMatrix",
     "BellOperator",
-    "CHSH_MATRIX",
     "pauli",
     "build_a",
     "build_b",
@@ -94,30 +93,6 @@ class HermitianObservable:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class BellCoefficientMatrix:
-    """Real n x n coefficient matrix defining a two-party Bell expression."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise InvariantError("entries must be a square real matrix")
-        if not np.all(np.isfinite(arr)):
-            raise InvariantError("entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-#: The CHSH coefficient matrix, classical bound 2.
-CHSH_MATRIX = BellCoefficientMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
-"""Closed-form quantities: K, gamma, the Bell value, concurrence bounds,
-the exhaustive classical bound J(N), and the nonlocality certificate.
+"""Closed-form quantities: K, gamma, the Bell value, concurrence bounds, the
+Bell coefficient matrix with its exhaustive classical bound J(N), and the
+nonlocality certificate.  The dense oracle in ``bell_operators`` imports them.
 
 The two bound theorems checked throughout the package read, for even m,
 
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell_operators import CHSH_MATRIX, BellCoefficientMatrix
-from .errors import NegativeInputError, OddDimensionError, TooLargeError
+from .errors import InvariantError, NegativeInputError, OddDimensionError, TooLargeError
 from .schmidt_state import SchmidtVector, concurrence
 from .tolerances import CERT_MARGIN, MAX_EXHAUSTIVE_N, MAX_NAIVE_N
 
 __all__ = [
+    "BellCoefficientMatrix",
+    "CHSH_MATRIX",
     "BoundReport",
     "NonlocalityCertificate",
     "k_value",
@@ -38,6 +40,30 @@ __all__ = [
     "is_nonlocal_certified",
     "bound_report",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class BellCoefficientMatrix:
+    """Real n x n coefficient matrix defining a two-party Bell expression."""
+
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise InvariantError("entries must be a square real matrix")
+        if not np.all(np.isfinite(arr)):
+            raise InvariantError("entries must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+
+#: The CHSH coefficient matrix, classical bound 2.
+CHSH_MATRIX = BellCoefficientMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def k_value(s: SchmidtVector) -> float:
@@ -139,25 +165,26 @@ def _sign_space(bits: int, start: int, stop: int) -> np.ndarray:
 def classical_bound(n_matrix: BellCoefficientMatrix) -> float:
     """Exhaustive classical bound ``J = sup |sum_ij N_ij a_i b_j|``.
 
-    For any fixed sign vector ``a`` the optimal ``b_j`` is the sign of the
-    column sum ``sum_i N_ij a_i``, so the supremum is
-    ``max_a sum_j |sum_i N_ij a_i|``; and ``(a, b) -> (-a, -b)`` leaves the
-    objective unchanged, so ``a_n`` can be pinned to +1: the first half of
-    the sign rows.  Both reductions are verified against
-    :func:`classical_bound_naive` in the test suite.  The rows go in chunks
-    of 2^14 that share their 14 low bits, so one block is built and only its
-    high-bit columns are rewritten per chunk.  A bound that overflows float64
-    raises :class:`TooLargeError`.
+    For any fixed sign vector ``a`` the optimal ``b_j`` is the sign of the column sum
+    ``sum_i N_ij a_i``, so the supremum is ``max_a sum_j |sum_i N_ij a_i|``; and
+    ``(a, b) -> (-a, -b)`` leaves the objective unchanged, so ``a_n`` can be pinned to +1:
+    the first half of the sign rows (both reductions are checked against
+    :func:`classical_bound_naive`).  The rows go in chunks of 2^14 that share their 14 low
+    bits: one sign block is built, only its high-bit columns are rewritten per chunk, and
+    the products go to one call-local buffer of the block's shape, two blocks at peak.  A
+    bound that overflows float64 raises :class:`TooLargeError`.
     """
     n = n_matrix.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLargeError(f"exhaustive search guard: n={n} exceeds {MAX_EXHAUSTIVE_N}")
     best, total, low = 0.0, 1 << (n - 1), 14
     signs = _sign_space(n, 0, min(total, 1 << low))
+    products = np.empty(signs.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, len(signs)):
             signs[:, low:] = _sign_space(n, start, start + 1)[0, low:]
-            best = max(best, _finite(np.abs(signs @ n_matrix.entries).sum(axis=1).max()))
+            np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)
+            best = max(best, _finite(products.sum(axis=1).max()))
     return best
 
 

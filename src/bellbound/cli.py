@@ -51,7 +51,7 @@ def _coeffs_flag(text: str) -> list[float]:
 
 
 def _matrix_flag(text: str):
-    from .bell_operators import BellCoefficientMatrix
+    from .bounds import BellCoefficientMatrix
 
     try:
         rows = [[float(tok) for tok in row.split(",")] for row in text.split(";")]
@@ -59,8 +59,7 @@ def _matrix_flag(text: str):
         raise argparse.ArgumentTypeError(
             f"--matrix expects ';'-separated rows of comma-separated reals, got {text!r}"
         ) from None
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    if any(len(row) != len(rows) for row in rows):
         raise argparse.ArgumentTypeError(f"--matrix must be square, got {text!r}")
     try:
         return BellCoefficientMatrix(np.array(rows))

@@ -9,7 +9,7 @@ mutant's tests and puts the file back.  Each mutant is printed with the test tha
 it, ``SURVIVED`` (all its tests passed) or ``STALE`` (its text does not occur exactly
 once, so the mutant no longer fits the source).  Exits 1 on any survivor or stale
 mutant.  The checkout is never written.  pytest does not collect this file (no ``test_``
-prefix); a run takes about 20 s on 2 CPUs.
+prefix); a run takes about a minute on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,27 @@ class Mutant(NamedTuple):
 
 
 BELL = "tests/test_bell_operators.py"
+BOUNDS = "tests/test_bounds.py"
+CLI = "tests/test_cli.py"
 HARNESS = "tests/test_harness.py"
+SCHMIDT = "tests/test_schmidt_state.py"
+IN_ORDER = """            pending = deque()
+            for task in tasks:
+                pending.append(pool.submit(work, task))
+                if len(pending) >= 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()"""
+AS_DONE = """            pending = deque()
+            from concurrent.futures import as_completed
+            for task in tasks:
+                pending.append(pool.submit(work, task))
+                if len(pending) >= 2 * workers:
+                    done = next(as_completed(pending))
+                    pending.remove(done)
+                    yield done.result()
+            for done in as_completed(pending):
+                yield done.result()"""
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
 MUTANTS = [
@@ -67,6 +87,33 @@ MUTANTS = [
     Mutant("_atomic_output names its file by pid only", "harness.py",
            'f"{os.getpid()}.{os.urandom(6).hex()}.tmp"', 'f"{os.getpid()}.tmp"',
            (f"{HARNESS}::TestRunSweep::test_two_writers_of_one_file",)),
+    Mutant("closed_forms pairs c1 c3 + c2 c4", "bounds.py",
+           "np.vecdot(rows[:, 0:paired:2], rows[:, 1:paired:2])",
+           "np.vecdot(rows[:, 0:paired // 2], rows[:, paired // 2:paired])",
+           (f"{HARNESS}::TestSweepKernel::test_records_match_scalar_api",)),
+    Mutant("closed_forms drops gamma for odd m", "bounds.py",
+           "gamma = [x ** 2 for x in rows[:, -1].tolist()] if m % 2 else [0.0] * len(rows)",
+           "gamma = [0.0] * len(rows)",
+           (f"{HARNESS}::TestSweepKernel::test_records_match_scalar_api",)),
+    Mutant("_family flips the sign of the which = 1 part", "bell_operators.py",
+           "np.array([1.0, -1.0])[:, None, None]", "np.array([1.0, 1.0])[:, None, None]",
+           (f"{BELL}::TestBatchedEvaluator::test_operators_equal_kron_reference",)),
+    Mutant("verify exits on a gap beyond 10 x ORACLE_TOL", "cli.py",
+           "if not d.max_gap <= ORACLE_TOL", "if not d.max_gap <= 10 * ORACLE_TOL",
+           (f"{CLI}::TestVerify::test_gap_beyond_oracle_tol_exits_one",)),
+    Mutant("_seed_words treats every index as one word", "harness.py",
+           "width = len(_words(lo))\n        hi = min(stop, 1 << 32 * width)",
+           "width = 1\n        hi = stop",
+           (f"{HARNESS}::TestSeedDerivation::test_matches_numpy_seeding",)),
+    Mutant("_iter_chunks yields in completion order", "harness.py", IN_ORDER, AS_DONE,
+           (f"{HARNESS}::TestRunSweep::test_chunks_leave_in_submission_order",)),
+    Mutant("validate_rows skips the descending-order check", "schmidt_state.py",
+           "(rows[:, :-1] < rows[:, 1:]).any(axis=1)", "np.zeros(len(rows), bool)",
+           (f"{SCHMIDT}::TestValidateRows::test_names_first_failing_index",)),
+    Mutant("classical_bound's reused buffer skips np.abs", "bounds.py",
+           "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
+           "np.matmul(signs, n_matrix.entries, out=products)",
+           (f"{BOUNDS}::TestClassicalBound::test_reduction_matches_naive_enumeration",)),
 ]
 
 

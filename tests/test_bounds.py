@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ class TestClassicalBound:
                 entries = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-3, 2, (n, n))
             nm = BellCoefficientMatrix(entries)
             assert classical_bound(nm) == chunked(nm), n
+
+    def test_peak_memory_is_the_sign_block_and_one_product_buffer(self):
+        # a (2^14, n) float64 block each; a fresh product per chunk would make three
+        nm = BellCoefficientMatrix(np.random.default_rng(18).standard_normal((18, 18)))
+        tracemalloc.start()
+        try:
+            classical_bound(nm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (1 << 14) * 18 * 8
 
 
 class TestNonlocalityCertificate:

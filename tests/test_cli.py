@@ -308,10 +308,10 @@ class TestVerify:
         assert run_cli(capsys, *argv)[0] == 0
         block = harness.max_expectation_block
 
-        def off_by_a_micro(*args):
-            return [(theta, value + 1e-6) for theta, value in block(*args)]
+        def off_by_twice_the_tol(*args):
+            return [(theta, value + 2 * ORACLE_TOL) for theta, value in block(*args)]
 
-        monkeypatch.setattr(harness, "max_expectation_block", off_by_a_micro)
+        monkeypatch.setattr(harness, "max_expectation_block", off_by_twice_the_tol)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         pairs = parsed_lines(out)
@@ -479,9 +479,9 @@ class TestImportPath:
         ("sample --m 3 --seed 1", CORE),
         ("sample --m 3 --seed 1 --measure simplex", CORE),
         ("sample --m 3 --seed 1 --index 2", CORE),
-        ("bell --coeffs 1,2", KERNEL),
-        ("bounds --coeffs 1,2", KERNEL),
-        ("jn --matrix 1,1;1,-1", KERNEL),
+        ("bell --coeffs 1,2", CORE + ("bounds",)),
+        ("bounds --coeffs 1,2", CORE + ("bounds",)),
+        ("jn --matrix 1,1;1,-1", CORE + ("bounds",)),
         ("sweep --dims 2 --samples 1 --seed 1 --out {out}", KERNEL + ("harness",)),
         ("verify --m 2 --samples 1 --grid 8 --seed 1", KERNEL + ("harness",)),
     ]

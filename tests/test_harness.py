@@ -8,6 +8,7 @@ import json
 import math
 import os
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -339,6 +340,13 @@ class TestRunSweep:
         assert CountingPool.sizes == [2]  # one pool of two; one CPU ran serially
         assert CountingPool.peak <= 2 * 2
 
+    def test_chunks_leave_in_submission_order(self, set_workers):
+        # a real pool, whose first chunk finishes last and still leaves first
+        set_workers(2)
+        cfg = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
+        expected = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
+        assert list(harness._iter_chunks(first_chunk_finishes_last, cfg)) == expected
+
     @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
                                                (scatter_cb, "_draw_block")])
     def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, set_workers, writer, kernel):
@@ -428,6 +436,14 @@ class TestRunSweep:
 
 
 _SWEEP_CHUNK = harness._sweep_chunk
+
+
+def first_chunk_finishes_last(task):
+    """The task's ``(m, start, stop)``, half a second late for the first chunk at m=2;
+    module-level, so that a pool can pickle it."""
+    if task[3:5] == (2, 0):
+        time.sleep(0.5)
+    return task[3:]
 
 
 def sweep_chunk_exits_at_m_three(task):

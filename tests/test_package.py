@@ -54,6 +54,13 @@ def test_import_loads_no_lazy_module():
     assert out == "[]\n"
 
 
+def test_closed_forms_load_no_oracle():
+    # bell_operators imports the coefficient matrix from bounds, never the reverse
+    out = fresh("import sys, bellbound.bounds\n"
+                "print('bellbound.bell_operators' in sys.modules)")
+    assert out == "False\n"
+
+
 def test_star_import_and_dir_list_every_name():
     # dir first: the star import binds every lazy name
     code = ("import bellbound\n"
