@@ -93,7 +93,7 @@ class IoFailureError(BellboundError):
 
 
 class WorkerFailedError(BellboundError):
-    """A worker process of the chunk pool died before returning its chunk."""
+    """A forked sweep worker ended before sending its chunk."""
 
 
 def integer_arg(name: str, value, low: int, high: float = math.inf,

@@ -14,7 +14,8 @@ import functools
 import itertools
 import operator
 import os
-from collections import deque
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,32 +24,16 @@ import numpy as np
 from . import bounds
 # max_expectation_grid is unused, but the benchmark's tracer wraps it here
 from .bell_operators import max_expectation_block, max_expectation_grid
-from .errors import (
-    InvalidDimensionError,
-    InvariantError,
-    IoFailureError,
-    WorkerFailedError,
-    integer_arg,
-)
+from .errors import (InvalidDimensionError, InvariantError, IoFailureError, WorkerFailedError,
+                     integer_arg)
 # the benchmark's tracer wraps sample_haar, sample_simplex (both unused) and substream here
 from .schmidt_state import (MEASURES, _draw_rows, sample_haar, sample_simplex, substream,
                             validate_rows)
 from .tolerances import THEOREM_TOL, ZERO_TOL
 
-__all__ = [
-    "MEASURES",
-    "ExperimentConfig",
-    "DimensionSummary",
-    "Violation",
-    "SweepSummary",
-    "OracleDimension",
-    "OracleSummary",
-    "substream",
-    "resolve_workers",
-    "run_sweep",
-    "verify_oracle",
-    "scatter_cb",
-]
+__all__ = ["MEASURES", "ExperimentConfig", "DimensionSummary", "Violation", "SweepSummary",
+           "OracleDimension", "OracleSummary", "substream", "resolve_workers", "run_sweep",
+           "verify_oracle", "scatter_cb"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -233,9 +218,8 @@ def _substreams(seed: int, m: int, start: int, stop: int):
     for index, row in {start: words[0], stop - 1: words[-1]}.items():
         seq = np.random.SeedSequence((seed, m, index))
         if np.random.PCG64(_Words(row)).state != np.random.PCG64(seq).state:
-            raise InvariantError(
-                f"sample m={m} index {index}: derived PCG64 state differs from NumPy's seeding"
-            )
+            raise InvariantError(f"sample m={m} index {index}: derived PCG64 state "
+                                 "differs from NumPy's seeding")
     for row in words:
         yield np.random.Generator(np.random.PCG64(_Words(row)))
 
@@ -343,52 +327,71 @@ def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
 
 def _iter_chunks(work, config: ExperimentConfig):
     """Yield ``work(task)`` for every task, ``_draw_block``'s arguments ``(seed,
-    measure, offset, m, start, stop)``, in (m, index) order.  ``work`` must
-    pickle; chunks are sized for ``resolve_workers()``, read only here, the
-    pool also for the tasks and the usable CPUs."""
+    measure, offset, m, start, stop)``, in (m, index) order.
+
+    Chunks are sized for ``resolve_workers()``, read only here; workers are capped at the
+    tasks and usable CPUs, and are one without ``os.fork``.  Forked worker ``w`` of W > 1
+    pickles ``(True, result)`` or ``(False, exception)`` for each of ``tasks[w::W]`` into
+    its own pipe; the parent reads task ``i`` from pipe ``i % W``.  A full pipe blocks
+    its worker: each holds one finished chunk beyond the pipe buffer (64 KiB on Linux) at
+    most.  A message that does not arrive or unpickle is a ``WorkerFailedError``.  A child
+    leaves by ``os._exit``, never into the caller's frames; on any exit the parent closes
+    the pipes, kills the children still running and reaps them all.
+    """
     workers = resolve_workers()
-    ranges = _chunk_ranges(config.samples, workers)
-    tasks = (
-        (config.seed, config.measure, config.second_dim_offset, m, lo, hi)
-        for m in config.dims
-        for (lo, hi) in ranges
-    )
-    workers = min(workers, len(config.dims) * len(ranges), _usable_cpus())
+    tasks = [(config.seed, config.measure, config.second_dim_offset, m, lo, hi)
+             for m in config.dims for (lo, hi) in _chunk_ranges(config.samples, workers)]
+    workers = min(workers, len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
     if workers == 1:
         yield from map(work, tasks)
         return
-    # imported here, so that importing the CLI loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    pipes, pids = [], []
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # results leave in submission order, so parallel output bytes match
-            # the serial ones; at most 2 * workers chunks are held at a time
-            pending = deque()
-            for task in tasks:
-                pending.append(pool.submit(work, task))
-                if len(pending) >= 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-    except BrokenProcessPool as exc:
-        raise WorkerFailedError(f"a worker process died: {exc}") from exc
+        for w in range(workers):
+            fd, out = os.pipe()
+            pipes.append(open(fd, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    try:  # a child keeps no read end, so its writes fail once the parent is gone
+                        for pipe in pipes:
+                            os.close(pipe.fileno())
+                        with open(out, "wb") as pipe:
+                            for task in tasks[w::workers]:
+                                try:
+                                    message = pickle.dumps((True, work(task)), -1)
+                                except Exception as exc:
+                                    message = pickle.dumps((False, exc), -1)
+                                pipe.write(message)
+                                pipe.flush()
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(out)
+            pids.append(pid)
+        for i, (_, _, _, m, lo, hi) in enumerate(tasks):
+            try:
+                ok, result = pickle.load(pipes[i % workers])
+            except Exception as exc:
+                raise WorkerFailedError(f"a worker process died before sending chunk m={m} "
+                                        f"[{lo}, {hi}): {exc!r}") from exc
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # a zombie until reaped, so its pid is never reused
+            os.waitpid(pid, 0)
 
 
 def _merge(a: DimensionSummary, b: DimensionSummary) -> DimensionSummary:
     """Reduction of two consecutive blocks of one m (margins None for odd m)."""
-    return DimensionSummary(
-        m=a.m,
-        n=a.n,
-        samples=a.samples + b.samples,
-        min_theorem1_margin=None if a.min_theorem1_margin is None
-        else min(a.min_theorem1_margin, b.min_theorem1_margin),
-        min_theorem2_margin=None if a.min_theorem2_margin is None
-        else min(a.min_theorem2_margin, b.min_theorem2_margin),
-        max_concurrence=max(a.max_concurrence, b.max_concurrence),
-        violations=a.violations + b.violations,
-    )
+    even = a.min_theorem1_margin is not None
+    return DimensionSummary(a.m, a.n, a.samples + b.samples,
+                            min(a.min_theorem1_margin, b.min_theorem1_margin) if even else None,
+                            min(a.min_theorem2_margin, b.min_theorem2_margin) if even else None,
+                            max(a.max_concurrence, b.max_concurrence), a.violations + b.violations)
 
 
 @contextlib.contextmanager
@@ -437,8 +440,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     with _atomic_output(config.output_path) as fh:
         for text, block, block_violations in _iter_chunks(_sweep_chunk, config):
             fh.write(text)
-            m = block.m
-            per_dim[m] = _merge(per_dim[m], block) if m in per_dim else block
+            per_dim[block.m] = _merge(per_dim[block.m], block) if block.m in per_dim else block
             violations += block_violations
     return SweepSummary(
         measure=config.measure,
@@ -459,8 +461,7 @@ def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
     the BELLBOUND_THREADS / auto worker count; the result does not depend on it.
     """
     worst = dict.fromkeys(config.dims, 0.0)
-    work = functools.partial(_oracle_chunk, grid_points)
-    for m, gap in _iter_chunks(work, config):
+    for m, gap in _iter_chunks(functools.partial(_oracle_chunk, grid_points), config):
         worst[m] = max(worst[m], gap)
     per_dim = tuple(OracleDimension(m, m + config.second_dim_offset, config.samples, gap)
                     for m, gap in worst.items())
@@ -477,10 +478,9 @@ def scatter_cb(config: ExperimentConfig) -> Path:
     printed with shortest round-trip decimals; bytes independent of the
     BELLBOUND_THREADS workers.  Returns the path; a failed run leaves no file.
     """
-    chunks = _iter_chunks(_scatter_chunk, config)
     with _atomic_output(config.output_path) as fh:
         fh.write("m,concurrence,bell_value,upper,lower\n")
-        for m, group in itertools.groupby(chunks, key=lambda chunk: chunk[0]):
+        for m, group in itertools.groupby(_iter_chunks(_scatter_chunk, config), key=lambda c: c[0]):
             rows = sorted((row for _, block in group for row in block), key=lambda r: r[0])
             fh.writelines(f"{m},{c!r},{b!r},{up!r},{lo!r}\n" for c, b, up, lo in rows)
     return Path(config.output_path)

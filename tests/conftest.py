@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 
 import pytest
@@ -13,7 +12,7 @@ def set_workers(monkeypatch):
     """``set_workers(n, cpus=n)``: run on ``n`` workers, as ``BELLBOUND_THREADS=n``
     in a process whose affinity mask holds ``cpus`` CPUs.
 
-    The pool is capped at the usable CPUs, so with the host's own mask a test
+    The workers are capped at the usable CPUs, so with the host's own mask a test
     that asks for 2 or 3 workers would run serially on a one-CPU host.
     """
 
@@ -26,16 +25,16 @@ def set_workers(monkeypatch):
 
 
 @pytest.fixture
-def pool_spy(monkeypatch):
-    """A real ``ProcessPoolExecutor`` that records the ``max_workers`` of every
-    pool ``harness._iter_chunks`` makes in its class attribute ``sizes``."""
+def fork_spy(monkeypatch):
+    """The list of the pids of every child that ``os.fork`` makes in this
+    process while the test runs; the children are real forks."""
+    pids, fork = [], os.fork
 
-    class PoolSpy(concurrent.futures.ProcessPoolExecutor):
-        sizes = []
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __init__(self, max_workers):
-            type(self).sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
-    return PoolSpy
+    monkeypatch.setattr(os, "fork", spy)
+    return pids

@@ -38,23 +38,8 @@ BOUNDS = "tests/test_bounds.py"
 CLI = "tests/test_cli.py"
 HARNESS = "tests/test_harness.py"
 SCHMIDT = "tests/test_schmidt_state.py"
-IN_ORDER = """            pending = deque()
-            for task in tasks:
-                pending.append(pool.submit(work, task))
-                if len(pending) >= 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()"""
-AS_DONE = """            pending = deque()
-            from concurrent.futures import as_completed
-            for task in tasks:
-                pending.append(pool.submit(work, task))
-                if len(pending) >= 2 * workers:
-                    done = next(as_completed(pending))
-                    pending.remove(done)
-                    yield done.result()
-            for done in as_completed(pending):
-                yield done.result()"""
+IN_ORDER = "ok, result = pickle.load(pipes[i % workers])"
+AS_READY = 'ok, result = pickle.load(__import__("select").select(pipes, [], [])[0][0])'
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
 MUTANTS = [
@@ -105,8 +90,14 @@ MUTANTS = [
            "width = len(_words(lo))\n        hi = min(stop, 1 << 32 * width)",
            "width = 1\n        hi = stop",
            (f"{HARNESS}::TestSeedDerivation::test_matches_numpy_seeding",)),
-    Mutant("_iter_chunks yields in completion order", "harness.py", IN_ORDER, AS_DONE,
+    Mutant("_iter_chunks reads whichever pipe is ready", "harness.py", IN_ORDER, AS_READY,
            (f"{HARNESS}::TestRunSweep::test_chunks_leave_in_submission_order",)),
+    Mutant("a forked worker falls through, not os._exit", "harness.py",
+           "os._exit(0)", "pass",
+           (f"{HARNESS}::TestForkedRunner::test_children_never_return_into_the_caller",)),
+    Mutant("_iter_chunks reaps no child", "harness.py",
+           "os.waitpid(pid, 0)", "pass",
+           (f"{HARNESS}::TestForkedRunner::test_every_child_is_reaped",)),
     Mutant("validate_rows skips the descending-order check", "schmidt_state.py",
            "(rows[:, :-1] < rows[:, 1:]).any(axis=1)", "np.zeros(len(rows), bool)",
            (f"{SCHMIDT}::TestValidateRows::test_names_first_failing_index",)),

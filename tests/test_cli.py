@@ -471,6 +471,24 @@ class TestImportPath:
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
 
+    def test_parallel_sweep_loads_no_process_pool(self, tmp_path):
+        # the sweep forks its two workers itself; the CPU mask is widened, so
+        # that a one-CPU host forks them too
+        argv = ["sweep", "--dims", "2,4", "--samples", "200", "--seed", "1",
+                "--out", str(tmp_path / "x.jsonl")]
+        code = ("import contextlib, io, os, sys; from bellbound.cli import main\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({argv!r}) == 0\n"
+                "print(len(forks), sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "2 []\n"
+
     CORE = ("cli", "errors", "schmidt_state", "tolerances")
     KERNEL = CORE + ("bell_operators", "bounds")
 

@@ -65,13 +65,14 @@ GOLDEN_VERIFY = [
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("argv,expected", GOLDEN_VERIFY)
-def test_verify_stdout_is_pinned(capsys, set_workers, pool_spy, threads, argv, expected):
+def test_verify_stdout_is_pinned(capsys, set_workers, fork_spy, threads, argv, expected):
     set_workers(threads)
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
     assert digest(out) == expected
-    # a shape of one chunk runs serially at any worker count
+    # one worker per chunk up to the requested count; a shape of one chunk runs serially
     chunks = len(harness._chunk_ranges(int(argv[argv.index("--samples") + 1]), threads))
-    assert bool(pool_spy.sizes) == (threads > 1 and chunks > 1)
+    workers = min(threads, chunks)
+    assert len(fork_spy) == (workers if workers > 1 else 0)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import concurrent.futures
+import fcntl
 import hashlib
 import json
 import math
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +28,8 @@ from bellbound import (
     verify_oracle,
 )
 from bellbound.cli import main
-from bellbound.errors import InvalidDimensionError, IoFailureError, TooLargeError
+from bellbound.errors import (InvalidDimensionError, IoFailureError, TooLargeError,
+                              WorkerFailedError)
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
 
@@ -56,41 +57,39 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def counting_pool():
-    """A fresh fake ``ProcessPoolExecutor`` class for ``harness._iter_chunks``."""
+def pipe_capacity():
+    """Bytes a fresh pipe holds before a write to it blocks."""
+    read, write = os.pipe()
+    try:
+        return fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read)
+        os.close(write)
 
-    class CountingPool:
-        """Runs tasks at submit; counts futures whose result is unread and
-        records the ``max_workers`` of every pool made."""
 
-        in_flight = peak = 0
-        sizes = []
+def counting_chunks(log, peaks, pause=0.0):
+    """``harness._iter_chunks`` whose workers append a byte to ``log`` for every
+    finished task and pad each result past a pipe's buffer, so that a worker
+    blocks until its result is read.  Appends to ``peaks``, ``pause`` seconds
+    after the consumer takes each chunk, how many finished chunks it has not
+    yet taken."""
+    chunks, pad = harness._iter_chunks, bytes(2 * pipe_capacity())
 
-        def __init__(self, max_workers):
-            type(self).sizes.append(max_workers)
+    def padded(work):
+        def run(task):
+            result = work(task)
+            with open(log, "ab") as fh:
+                fh.write(b".")
+            return result, pad
+        return run
 
-        def __enter__(self):
-            return self
+    def counted(work, config):
+        for taken, (result, _) in enumerate(chunks(padded(work), config), 1):
+            time.sleep(pause)
+            peaks.append(log.stat().st_size - taken)
+            yield result
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, task):
-            future = Future()
-            future.set_result(fn(task))
-            pool = type(self)
-            pool.in_flight += 1
-            pool.peak = max(pool.peak, pool.in_flight)
-            read = future.result
-
-            def result():
-                pool.in_flight -= 1
-                return read()
-
-            future.result = result
-            return future
-
-    return CountingPool
+    return counted
 
 
 class TestExperimentConfig:
@@ -299,46 +298,48 @@ class TestRunSweep:
         ((2, 3, 4), 100, 64, [6]),    # 64-sample floor: two chunks per m
         ((2, 3), 300, 2, [2]),        # more tasks than workers
     ])
-    def test_pool_sized_to_tasks(self, tmp_path, monkeypatch, set_workers, dims, samples,
+    def test_pool_sized_to_tasks(self, tmp_path, set_workers, fork_spy, dims, samples,
                                  workers, sizes):
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=dims, samples=samples, seed=8)
         set_workers(1)
         run_sweep(ExperimentConfig(output_path=str(serial), **kwargs))
+        assert fork_spy == []
         set_workers(workers, cpus=64)  # so that the CPU cap does not bind
-        CountingPool = counting_pool()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
         tasks = len(dims) * len(harness._chunk_ranges(samples, workers))
-        assert CountingPool.sizes == sizes
-        assert all(size <= tasks for size in CountingPool.sizes)
+        assert ([len(fork_spy)] if fork_spy else []) == sizes
+        assert len(fork_spy) <= tasks
         assert sha256(pooled) == sha256(serial)
 
-    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers):
-        CountingPool = counting_pool()
+    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers, fork_spy):
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=(2, 3), samples=64 * 12, seed=4)
         set_workers(1)
         run_sweep(ExperimentConfig(output_path=str(serial), **kwargs))
         set_workers(3)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        log, peaks = tmp_path / "finished.log", []
+        # a slow consumer, so that the workers run as far ahead as they can
+        monkeypatch.setattr(harness, "_iter_chunks", counting_chunks(log, peaks, pause=0.05))
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
-        assert CountingPool.in_flight == 0
-        assert 1 < CountingPool.peak <= 2 * 3
+        assert len(fork_spy) == 3
+        assert len(peaks) == log.stat().st_size == 6  # every chunk was taken
+        # a worker whose pipe is full blocks: each holds at most one finished chunk
+        assert 1 < max(peaks) <= 3
         assert sha256(pooled) == sha256(serial)
 
-    def test_pool_capped_at_usable_cpus(self, monkeypatch, set_workers):
+    def test_pool_capped_at_usable_cpus(self, tmp_path, set_workers, fork_spy):
         # chunks stay sized for the requested workers; processes for the CPUs
-        CountingPool = counting_pool()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         cfg = ExperimentConfig(dims=(2,), samples=10**6, seed=0)
         expected = [(2, lo, hi) for lo, hi in harness._chunk_ranges(10**6, 10000)]
+        log, peaks = tmp_path / "finished.log", []
         for cpus in (2, 1):
             set_workers(10000, cpus=cpus)
-            tasks = harness._iter_chunks(lambda task: task[3:], cfg)
+            log.write_bytes(b"")
+            tasks = counting_chunks(log, peaks)(lambda task: task[3:], cfg)
             assert list(tasks) == expected
-        assert CountingPool.sizes == [2]  # one pool of two; one CPU ran serially
-        assert CountingPool.peak <= 2 * 2
+        assert len(fork_spy) == 2  # two forked workers; one CPU ran serially
+        assert max(peaks) <= 2
 
     def test_chunks_leave_in_submission_order(self, set_workers):
         # a real pool, whose first chunk finishes last and still leaves first
@@ -435,6 +436,94 @@ class TestRunSweep:
         assert sha256(h) != sha256(s)
 
 
+class TestForkedRunner:
+    """``harness._iter_chunks`` on two forked workers: what reaches the caller,
+    and that no child outlives the call."""
+
+    CONFIG = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
+    CHUNKS = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
+
+    @staticmethod
+    def fails_at_m_three(task):
+        if task[3] == 3:
+            raise TooLargeError(f"chunk m=3 [{task[4]}, {task[5]}) failed")
+        return task[3:]
+
+    @staticmethod
+    def dies_at_m_three(task):
+        if task[3] == 3:
+            os._exit(1)
+        return task[3:]
+
+    @staticmethod
+    def stalls_after_first(task):
+        if task[4]:
+            time.sleep(60)
+        return task[3:]
+
+    def test_worker_exception_keeps_type_and_message(self, set_workers, fork_spy):
+        set_workers(2)
+        taken = []
+        with pytest.raises(TooLargeError, match=r"^chunk m=3 \[0, 64\) failed$"):
+            taken.extend(harness._iter_chunks(self.fails_at_m_three, self.CONFIG))
+        assert taken == self.CHUNKS[:2]
+        assert len(fork_spy) == 2
+
+    def test_unpicklable_exception_is_a_worker_failure(self, set_workers, fork_spy):
+        class Unpicklable(Exception):  # a class local to a function does not pickle
+            pass
+
+        def fails(task):
+            if task[3] == 3:
+                raise Unpicklable("never sent")
+            return task[3:]
+
+        set_workers(2)
+        taken = []
+        with pytest.raises(WorkerFailedError, match=r"^a worker process died before sending "
+                                                    r"chunk m=3 \[0, 64\)"):
+            taken.extend(harness._iter_chunks(fails, self.CONFIG))
+        assert taken == self.CHUNKS[:2]
+        assert len(fork_spy) == 2
+
+    @pytest.mark.parametrize("path", ["success", "failing-chunk", "dead-worker", "closed-early"])
+    def test_every_child_is_reaped(self, set_workers, fork_spy, path):
+        set_workers(2)
+        if path == "success":
+            assert list(harness._iter_chunks(lambda task: task[3:], self.CONFIG)) == self.CHUNKS
+        elif path == "closed-early":  # the workers stall; the consumer takes one chunk
+            chunks = harness._iter_chunks(self.stalls_after_first, self.CONFIG)
+            assert next(chunks) == self.CHUNKS[0]
+            start = time.monotonic()
+            chunks.close()
+            assert time.monotonic() - start < 30  # the stalled workers were killed
+        else:
+            work, error = {"failing-chunk": (self.fails_at_m_three, TooLargeError),
+                           "dead-worker": (self.dies_at_m_three, WorkerFailedError)}[path]
+            with pytest.raises(error):
+                list(harness._iter_chunks(work, self.CONFIG))
+        assert len(fork_spy) == 2
+        with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_never_return_into_the_caller(self, tmp_path, set_workers, fork_spy):
+        log, parent = tmp_path / "pids", os.getpid()
+
+        def consumer():
+            try:
+                yield from harness._iter_chunks(lambda task: task[3:], self.CONFIG)
+            finally:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                if os.getpid() != parent:  # a child that got here ends here, not in the test run
+                    os._exit(0)
+
+        set_workers(2)
+        assert list(consumer()) == self.CHUNKS
+        assert len(fork_spy) == 2
+        assert log.read_text() == f"{parent}\n"
+
+
 _SWEEP_CHUNK = harness._sweep_chunk
 
 
@@ -479,15 +568,16 @@ GOLDEN_SWEEPS = [
 class TestGoldenSweeps:
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 splits 250 samples unevenly
     @pytest.mark.parametrize("kwargs,digest", GOLDEN_SWEEPS)
-    def test_output_bytes_are_pinned(self, tmp_path, set_workers, pool_spy, kwargs, digest,
+    def test_output_bytes_are_pinned(self, tmp_path, set_workers, fork_spy, kwargs, digest,
                                      workers):
         out = tmp_path / "golden.jsonl"
         set_workers(workers)
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
-        # a shape of one chunk runs serially at any worker count
+        # one forked worker per chunk up to the requested count; one chunk runs serially
         chunks = len(kwargs["dims"]) * len(harness._chunk_ranges(kwargs["samples"], workers))
-        assert bool(pool_spy.sizes) == (workers > 1 and chunks > 1)
+        forks = min(workers, chunks)
+        assert len(fork_spy) == (forks if forks > 1 else 0)
 
 
 def reference_haar(m, n, rng):
