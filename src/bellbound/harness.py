@@ -330,21 +330,24 @@ def _iter_chunks(work, config: ExperimentConfig):
     measure, offset, m, start, stop)``, in (m, index) order.
 
     Chunks are sized for ``resolve_workers()``, read only here; workers are capped at the
-    tasks and usable CPUs, and are one without ``os.fork``.  The caller is worker 0 of W: it
-    runs tasks 0, W, 2W, ... in turn, so their exceptions and deaths are its own, as in a
-    serial run.  It forks workers 1 ... W - 1; worker ``w`` pickles the result or exception
-    of each of ``tasks[w::W]`` into its own pipe, which blocks it when full: it holds at most
-    one finished chunk beyond the pipe buffer (64 KiB on Linux), the caller its current one.
-    A message that does not arrive or unpickle is a ``WorkerFailedError``.  Children leave
-    by ``os._exit``, never into the caller's frames, and are killed and reaped on any exit.
+    tasks and usable CPUs, and are one without ``os.fork``.  Forked worker ``w`` of W > 1
+    pickles ``(True, result)`` or ``(False, exception)`` for each of ``tasks[w::W]`` into
+    its own pipe; the parent reads task ``i`` from pipe ``i % W``.  A full pipe blocks
+    its worker: each holds one finished chunk beyond the pipe buffer (64 KiB on Linux) at
+    most.  A message that does not arrive or unpickle is a ``WorkerFailedError``.  A child
+    leaves by ``os._exit``, never into the caller's frames; on any exit the parent closes
+    the pipes, kills the children still running and reaps them all.
     """
     workers = resolve_workers()
     tasks = [(config.seed, config.measure, config.second_dim_offset, m, lo, hi)
              for m in config.dims for (lo, hi) in _chunk_ranges(config.samples, workers)]
     workers = min(workers, len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers == 1:
+        yield from map(work, tasks)
+        return
     pipes, pids = [], []
     try:
-        for w in range(1, workers):
+        for w in range(workers):
             fd, out = os.pipe()
             pipes.append(open(fd, "rb"))
             try:
@@ -366,11 +369,8 @@ def _iter_chunks(work, config: ExperimentConfig):
                 os.close(out)
             pids.append(pid)
         for i, (_, _, _, m, lo, hi) in enumerate(tasks):
-            if i % workers == 0:
-                yield work(tasks[i])
-                continue
             try:
-                ok, result = pickle.load(pipes[i % workers - 1])
+                ok, result = pickle.load(pipes[i % workers])
             except Exception as exc:
                 raise WorkerFailedError(f"a worker process died before sending chunk m={m} "
                                         f"[{lo}, {hi}): {exc!r}") from exc
@@ -431,9 +431,9 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
 
     Writes one JSON line per sample to ``config.output_path`` in (m, index)
     order and returns the reduction; the record schema is documented on
-    ``_sweep_chunk``.  The caller is worker 0 of W (BELLBOUND_THREADS, or auto) and forks
-    W - 1, as ``_iter_chunks`` sets out with what a failure does and the memory bound;
-    bytes do not depend on W.  A run that fails, or has no output path, leaves no file.
+    ``_sweep_chunk``.  Runs on the BELLBOUND_THREADS / auto worker count;
+    output bytes do not depend on it.  A run that fails, or has no
+    ``config.output_path``, leaves no file.
     """
     per_dim: dict[int, DimensionSummary] = {}
     violations: list[Violation] = []  # chunks arrive in (m, index) order

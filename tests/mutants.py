@@ -38,7 +38,7 @@ BOUNDS = "tests/test_bounds.py"
 CLI = "tests/test_cli.py"
 HARNESS = "tests/test_harness.py"
 SCHMIDT = "tests/test_schmidt_state.py"
-IN_ORDER = "ok, result = pickle.load(pipes[i % workers - 1])"
+IN_ORDER = "ok, result = pickle.load(pipes[i % workers])"
 AS_READY = 'ok, result = pickle.load(__import__("select").select(pipes, [], [])[0][0])'
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
@@ -92,9 +92,9 @@ MUTANTS = [
            (f"{HARNESS}::TestSeedDerivation::test_matches_numpy_seeding",)),
     Mutant("_iter_chunks reads whichever pipe is ready", "harness.py", IN_ORDER, AS_READY,
            (f"{HARNESS}::TestRunSweep::test_chunks_leave_in_submission_order",)),
-    Mutant("forked worker w runs the caller's share", "harness.py",
-           "for task in tasks[w::workers]:", "for task in tasks[w - 1::workers]:",
-           (f"{HARNESS}::TestRunSweep::test_caller_runs_every_wth_chunk",)),
+    Mutant("forked worker w runs worker w + 1's share", "harness.py",
+           "for task in tasks[w::workers]:", "for task in tasks[(w + 1) % workers::workers]:",
+           (f"{HARNESS}::TestRunSweep::test_worker_w_runs_every_wth_chunk",)),
     Mutant("a forked worker falls through, not os._exit", "harness.py",
            "os._exit(0)", "pass",
            (f"{HARNESS}::TestForkedRunner::test_children_never_return_into_the_caller",)),

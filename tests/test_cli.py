@@ -431,7 +431,7 @@ def group_empties(pgid, timeout):
 
 class TestInterrupt:
     def test_ctrl_c_leaves_nothing_behind(self, tmp_path):
-        # the sweep and its forked worker get a session of their own, and SIGINT
+        # the sweep and its two workers get a session of their own, and SIGINT
         # goes to the whole group, as a terminal's Ctrl-C does; SIGINT is reset
         # to the default, since a parent that ignores it (a shell's `&` job)
         # passes that on and the sweep would then run to its end
@@ -472,8 +472,8 @@ class TestImportPath:
         assert run.stdout == "[]\n"
 
     def test_parallel_sweep_loads_no_process_pool(self, tmp_path):
-        # the sweep is worker 0 of its two and forks the other itself; the CPU
-        # mask is widened, so that a one-CPU host forks it too
+        # the sweep forks its two workers itself; the CPU mask is widened, so
+        # that a one-CPU host forks them too
         argv = ["sweep", "--dims", "2,4", "--samples", "200", "--seed", "1",
                 "--out", str(tmp_path / "x.jsonl")]
         code = ("import contextlib, io, os, sys; from bellbound.cli import main\n"
@@ -487,7 +487,7 @@ class TestImportPath:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout == "1 []\n"
+        assert run.stdout == "2 []\n"
 
     CORE = ("cli", "errors", "schmidt_state", "tolerances")
     KERNEL = CORE + ("bell_operators", "bounds")

@@ -33,8 +33,6 @@ from bellbound.errors import (InvalidDimensionError, IoFailureError, TooLargeErr
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
 
-TEST_PID = os.getpid()  # the test run's own process; forked workers have other pids
-
 RECORD_FIELDS = [
     "m",
     "n",
@@ -295,10 +293,10 @@ class TestRunSweep:
             assert len(ranges) <= workers  # one chunk per worker, so one at 1 worker
 
     @pytest.mark.parametrize("dims,samples,workers,sizes", [
-        ((2, 4), 64, 4, [1]),         # two tasks: the caller and one fork, not four
+        ((2, 4), 64, 4, [2]),         # two tasks fork two workers, not four
         ((2,), 64, 4, []),            # one task runs serially
-        ((2, 3, 4), 100, 64, [5]),    # 64-sample floor: two chunks per m
-        ((2, 3), 300, 2, [1]),        # more tasks than workers
+        ((2, 3, 4), 100, 64, [6]),    # 64-sample floor: two chunks per m
+        ((2, 3), 300, 2, [2]),        # more tasks than workers
     ])
     def test_pool_sized_to_tasks(self, tmp_path, set_workers, fork_spy, dims, samples,
                                  workers, sizes):
@@ -311,7 +309,7 @@ class TestRunSweep:
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
         tasks = len(dims) * len(harness._chunk_ranges(samples, workers))
         assert ([len(fork_spy)] if fork_spy else []) == sizes
-        assert len(fork_spy) < tasks
+        assert len(fork_spy) <= tasks
         assert sha256(pooled) == sha256(serial)
 
     def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers, fork_spy):
@@ -324,11 +322,10 @@ class TestRunSweep:
         # a slow consumer, so that the workers run as far ahead as they can
         monkeypatch.setattr(harness, "_iter_chunks", counting_chunks(log, peaks, pause=0.05))
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
-        assert len(fork_spy) == 2  # the caller is the third worker
+        assert len(fork_spy) == 3
         assert len(peaks) == log.stat().st_size == 6  # every chunk was taken
-        # a worker whose pipe is full blocks: each holds at most one finished chunk,
-        # and the caller's own chunk is taken as it finishes
-        assert 1 < max(peaks) <= 2
+        # a worker whose pipe is full blocks: each holds at most one finished chunk
+        assert 1 < max(peaks) <= 3
         assert sha256(pooled) == sha256(serial)
 
     def test_pool_capped_at_usable_cpus(self, tmp_path, set_workers, fork_spy):
@@ -341,31 +338,31 @@ class TestRunSweep:
             log.write_bytes(b"")
             tasks = counting_chunks(log, peaks)(lambda task: task[3:], cfg)
             assert list(tasks) == expected
-        assert len(fork_spy) == 1  # the caller and one forked worker; one CPU ran serially
-        assert max(peaks) <= 1
+        assert len(fork_spy) == 2  # two forked workers; one CPU ran serially
+        assert max(peaks) <= 2
 
     def test_chunks_leave_in_submission_order(self, set_workers):
-        # two forked workers, the first of which finishes its first chunk last; that
-        # chunk still leaves before the second worker's
-        set_workers(3)
-        cfg = ExperimentConfig(dims=(2, 3), samples=192, seed=0)
-        expected = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(192, 3)]
-        assert list(harness._iter_chunks(first_forked_chunk_finishes_last, cfg)) == expected
+        # a real pool, whose first chunk finishes last and still leaves first
+        set_workers(2)
+        cfg = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
+        expected = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
+        assert list(harness._iter_chunks(first_chunk_finishes_last, cfg)) == expected
 
     @pytest.mark.parametrize("workers,dims,samples", [
-        (2, (2, 3, 5), 64),     # three tasks: two workers do not divide them
-        (2, (2, 3), 300),       # two chunks per m
-        (3, (2, 3, 5, 7), 64),  # four tasks
-        (3, (2, 3), 192),       # three chunks per m
+        (1, (2, 3), 128),
+        (2, (2, 3), 128),
+        (2, (2, 3, 5), 64),        # three tasks on two workers
+        (3, (2, 3, 5, 7), 128),    # eight tasks on three workers
     ])
-    def test_caller_runs_every_wth_chunk(self, set_workers, fork_spy, workers, dims, samples):
+    def test_worker_w_runs_every_wth_chunk(self, set_workers, fork_spy, workers, dims, samples):
         set_workers(workers)
         cfg = ExperimentConfig(dims=dims, samples=samples, seed=0)
+        expected = [(m, lo, hi) for m in dims for lo, hi in harness._chunk_ranges(samples, workers)]
         chunks = list(harness._iter_chunks(lambda task: (task[3:], os.getpid()), cfg))
-        assert [chunk for chunk, _ in chunks] == [
-            (m, lo, hi) for m in dims for lo, hi in harness._chunk_ranges(samples, workers)]
-        assert len(fork_spy) == workers - 1
-        runners = [os.getpid(), *fork_spy]  # worker w is the w-th fork
+        assert [chunk for chunk, _ in chunks] == expected
+        # one worker runs serially in the caller; W > 1 forked workers run all of it
+        runners = fork_spy or [os.getpid()]
+        assert len(runners) == workers
         assert [pid for _, pid in chunks] == [runners[i % workers] for i in range(len(chunks))]
 
     @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
@@ -436,8 +433,7 @@ class TestRunSweep:
             "out.jsonl", "serial-1.jsonl", "serial-2.jsonl"]
 
     def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, set_workers, capsys):
-        # two workers: the caller runs the m=2 chunk, and the forked worker exits on
-        # the m=3 chunk
+        # a real pool of two processes, one of which exits on the m=3 chunk
         set_workers(2)
         monkeypatch.setattr(harness, "_sweep_chunk", sweep_chunk_exits_at_m_three)
         out = tmp_path / "out.jsonl"
@@ -458,9 +454,8 @@ class TestRunSweep:
 
 
 class TestForkedRunner:
-    """``harness._iter_chunks`` on two workers, the caller and one forked worker:
-    what reaches the caller, and that no child outlives the call.  The caller runs
-    chunks 0 and 2 and the worker chunks 1 and 3, (3, 64, 128) among them."""
+    """``harness._iter_chunks`` on two forked workers: what reaches the caller,
+    and that no child outlives the call."""
 
     CONFIG = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
     CHUNKS = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
@@ -471,17 +466,9 @@ class TestForkedRunner:
             raise TooLargeError(f"chunk m=3 [{task[4]}, {task[5]}) failed")
         return task[3:]
 
-    @classmethod
-    def fails_in_the_worker_at_m_three(cls, task):
-        return cls.fails_at_m_three(task) if os.getpid() != TEST_PID else task[3:]
-
-    @classmethod
-    def fails_in_the_caller_at_m_three(cls, task):
-        return cls.fails_at_m_three(task) if os.getpid() == TEST_PID else task[3:]
-
     @staticmethod
     def dies_at_m_three(task):
-        if task[3] == 3 and os.getpid() != TEST_PID:  # the test run itself never dies
+        if task[3] == 3:
             os._exit(1)
         return task[3:]
 
@@ -494,30 +481,29 @@ class TestForkedRunner:
     def test_worker_exception_keeps_type_and_message(self, set_workers, fork_spy):
         set_workers(2)
         taken = []
-        with pytest.raises(TooLargeError, match=r"^chunk m=3 \[64, 128\) failed$"):
-            taken.extend(harness._iter_chunks(self.fails_in_the_worker_at_m_three, self.CONFIG))
-        assert taken == self.CHUNKS[:3]
-        assert len(fork_spy) == 1
+        with pytest.raises(TooLargeError, match=r"^chunk m=3 \[0, 64\) failed$"):
+            taken.extend(harness._iter_chunks(self.fails_at_m_three, self.CONFIG))
+        assert taken == self.CHUNKS[:2]
+        assert len(fork_spy) == 2
 
     def test_unpicklable_exception_is_a_worker_failure(self, set_workers, fork_spy):
         class Unpicklable(Exception):  # a class local to a function does not pickle
             pass
 
         def fails(task):
-            if task[3] == 3 and os.getpid() != TEST_PID:  # only a forked worker pickles it
+            if task[3] == 3:
                 raise Unpicklable("never sent")
             return task[3:]
 
         set_workers(2)
         taken = []
         with pytest.raises(WorkerFailedError, match=r"^a worker process died before sending "
-                                                    r"chunk m=3 \[64, 128\)"):
+                                                    r"chunk m=3 \[0, 64\)"):
             taken.extend(harness._iter_chunks(fails, self.CONFIG))
-        assert taken == self.CHUNKS[:3]
-        assert len(fork_spy) == 1
+        assert taken == self.CHUNKS[:2]
+        assert len(fork_spy) == 2
 
-    @pytest.mark.parametrize("path", ["success", "failing-chunk", "dead-worker", "closed-early",
-                                      "failing-own-chunk"])
+    @pytest.mark.parametrize("path", ["success", "failing-chunk", "dead-worker", "closed-early"])
     def test_every_child_is_reaped(self, set_workers, fork_spy, path):
         set_workers(2)
         if path == "success":
@@ -529,30 +515,20 @@ class TestForkedRunner:
             chunks.close()
             assert time.monotonic() - start < 30  # the stalled workers were killed
         else:
-            work, error, message = {
-                "failing-chunk": (self.fails_in_the_worker_at_m_three, TooLargeError,
-                                  r"^chunk m=3 \[64, 128\) failed$"),
-                "dead-worker": (self.dies_at_m_three, WorkerFailedError,
-                                r"^a worker process died before sending chunk m=3 \[64, 128\)"),
-                "failing-own-chunk": (self.fails_in_the_caller_at_m_three, TooLargeError,
-                                      r"^chunk m=3 \[0, 64\) failed$")}[path]
-            with pytest.raises(error, match=message):
+            work, error = {"failing-chunk": (self.fails_at_m_three, TooLargeError),
+                           "dead-worker": (self.dies_at_m_three, WorkerFailedError)}[path]
+            with pytest.raises(error):
                 list(harness._iter_chunks(work, self.CONFIG))
-        assert len(fork_spy) == 1
+        assert len(fork_spy) == 2
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
 
     def test_children_never_return_into_the_caller(self, tmp_path, set_workers, fork_spy):
         log, parent = tmp_path / "pids", os.getpid()
 
-        def work(task):  # the caller's last chunk is slow, so a child that fell through
-            if os.getpid() == parent and task[3:5] == (3, 0):  # logs before it is killed
-                time.sleep(0.5)
-            return task[3:]
-
         def consumer():
             try:
-                yield from harness._iter_chunks(work, self.CONFIG)
+                yield from harness._iter_chunks(lambda task: task[3:], self.CONFIG)
             finally:
                 with open(log, "a") as fh:
                     fh.write(f"{os.getpid()}\n")
@@ -561,17 +537,17 @@ class TestForkedRunner:
 
         set_workers(2)
         assert list(consumer()) == self.CHUNKS
-        assert len(fork_spy) == 1
+        assert len(fork_spy) == 2
         assert log.read_text() == f"{parent}\n"
 
 
 _SWEEP_CHUNK = harness._sweep_chunk
 
 
-def first_forked_chunk_finishes_last(task):
-    """The task's ``(m, start, stop)``, half a second late for the chunk at m=2 that
-    starts at 64: task 1, the first forked worker's first chunk."""
-    if task[3:5] == (2, 64):
+def first_chunk_finishes_last(task):
+    """The task's ``(m, start, stop)``, half a second late for the first chunk at m=2;
+    module-level, so that a pool can pickle it."""
+    if task[3:5] == (2, 0):
         time.sleep(0.5)
     return task[3:]
 
@@ -615,9 +591,10 @@ class TestGoldenSweeps:
         set_workers(workers)
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
-        # one worker per chunk up to the requested count, and the caller is one of them
+        # one forked worker per chunk up to the requested count; one chunk runs serially
         chunks = len(kwargs["dims"]) * len(harness._chunk_ranges(kwargs["samples"], workers))
-        assert len(fork_spy) == min(workers, chunks) - 1
+        forks = min(workers, chunks)
+        assert len(fork_spy) == (forks if forks > 1 else 0)
 
 
 def reference_haar(m, n, rng):
