@@ -16,6 +16,7 @@ import operator
 import os
 import pickle
 import signal
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -330,47 +331,59 @@ def _iter_chunks(work, config: ExperimentConfig):
     measure, offset, m, start, stop)``, in (m, index) order.
 
     Chunks are sized for ``resolve_workers()``, read only here; workers are capped at the
-    tasks and usable CPUs, and are one without ``os.fork``.  Forked worker ``w`` of W > 1
-    pickles ``(True, result)`` or ``(False, exception)`` for each of ``tasks[w::W]`` into
-    its own pipe; the parent reads task ``i`` from pipe ``i % W``.  A full pipe blocks
-    its worker: each holds one finished chunk beyond the pipe buffer (64 KiB on Linux) at
-    most.  A message that does not arrive or unpickle is a ``WorkerFailedError``.  A child
-    leaves by ``os._exit``, never into the caller's frames; on any exit the parent closes
-    the pipes, kills the children still running and reaps them all.
+    tasks and usable CPUs, and are one without ``os.fork``.  The caller is worker 0 of W and
+    runs tasks 0, W, 2W, ... in turn, as a serial run would.  Forked worker ``w`` pickles the
+    result or exception of each of ``tasks[w::W]`` to offset 0 of its own spill file and sends
+    the byte count down a pipe; it computes its next chunk, then waits for the caller's credit
+    byte for the last one before it overwrites the file.  So no worker waits on the caller's own
+    chunk, and each holds two finished chunks at most.  A message that does not arrive or
+    unpickle, or an ``OSError`` at start-up, is a ``WorkerFailedError``.  Children leave by
+    ``os._exit``, never into the caller's frames, and are killed and reaped on any exit.
     """
     workers = resolve_workers()
     tasks = [(config.seed, config.measure, config.second_dim_offset, m, lo, hi)
              for m in config.dims for (lo, hi) in _chunk_ranges(config.samples, workers)]
     workers = min(workers, len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
-    if workers == 1:
-        yield from map(work, tasks)
-        return
-    pipes, pids = [], []
+    files, slots, pids = [], [], []  # all the caller opens; per forked worker (data, credit, spill)
     try:
-        for w in range(workers):
-            fd, out = os.pipe()
-            pipes.append(open(fd, "rb"))
-            try:
-                if (pid := os.fork()) == 0:
-                    try:  # a child keeps no read end, so its writes fail once the parent is gone
-                        for pipe in pipes:
-                            os.close(pipe.fileno())
-                        with open(out, "wb") as pipe:
-                            for task in tasks[w::workers]:
-                                try:
-                                    message = pickle.dumps((True, work(task)), -1)
-                                except Exception as exc:
-                                    message = pickle.dumps((False, exc), -1)
-                                pipe.write(message)
-                                pipe.flush()
-                    finally:
-                        os._exit(0)
+        for w in range(1, workers):
+            try:  # the data pipe, the credit pipe and the spill file, then the fork
+                for _ in range(2):
+                    files += map(open, os.pipe(), ("rb", "wb"), (0, 0))
+                files.append(tempfile.TemporaryFile())
+                data, out, credit_in, credit, spill = files[-5:]
+                slots.append((data, credit, spill))
+                pid = os.fork()
+            except OSError as exc:
+                raise WorkerFailedError(f"cannot start worker {w} of {workers}: {exc!r}") from exc
+            if pid:
+                pids.append(pid)
+                out.close()
+                credit_in.close()
+                continue
+            try:  # the child: it keeps no caller end, so its writes fail once the caller is gone
+                for caller_end in (end for slot in slots for end in slot[:2]):
+                    caller_end.close()
+                for j, task in enumerate(tasks[w::workers]):
+                    try:
+                        message = pickle.dumps((True, work(task)), -1)
+                    except Exception as exc:
+                        message = pickle.dumps((False, exc), -1)
+                    if j:  # the spill file is free once the caller has read chunk j - 1
+                        credit_in.read(1)
+                    out.write(os.pwrite(spill.fileno(), message, 0).to_bytes(8, "big"))
             finally:
-                os.close(out)
-            pids.append(pid)
+                os._exit(0)
         for i, (_, _, _, m, lo, hi) in enumerate(tasks):
+            if i % workers == 0:
+                yield work(tasks[i])
+                continue
+            data, credit, spill = slots[i % workers - 1]
             try:
-                ok, result = pickle.load(pipes[i % workers])
+                count = int.from_bytes(data.read(8), "big")
+                ok, result = pickle.loads(os.pread(spill.fileno(), count, 0))
+                if i + workers < len(tasks):  # the worker has a chunk to come
+                    credit.write(b"\0")
             except Exception as exc:
                 raise WorkerFailedError(f"a worker process died before sending chunk m={m} "
                                         f"[{lo}, {hi}): {exc!r}") from exc
@@ -378,8 +391,8 @@ def _iter_chunks(work, config: ExperimentConfig):
                 raise result
             yield result
     finally:
-        for pipe in pipes:
-            pipe.close()
+        for file in files:
+            file.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # a zombie until reaped, so its pid is never reused
             os.waitpid(pid, 0)
@@ -431,9 +444,9 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
 
     Writes one JSON line per sample to ``config.output_path`` in (m, index)
     order and returns the reduction; the record schema is documented on
-    ``_sweep_chunk``.  Runs on the BELLBOUND_THREADS / auto worker count;
-    output bytes do not depend on it.  A run that fails, or has no
-    ``config.output_path``, leaves no file.
+    ``_sweep_chunk``.  The caller is worker 0 of W (BELLBOUND_THREADS or auto); the W - 1 it
+    forks hand chunks over through spill files, two at most each (``_iter_chunks``); bytes do
+    not depend on W.  A run that fails, or has no output path, leaves no file.
     """
     per_dim: dict[int, DimensionSummary] = {}
     violations: list[Violation] = []  # chunks arrive in (m, index) order

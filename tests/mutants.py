@@ -38,8 +38,15 @@ BOUNDS = "tests/test_bounds.py"
 CLI = "tests/test_cli.py"
 HARNESS = "tests/test_harness.py"
 SCHMIDT = "tests/test_schmidt_state.py"
-IN_ORDER = "ok, result = pickle.load(pipes[i % workers])"
-AS_READY = 'ok, result = pickle.load(__import__("select").select(pipes, [], [])[0][0])'
+IN_ORDER = "data, credit, spill = slots[i % workers - 1]"
+AS_READY = ("data, credit, spill = next(slot for slot in slots if slot[0] in "
+            '__import__("select").select([slot[0] for slot in slots], [], [])[0])')
+WAIT = ("if j:  # the spill file is free once the caller has read chunk j - 1\n"
+        "                        credit_in.read(1)\n")
+COMPUTE = ("try:\n"
+           "                        message = pickle.dumps((True, work(task)), -1)\n"
+           "                    except Exception as exc:\n"
+           "                        message = pickle.dumps((False, exc), -1)\n")
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
 MUTANTS = [
@@ -92,9 +99,19 @@ MUTANTS = [
            (f"{HARNESS}::TestSeedDerivation::test_matches_numpy_seeding",)),
     Mutant("_iter_chunks reads whichever pipe is ready", "harness.py", IN_ORDER, AS_READY,
            (f"{HARNESS}::TestRunSweep::test_chunks_leave_in_submission_order",)),
-    Mutant("forked worker w runs worker w + 1's share", "harness.py",
-           "for task in tasks[w::workers]:", "for task in tasks[(w + 1) % workers::workers]:",
+    Mutant("forked worker w runs worker w - 1's share", "harness.py",
+           "enumerate(tasks[w::workers])", "enumerate(tasks[w - 1::workers])",
            (f"{HARNESS}::TestRunSweep::test_worker_w_runs_every_wth_chunk",)),
+    Mutant("a worker waits for its credit before computing", "harness.py",
+           COMPUTE + " " * 20 + WAIT, WAIT + " " * 20 + COMPUTE,
+           (f"{HARNESS}::TestForkedRunner::test_no_worker_waits_on_the_caller",)),
+    Mutant("a worker never waits for its credit", "harness.py",
+           "credit_in.read(1)", "pass",
+           (f"{HARNESS}::TestRunSweep::test_bounded_chunks_in_flight",)),
+    Mutant("an OSError while workers start escapes", "harness.py",
+           "except OSError as exc:\n                raise WorkerFailedError(",
+           "except ArithmeticError as exc:\n                raise WorkerFailedError(",
+           (f"{CLI}::TestWorkerSetUp::test_failed_set_up_is_a_worker_failure",)),
     Mutant("a forked worker falls through, not os._exit", "harness.py",
            "os._exit(0)", "pass",
            (f"{HARNESS}::TestForkedRunner::test_children_never_return_into_the_caller",)),

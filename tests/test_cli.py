@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -319,6 +320,31 @@ class TestVerify:
         assert err == f"error: OracleGap: m=3 n=4 max_gap={pairs['max_gap']}\n"
 
 
+class TestWorkerSetUp:
+    """An ``OSError`` while a run starts its forked worker ends it as a domain error."""
+
+    @pytest.mark.parametrize("target,error", [
+        ("os.fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ("tempfile.TemporaryFile", OSError(errno.ENOSPC, "No space left on device")),
+    ])
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_failed_set_up_is_a_worker_failure(self, capsys, monkeypatch, tmp_path, set_workers,
+                                               target, error, command):
+        def fails(*args, **kwargs):
+            raise error
+
+        argv = {"sweep": ["sweep", "--dims", "2,4", "--samples", "200", "--seed", "1",
+                          "--out", str(tmp_path / "out.jsonl")],
+                "verify": ["verify", "--m=2", "--samples=200", "--seed", "1"]}[command]
+        set_workers(2)  # two tasks: the caller and one forked worker
+        monkeypatch.setattr(target, fails)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: WorkerFailedError: cannot start worker 1 of 2: {error!r}")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 EYE_PAST_GUARD = ";".join(",".join(map(str, row))
                           for row in np.eye(MAX_EXHAUSTIVE_N + 1, dtype=int).tolist())
 SWEEP = "sweep --samples 1 --seed 1 --dims"
@@ -431,7 +457,7 @@ def group_empties(pgid, timeout):
 
 class TestInterrupt:
     def test_ctrl_c_leaves_nothing_behind(self, tmp_path):
-        # the sweep and its two workers get a session of their own, and SIGINT
+        # the sweep and its forked worker get a session of their own, and SIGINT
         # goes to the whole group, as a terminal's Ctrl-C does; SIGINT is reset
         # to the default, since a parent that ignores it (a shell's `&` job)
         # passes that on and the sweep would then run to its end
@@ -472,8 +498,8 @@ class TestImportPath:
         assert run.stdout == "[]\n"
 
     def test_parallel_sweep_loads_no_process_pool(self, tmp_path):
-        # the sweep forks its two workers itself; the CPU mask is widened, so
-        # that a one-CPU host forks them too
+        # the sweep is worker 0 of its two and forks the other itself; the CPU
+        # mask is widened, so that a one-CPU host forks it too
         argv = ["sweep", "--dims", "2,4", "--samples", "200", "--seed", "1",
                 "--out", str(tmp_path / "x.jsonl")]
         code = ("import contextlib, io, os, sys; from bellbound.cli import main\n"
@@ -487,7 +513,7 @@ class TestImportPath:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout == "2 []\n"
+        assert run.stdout == "1 []\n"
 
     CORE = ("cli", "errors", "schmidt_state", "tolerances")
     KERNEL = CORE + ("bell_operators", "bounds")

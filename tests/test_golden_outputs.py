@@ -69,10 +69,9 @@ def test_verify_stdout_is_pinned(capsys, set_workers, fork_spy, threads, argv, e
     set_workers(threads)
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
     assert digest(out) == expected
-    # one worker per chunk up to the requested count; a shape of one chunk runs serially
+    # one worker per chunk up to the requested count, and the caller is one of them
     chunks = len(harness._chunk_ranges(int(argv[argv.index("--samples") + 1]), threads))
-    workers = min(threads, chunks)
-    assert len(fork_spy) == (workers if workers > 1 else 0)
+    assert len(fork_spy) == min(threads, chunks) - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])

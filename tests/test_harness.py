@@ -33,6 +33,8 @@ from bellbound.errors import (InvalidDimensionError, IoFailureError, TooLargeErr
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
 
+TEST_PID = os.getpid()  # the test run's own process; forked workers have other pids
+
 RECORD_FIELDS = [
     "m",
     "n",
@@ -68,11 +70,10 @@ def pipe_capacity():
 
 
 def counting_chunks(log, peaks, pause=0.0):
-    """``harness._iter_chunks`` whose workers append a byte to ``log`` for every
-    finished task and pad each result past a pipe's buffer, so that a worker
-    blocks until its result is read.  Appends to ``peaks``, ``pause`` seconds
-    after the consumer takes each chunk, how many finished chunks it has not
-    yet taken."""
+    """``harness._iter_chunks`` whose workers, the caller among them, append a byte
+    to ``log`` for every finished task and pad each result to twice a pipe's buffer,
+    so that no result fits a pipe.  Appends to ``peaks``, ``pause`` seconds after
+    the consumer takes each chunk, how many finished chunks it has not yet taken."""
     chunks, pad = harness._iter_chunks, bytes(2 * pipe_capacity())
 
     def padded(work):
@@ -293,10 +294,10 @@ class TestRunSweep:
             assert len(ranges) <= workers  # one chunk per worker, so one at 1 worker
 
     @pytest.mark.parametrize("dims,samples,workers,sizes", [
-        ((2, 4), 64, 4, [2]),         # two tasks fork two workers, not four
+        ((2, 4), 64, 4, [1]),         # two tasks: the caller and one fork, not four
         ((2,), 64, 4, []),            # one task runs serially
-        ((2, 3, 4), 100, 64, [6]),    # 64-sample floor: two chunks per m
-        ((2, 3), 300, 2, [2]),        # more tasks than workers
+        ((2, 3, 4), 100, 64, [5]),    # 64-sample floor: two chunks per m
+        ((2, 3), 300, 2, [1]),        # more tasks than workers
     ])
     def test_pool_sized_to_tasks(self, tmp_path, set_workers, fork_spy, dims, samples,
                                  workers, sizes):
@@ -309,12 +310,13 @@ class TestRunSweep:
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
         tasks = len(dims) * len(harness._chunk_ranges(samples, workers))
         assert ([len(fork_spy)] if fork_spy else []) == sizes
-        assert len(fork_spy) <= tasks
+        assert len(fork_spy) < tasks
         assert sha256(pooled) == sha256(serial)
 
     def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers, fork_spy):
+        # three chunks per m and six dims: each forked worker runs six chunks
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
-        kwargs = dict(dims=(2, 3), samples=64 * 12, seed=4)
+        kwargs = dict(dims=(2, 3, 4, 5, 6, 7), samples=64 * 3, seed=4)
         set_workers(1)
         run_sweep(ExperimentConfig(output_path=str(serial), **kwargs))
         set_workers(3)
@@ -322,10 +324,12 @@ class TestRunSweep:
         # a slow consumer, so that the workers run as far ahead as they can
         monkeypatch.setattr(harness, "_iter_chunks", counting_chunks(log, peaks, pause=0.05))
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
-        assert len(fork_spy) == 3
-        assert len(peaks) == log.stat().st_size == 6  # every chunk was taken
-        # a worker whose pipe is full blocks: each holds at most one finished chunk
-        assert 1 < max(peaks) <= 3
+        assert len(fork_spy) == 2  # the caller is the third worker
+        assert len(peaks) == log.stat().st_size == 18  # every chunk was taken
+        # a worker waits for the caller's credit before it overwrites its spill file:
+        # each forked worker holds at most two finished chunks, and the caller's own
+        # chunk is taken as it finishes
+        assert 2 < max(peaks) <= 4
         assert sha256(pooled) == sha256(serial)
 
     def test_pool_capped_at_usable_cpus(self, tmp_path, set_workers, fork_spy):
@@ -338,15 +342,16 @@ class TestRunSweep:
             log.write_bytes(b"")
             tasks = counting_chunks(log, peaks)(lambda task: task[3:], cfg)
             assert list(tasks) == expected
-        assert len(fork_spy) == 2  # two forked workers; one CPU ran serially
+        assert len(fork_spy) == 1  # the caller and one forked worker; one CPU ran serially
         assert max(peaks) <= 2
 
     def test_chunks_leave_in_submission_order(self, set_workers):
-        # a real pool, whose first chunk finishes last and still leaves first
-        set_workers(2)
-        cfg = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
-        expected = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
-        assert list(harness._iter_chunks(first_chunk_finishes_last, cfg)) == expected
+        # two forked workers, the first of which finishes its first chunk last; that
+        # chunk still leaves before the second worker's
+        set_workers(3)
+        cfg = ExperimentConfig(dims=(2, 3), samples=192, seed=0)
+        expected = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(192, 3)]
+        assert list(harness._iter_chunks(first_forked_chunk_finishes_last, cfg)) == expected
 
     @pytest.mark.parametrize("workers,dims,samples", [
         (1, (2, 3), 128),
@@ -360,8 +365,8 @@ class TestRunSweep:
         expected = [(m, lo, hi) for m in dims for lo, hi in harness._chunk_ranges(samples, workers)]
         chunks = list(harness._iter_chunks(lambda task: (task[3:], os.getpid()), cfg))
         assert [chunk for chunk, _ in chunks] == expected
-        # one worker runs serially in the caller; W > 1 forked workers run all of it
-        runners = fork_spy or [os.getpid()]
+        # the caller is worker 0 and runs chunks i = 0 (mod W); worker w is the w-th fork
+        runners = [os.getpid(), *fork_spy]
         assert len(runners) == workers
         assert [pid for _, pid in chunks] == [runners[i % workers] for i in range(len(chunks))]
 
@@ -433,7 +438,8 @@ class TestRunSweep:
             "out.jsonl", "serial-1.jsonl", "serial-2.jsonl"]
 
     def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, set_workers, capsys):
-        # a real pool of two processes, one of which exits on the m=3 chunk
+        # two workers: the caller runs the m=2 chunk, and the forked worker exits on
+        # the m=3 chunk
         set_workers(2)
         monkeypatch.setattr(harness, "_sweep_chunk", sweep_chunk_exits_at_m_three)
         out = tmp_path / "out.jsonl"
@@ -454,8 +460,9 @@ class TestRunSweep:
 
 
 class TestForkedRunner:
-    """``harness._iter_chunks`` on two forked workers: what reaches the caller,
-    and that no child outlives the call."""
+    """``harness._iter_chunks`` on two workers, the caller and one forked worker:
+    what reaches the caller, and that no child outlives the call.  The caller runs
+    chunks 0 and 2 and the worker chunks 1 and 3, (3, 64, 128) among them."""
 
     CONFIG = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
     CHUNKS = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
@@ -466,9 +473,17 @@ class TestForkedRunner:
             raise TooLargeError(f"chunk m=3 [{task[4]}, {task[5]}) failed")
         return task[3:]
 
+    @classmethod
+    def fails_in_the_worker_at_m_three(cls, task):
+        return cls.fails_at_m_three(task) if os.getpid() != TEST_PID else task[3:]
+
+    @classmethod
+    def fails_in_the_caller_at_m_three(cls, task):
+        return cls.fails_at_m_three(task) if os.getpid() == TEST_PID else task[3:]
+
     @staticmethod
     def dies_at_m_three(task):
-        if task[3] == 3:
+        if task[3] == 3 and os.getpid() != TEST_PID:  # the test run itself never dies
             os._exit(1)
         return task[3:]
 
@@ -481,29 +496,30 @@ class TestForkedRunner:
     def test_worker_exception_keeps_type_and_message(self, set_workers, fork_spy):
         set_workers(2)
         taken = []
-        with pytest.raises(TooLargeError, match=r"^chunk m=3 \[0, 64\) failed$"):
-            taken.extend(harness._iter_chunks(self.fails_at_m_three, self.CONFIG))
-        assert taken == self.CHUNKS[:2]
-        assert len(fork_spy) == 2
+        with pytest.raises(TooLargeError, match=r"^chunk m=3 \[64, 128\) failed$"):
+            taken.extend(harness._iter_chunks(self.fails_in_the_worker_at_m_three, self.CONFIG))
+        assert taken == self.CHUNKS[:3]
+        assert len(fork_spy) == 1
 
     def test_unpicklable_exception_is_a_worker_failure(self, set_workers, fork_spy):
         class Unpicklable(Exception):  # a class local to a function does not pickle
             pass
 
         def fails(task):
-            if task[3] == 3:
+            if task[3] == 3 and os.getpid() != TEST_PID:  # only a forked worker pickles it
                 raise Unpicklable("never sent")
             return task[3:]
 
         set_workers(2)
         taken = []
         with pytest.raises(WorkerFailedError, match=r"^a worker process died before sending "
-                                                    r"chunk m=3 \[0, 64\)"):
+                                                    r"chunk m=3 \[64, 128\)"):
             taken.extend(harness._iter_chunks(fails, self.CONFIG))
-        assert taken == self.CHUNKS[:2]
-        assert len(fork_spy) == 2
+        assert taken == self.CHUNKS[:3]
+        assert len(fork_spy) == 1
 
-    @pytest.mark.parametrize("path", ["success", "failing-chunk", "dead-worker", "closed-early"])
+    @pytest.mark.parametrize("path", ["success", "failing-chunk", "dead-worker", "closed-early",
+                                      "failing-own-chunk"])
     def test_every_child_is_reaped(self, set_workers, fork_spy, path):
         set_workers(2)
         if path == "success":
@@ -515,20 +531,84 @@ class TestForkedRunner:
             chunks.close()
             assert time.monotonic() - start < 30  # the stalled workers were killed
         else:
-            work, error = {"failing-chunk": (self.fails_at_m_three, TooLargeError),
-                           "dead-worker": (self.dies_at_m_three, WorkerFailedError)}[path]
-            with pytest.raises(error):
+            work, error, message = {
+                "failing-chunk": (self.fails_in_the_worker_at_m_three, TooLargeError,
+                                  r"^chunk m=3 \[64, 128\) failed$"),
+                "dead-worker": (self.dies_at_m_three, WorkerFailedError,
+                                r"^a worker process died before sending chunk m=3 \[64, 128\)"),
+                "failing-own-chunk": (self.fails_in_the_caller_at_m_three, TooLargeError,
+                                      r"^chunk m=3 \[0, 64\) failed$")}[path]
+            with pytest.raises(error, match=message):
                 list(harness._iter_chunks(work, self.CONFIG))
-        assert len(fork_spy) == 2
+        assert len(fork_spy) == 1
+        with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_worker_waits_on_the_caller(self, tmp_path, set_workers, fork_spy):
+        # results that no pipe holds, and a caller whose own first chunk ends only once
+        # the forked worker has finished its second: the worker runs a chunk ahead
+        # while the caller computes, whatever a chunk's size
+        log, peaks = tmp_path / "finished.log", []
+        log.write_bytes(b"")
+
+        def work(task):
+            if os.getpid() == TEST_PID and task[3:5] == (2, 0):
+                deadline = time.monotonic() + 5
+                while log.stat().st_size < 2:
+                    assert time.monotonic() < deadline, "the forked worker waited on the caller"
+                    time.sleep(0.01)
+            return task[3:]
+
+        set_workers(2)
+        assert list(counting_chunks(log, peaks)(work, self.CONFIG)) == self.CHUNKS
+        assert len(fork_spy) == 1
+
+    def test_short_spill_write_is_a_worker_failure(self, monkeypatch, set_workers, fork_spy):
+        # the forked worker's pwrite writes half of each message and says so: the
+        # caller reads that half, which does not unpickle
+        pwrite = os.pwrite
+
+        def writes_half(fd, data, offset):
+            return pwrite(fd, data[:len(data) // 2], offset)
+
+        monkeypatch.setattr(os, "pwrite", writes_half)
+        set_workers(2)
+        taken = []
+        with pytest.raises(WorkerFailedError, match=r"^a worker process died before sending "
+                                                    r"chunk m=2 \[64, 128\)"):
+            taken.extend(harness._iter_chunks(lambda task: task[3:], self.CONFIG))
+        assert taken == self.CHUNKS[:1]
+        assert len(fork_spy) == 1
+
+    def test_failed_fork_reaps_the_workers_forked(self, monkeypatch, set_workers, fork_spy):
+        # three workers: the first fork succeeds, the second fails
+        fork = os.fork
+
+        def second_fails():
+            if fork_spy:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        set_workers(3)
+        monkeypatch.setattr(os, "fork", second_fails)
+        with pytest.raises(WorkerFailedError,
+                           match=r"^cannot start worker 2 of 3: BlockingIOError"):
+            list(harness._iter_chunks(lambda task: task[3:], self.CONFIG))
+        assert len(fork_spy) == 1
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
 
     def test_children_never_return_into_the_caller(self, tmp_path, set_workers, fork_spy):
         log, parent = tmp_path / "pids", os.getpid()
 
+        def work(task):  # the caller's last chunk is slow, so a child that fell through
+            if os.getpid() == parent and task[3:5] == (3, 0):  # logs before it is killed
+                time.sleep(0.5)
+            return task[3:]
+
         def consumer():
             try:
-                yield from harness._iter_chunks(lambda task: task[3:], self.CONFIG)
+                yield from harness._iter_chunks(work, self.CONFIG)
             finally:
                 with open(log, "a") as fh:
                     fh.write(f"{os.getpid()}\n")
@@ -537,25 +617,25 @@ class TestForkedRunner:
 
         set_workers(2)
         assert list(consumer()) == self.CHUNKS
-        assert len(fork_spy) == 2
+        assert len(fork_spy) == 1
         assert log.read_text() == f"{parent}\n"
 
 
 _SWEEP_CHUNK = harness._sweep_chunk
 
 
-def first_chunk_finishes_last(task):
-    """The task's ``(m, start, stop)``, half a second late for the first chunk at m=2;
-    module-level, so that a pool can pickle it."""
-    if task[3:5] == (2, 0):
+def first_forked_chunk_finishes_last(task):
+    """The task's ``(m, start, stop)``, half a second late for the chunk at m=2 that
+    starts at 64: task 1, the first forked worker's first chunk."""
+    if task[3:5] == (2, 64):
         time.sleep(0.5)
     return task[3:]
 
 
 def sweep_chunk_exits_at_m_three(task):
-    """``_sweep_chunk`` whose process dies on an m=3 task; module-level, so
-    that a pool can pickle it."""
-    if task[3] == 3:
+    """``_sweep_chunk`` whose process dies on an m=3 task, where that process
+    is a forked worker; the test run itself never dies."""
+    if task[3] == 3 and os.getpid() != TEST_PID:
         os._exit(1)
     return _SWEEP_CHUNK(task)
 
@@ -591,10 +671,9 @@ class TestGoldenSweeps:
         set_workers(workers)
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
-        # one forked worker per chunk up to the requested count; one chunk runs serially
+        # one worker per chunk up to the requested count, and the caller is one of them
         chunks = len(kwargs["dims"]) * len(harness._chunk_ranges(kwargs["samples"], workers))
-        forks = min(workers, chunks)
-        assert len(fork_spy) == (forks if forks > 1 else 0)
+        assert len(fork_spy) == min(workers, chunks) - 1
 
 
 def reference_haar(m, n, rng):
