@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import re
 import sys
 
@@ -164,15 +165,13 @@ def _cmd_sweep(args) -> int:
         )
     print(f"violations = {len(summary.violations)}")
     print(f"out = {args.out}")
-    if summary.violations:
-        for v in summary.violations:
-            print(
-                f"error: TheoremViolation: m={v.m} index={v.index} {v.check}"
-                f" margin={v.margin!r}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    for v in summary.violations:
+        print(
+            f"error: TheoremViolation: m={v.m} index={v.index} {v.check}"
+            f" margin={v.margin!r}",
+            file=sys.stderr,
+        )
+    return 1 if summary.violations else 0
 
 
 def _cmd_verify(args) -> int:
@@ -266,5 +265,7 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
-    raise SystemExit(main())
+    """Console-script entry point; the frozen collector leaves teardown nothing to scan."""
+    code = main()
+    gc.freeze()  # never in main(): in-process callers keep their own collector
+    raise SystemExit(code)

@@ -93,7 +93,7 @@ class IoFailureError(BellboundError):
 
 
 class WorkerFailedError(BellboundError):
-    """A forked sweep worker ended before sending its chunk."""
+    """A forked sweep worker could not start, or sent no readable result for its chunk."""
 
 
 def integer_arg(name: str, value, low: int, high: float = math.inf,

@@ -385,8 +385,8 @@ def _iter_chunks(work, config: ExperimentConfig):
                 if i + workers < len(tasks):  # the worker has a chunk to come
                     credit.write(b"\0")
             except Exception as exc:
-                raise WorkerFailedError(f"a worker process died before sending chunk m={m} "
-                                        f"[{lo}, {hi}): {exc!r}") from exc
+                raise WorkerFailedError(f"no readable result from worker {i % workers} of "
+                                        f"{workers} for chunk m={m} [{lo}, {hi}): {exc!r}") from exc
             if not ok:
                 raise result
             yield result

@@ -47,6 +47,9 @@ COMPUTE = ("try:\n"
            "                        message = pickle.dumps((True, work(task)), -1)\n"
            "                    except Exception as exc:\n"
            "                        message = pickle.dumps((False, exc), -1)\n")
+RUN = ('\n\ndef run() -> None:\n    """Console-script entry point; the frozen collector '
+       'leaves teardown nothing to scan."""\n    code = main()\n')
+FREEZE = "    gc.freeze()  # never in main(): in-process callers keep their own collector\n"
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
 MUTANTS = [
@@ -118,6 +121,14 @@ MUTANTS = [
     Mutant("_iter_chunks reaps no child", "harness.py",
            "os.waitpid(pid, 0)", "pass",
            (f"{HARNESS}::TestForkedRunner::test_every_child_is_reaped",)),
+    Mutant("run() never freezes the collector", "cli.py",
+           "gc.freeze()  #", "pass  #",
+           (f"{CLI}::TestModuleEntryPoint::"
+            "test_run_freezes_the_collector_and_atexit_handlers_still_run",)),
+    Mutant("the freeze moves from run() into main()", "cli.py",
+           "        return 1\n" + RUN + FREEZE,
+           "        return 1\n    finally:\n        gc.freeze()\n" + RUN,
+           (f"{CLI}::TestModuleEntryPoint::test_main_never_freezes_the_collector",)),
     Mutant("validate_rows skips the descending-order check", "schmidt_state.py",
            "(rows[:, :-1] < rows[:, 1:]).any(axis=1)", "np.zeros(len(rows), bool)",
            (f"{SCHMIDT}::TestValidateRows::test_names_first_failing_index",)),
@@ -134,7 +145,8 @@ def run_tests(tree: Path, tests) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
-        cwd=tree, env=env, capture_output=True, text=True, timeout=600)
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
+        start_new_session=True)  # a mutant that signals its process group ends only its run
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     if proc.returncode not in (0, 1):  # 1: tests failed; anything else: pytest did not run

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -430,17 +431,61 @@ def package_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+ENTRY = "from bellbound.cli import run; run()"
+# one row per way out of main(): argv and exit code of a success, a domain error,
+# a usage error (a missing flag) and a written file
+ENTRY_ROWS = {
+    "bell": (["bell", "--coeffs", "0.8,0.6"], 0),
+    "domain-error": (["concurrence", "--coeffs", "0,0"], 1),
+    "usage-error": (["sweep", "--dims", "2", "--samples", "5", "--seed", "1"], 2),
+    "sweep": (["sweep", "--dims", "2,3", "--samples", "70", "--seed", "3", "--out", "{out}"], 0),
+}
+
+
+def in_process(capsys, argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestModuleEntryPoint:
-    def test_python_m_matches_console_entry_point(self):
-        argv = ["bell", "--coeffs", "0.8,0.6"]
-        runs = [
-            subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
-                           env=package_env(), timeout=120)
-            for prefix in (["-m", "bellbound"], ["-c", "from bellbound.cli import run; run()"])
-        ]
-        assert [r.returncode for r in runs] == [0, 0]
-        assert runs[0].stdout == runs[1].stdout
-        assert "bell_value = " in runs[0].stdout
+    def test_python_m_matches_console_entry_point(self, capsys, tmp_path):
+        # both fresh entries give main()'s exit code, streams and file bytes,
+        # whichever way main() ends
+        out = tmp_path / "out.jsonl"
+        for name, (row, code) in ENTRY_ROWS.items():
+            argv = [word.format(out=out) for word in row]
+            expected = in_process(capsys, argv)
+            assert expected[0] == code, name
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            for prefix in (["-m", "bellbound"], ["-c", ENTRY]):
+                r = subprocess.run([sys.executable, *prefix, *argv], capture_output=True,
+                                   text=True, env=package_env(), timeout=120)
+                assert (r.returncode, r.stdout, r.stderr) == expected, (name, prefix)
+                assert (out.read_bytes() if out.exists() else None) == written, (name, prefix)
+                out.unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("name", ["sweep", "domain-error", "usage-error"])
+    def test_main_never_freezes_the_collector(self, capsys, tmp_path, name):
+        # only run() freezes, once main() has returned: a caller of main() keeps
+        # its own objects collectable
+        row, code = ENTRY_ROWS[name]
+        frozen = gc.get_freeze_count()
+        assert in_process(capsys, [word.format(out=tmp_path / "x") for word in row])[0] == code
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_the_collector_and_atexit_handlers_still_run(self, capsys):
+        prelude = ("import atexit, gc, sys; "
+                   "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); ")
+        argv = ENTRY_ROWS["bell"][0]
+        r = subprocess.run([sys.executable, "-c", prelude + ENTRY, *argv], capture_output=True,
+                           text=True, env=package_env(), timeout=120)
+        assert (r.returncode, r.stdout, r.stderr) == (0, in_process(capsys, argv)[1], "True\n")
 
 
 def group_empties(pgid, timeout):

@@ -446,7 +446,8 @@ class TestRunSweep:
         argv = ["sweep", "--dims", "2,3", "--samples", "10", "--seed", "5", "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: WorkerFailedError: a worker process died")
+        assert err.startswith("error: WorkerFailedError: no readable result from worker 1 of 2 "
+                              "for chunk m=3 [0, 10): ")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -512,8 +513,8 @@ class TestForkedRunner:
 
         set_workers(2)
         taken = []
-        with pytest.raises(WorkerFailedError, match=r"^a worker process died before sending "
-                                                    r"chunk m=3 \[64, 128\)"):
+        with pytest.raises(WorkerFailedError, match=r"^no readable result from worker 1 of 2 "
+                                                    r"for chunk m=3 \[64, 128\): "):
             taken.extend(harness._iter_chunks(fails, self.CONFIG))
         assert taken == self.CHUNKS[:3]
         assert len(fork_spy) == 1
@@ -535,7 +536,8 @@ class TestForkedRunner:
                 "failing-chunk": (self.fails_in_the_worker_at_m_three, TooLargeError,
                                   r"^chunk m=3 \[64, 128\) failed$"),
                 "dead-worker": (self.dies_at_m_three, WorkerFailedError,
-                                r"^a worker process died before sending chunk m=3 \[64, 128\)"),
+                                r"^no readable result from worker 1 of 2 "
+                                r"for chunk m=3 \[64, 128\): "),
                 "failing-own-chunk": (self.fails_in_the_caller_at_m_three, TooLargeError,
                                       r"^chunk m=3 \[0, 64\) failed$")}[path]
             with pytest.raises(error, match=message):
@@ -574,8 +576,8 @@ class TestForkedRunner:
         monkeypatch.setattr(os, "pwrite", writes_half)
         set_workers(2)
         taken = []
-        with pytest.raises(WorkerFailedError, match=r"^a worker process died before sending "
-                                                    r"chunk m=2 \[64, 128\)"):
+        with pytest.raises(WorkerFailedError, match=r"^no readable result from worker 1 of 2 "
+                                                    r"for chunk m=2 \[64, 128\): "):
             taken.extend(harness._iter_chunks(lambda task: task[3:], self.CONFIG))
         assert taken == self.CHUNKS[:1]
         assert len(fork_spy) == 1
