@@ -169,15 +169,15 @@ def classical_bound(n_matrix: BellCoefficientMatrix) -> float:
     ``sum_i N_ij a_i``, so the supremum is ``max_a sum_j |sum_i N_ij a_i|``; and
     ``(a, b) -> (-a, -b)`` leaves the objective unchanged, so ``a_n`` can be pinned to +1:
     the first half of the sign rows (both reductions are checked against
-    :func:`classical_bound_naive`).  The rows go in chunks of 2^14 that share their 14 low
-    bits: one sign block is built, only its high-bit columns are rewritten per chunk, and
-    the products go to one call-local buffer of the block's shape, two blocks at peak.  A
-    bound that overflows float64 raises :class:`TooLargeError`.
+    :func:`classical_bound_naive`).  Rows go in chunks of 2^12 sharing their 12 low bits:
+    one sign block, whose high-bit columns are rewritten per chunk, and one product buffer
+    of its shape, 1.2 MB for both at n = 18, fit a 2 MB L2.  The bits match 2^14-row chunks
+    (at 2^11 OpenBLAS rounds some rows otherwise).  Overflow raises :class:`TooLargeError`.
     """
     n = n_matrix.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLargeError(f"exhaustive search guard: n={n} exceeds {MAX_EXHAUSTIVE_N}")
-    best, total, low = 0.0, 1 << (n - 1), 14
+    best, total, low = 0.0, 1 << (n - 1), 12
     signs = _sign_space(n, 0, min(total, 1 << low))
     products = np.empty(signs.shape)
     with np.errstate(over="ignore", invalid="ignore"):

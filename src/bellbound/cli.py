@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import os
 import re
 import sys
 
@@ -266,6 +267,12 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Console-script entry point; the frozen collector leaves teardown nothing to scan."""
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # a closed stdout: teardown's flush goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: IoFailureError: cannot write standard output: {exc}", file=sys.stderr)
+        code = 1
     gc.freeze()  # never in main(): in-process callers keep their own collector
     raise SystemExit(code)

@@ -126,11 +126,7 @@ _MASK32 = 2**32 - 1
 
 def _words(value: int) -> list[int]:
     """Little-endian uint32 words of a nonnegative int, as SeedSequence splits it."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
@@ -262,17 +258,14 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     ranks = np.count_nonzero(rows > ZERO_TOL, axis=1).tolist()
     c, k, g, b, up, lo, cert = bounds.closed_forms(rows)
     ok1 = ok2 = [None] * (stop - start)
-    margins = (None, None)
-    violations = []
+    margins, violations = (None, None), []
     if m % 2 == 0:
         t1, t2 = np.subtract(up, b), np.subtract(b, lo)
-        ok1, ok2 = (t1 >= -THEOREM_TOL).tolist(), (t2 >= -THEOREM_TOL).tolist()
-        margins = (float(t1.min()), float(t2.min()))
-        for i in np.flatnonzero(~np.logical_and(ok1, ok2)).tolist():
-            if not ok1[i]:
-                violations.append(Violation(m, start + i, "theorem1", float(t1[i])))
-            if not ok2[i]:
-                violations.append(Violation(m, start + i, "theorem2", float(t2[i])))
+        pass1, pass2 = t1 >= -THEOREM_TOL, t2 >= -THEOREM_TOL
+        ok1, ok2, margins = pass1.tolist(), pass2.tolist(), (float(t1.min()), float(t2.min()))
+        violations = [Violation(m, start + i, key, float(t[i]))
+                      for i in np.flatnonzero(~(pass1 & pass2)).tolist()
+                      for key, t, ok in (("theorem1", t1, ok1), ("theorem2", t2, ok2)) if not ok[i]]
     text = "".join(
         f'{{"m":{m},"n":{n},"index":{start + i},"coeffs":[{",".join(map(repr, row))}],'
         f'"effective_rank":{ranks[i]},"concurrence":{c[i]!r},"k":{k[i]!r},"gamma":{g[i]!r},'

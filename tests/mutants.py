@@ -48,7 +48,13 @@ COMPUTE = ("try:\n"
            "                    except Exception as exc:\n"
            "                        message = pickle.dumps((False, exc), -1)\n")
 RUN = ('\n\ndef run() -> None:\n    """Console-script entry point; the frozen collector '
-       'leaves teardown nothing to scan."""\n    code = main()\n')
+       'leaves teardown nothing to scan."""\n    try:\n        code = main()\n'
+       '        sys.stdout.flush()\n'
+       "    except BrokenPipeError as exc:  # a closed stdout: teardown's flush goes to "
+       "os.devnull\n"
+       '        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n'
+       '        print(f"error: IoFailureError: cannot write standard output: {exc}", '
+       'file=sys.stderr)\n        code = 1\n')
 FREEZE = "    gc.freeze()  # never in main(): in-process callers keep their own collector\n"
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
@@ -70,8 +76,7 @@ MUTANTS = [
            "if not defect <= HERMITIAN_TOL:", "if not defect <= 1e3 * HERMITIAN_TOL:",
            (f"{BELL}::test_hermitian_check_is_at_hermitian_tol",)),
     Mutant("theorem gate at 1e-6", "harness.py",
-           "(t1 >= -THEOREM_TOL).tolist(), (t2 >= -THEOREM_TOL).tolist()",
-           "(t1 >= -1e-6).tolist(), (t2 >= -1e-6).tolist()",
+           "t1 >= -THEOREM_TOL, t2 >= -THEOREM_TOL", "t1 >= -1e-6, t2 >= -1e-6",
            (f"{HARNESS}::TestRunSweep::test_violations_match_record_flags",)),
     Mutant("_atomic_output writes the target in place", "harness.py",
            'tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."\n'
@@ -125,6 +130,9 @@ MUTANTS = [
            "gc.freeze()  #", "pass  #",
            (f"{CLI}::TestModuleEntryPoint::"
             "test_run_freezes_the_collector_and_atexit_handlers_still_run",)),
+    Mutant("run() lets a closed stdout through", "cli.py",
+           "except BrokenPipeError as exc:", "except ZeroDivisionError as exc:",
+           (f"{CLI}::TestModuleEntryPoint::test_closed_stdout_is_a_one_line_domain_error",)),
     Mutant("the freeze moves from run() into main()", "cli.py",
            "        return 1\n" + RUN + FREEZE,
            "        return 1\n    finally:\n        gc.freeze()\n" + RUN,
@@ -136,6 +144,10 @@ MUTANTS = [
            "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
            "np.matmul(signs, n_matrix.entries, out=products)",
            (f"{BOUNDS}::TestClassicalBound::test_reduction_matches_naive_enumeration",)),
+    Mutant("classical_bound rewrites one high bit too few", "bounds.py",
+           "signs[:, low:] = _sign_space(n, start, start + 1)[0, low:]",
+           "signs[:, low + 1:] = _sign_space(n, start, start + 1)[0, low + 1:]",
+           (f"{BOUNDS}::TestClassicalBound::test_shared_sign_block_keeps_every_bit",)),
 ]
 
 

@@ -177,7 +177,9 @@ class TestClassicalBound:
 
     @pytest.mark.parametrize("kind", ["normal", "integer", "mixed"])
     def test_shared_sign_block_keeps_every_bit(self, kind):
-        # n >= 16 spans several 2^14-row chunks; the reference builds each afresh
+        # the reference builds each chunk of the 2^14-row partition afresh; the bound's
+        # 2^12-row blocks (several from n = 14; six matrices at each n = 13-17) must give
+        # its bits, which 2^11-row blocks do not
         def chunked(nm):
             total, chunk = 1 << (nm.n - 1), 1 << 14
             return max(float(np.abs(_sign_space(nm.n, start, min(start + chunk, total))
@@ -185,7 +187,7 @@ class TestClassicalBound:
                        for start in range(0, total, chunk))
 
         rng = np.random.default_rng(["normal", "integer", "mixed"].index(kind))
-        for n in range(1, 21):
+        for n in [*range(1, 13), *np.repeat(range(13, 18), 6).tolist(), *range(18, 23)]:
             if kind == "normal":
                 entries = rng.standard_normal((n, n))
             elif kind == "integer":
@@ -196,7 +198,7 @@ class TestClassicalBound:
             assert classical_bound(nm) == chunked(nm), n
 
     def test_peak_memory_is_the_sign_block_and_one_product_buffer(self):
-        # a (2^14, n) float64 block each; a fresh product per chunk would make three
+        # a (2^12, n) float64 block each; a fresh product per chunk would make three
         nm = BellCoefficientMatrix(np.random.default_rng(18).standard_normal((18, 18)))
         tracemalloc.start()
         try:
@@ -204,7 +206,7 @@ class TestClassicalBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (1 << 14) * 18 * 8
+        assert peak <= 2.5 * (1 << 12) * 18 * 8
 
 
 class TestNonlocalityCertificate:

@@ -487,6 +487,32 @@ class TestModuleEntryPoint:
                            text=True, env=package_env(), timeout=120)
         assert (r.returncode, r.stdout, r.stderr) == (0, in_process(capsys, argv)[1], "True\n")
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("name", ["bell", "sweep"])
+    def test_closed_stdout_is_a_one_line_domain_error(self, capsys, tmp_path, name, unbuffered):
+        # the reader's end closes before the call starts, so its first write to stdout
+        # fails: at the final flush when buffered, inside main() when not; a sweep has
+        # moved its whole file into place by then
+        out = tmp_path / "out.jsonl"
+        argv = [word.format(out=out) for word in ENTRY_ROWS[name][0]]
+        in_process(capsys, argv)
+        written = out.read_bytes() if out.exists() else None
+        env = {key: value for key, value in package_env().items() if key != "PYTHONUNBUFFERED"}
+        for prefix in (["-m", "bellbound"], ["-c", ENTRY]):
+            out.unlink(missing_ok=True)
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                r = subprocess.run([sys.executable, *prefix, *argv], stdout=write_end,
+                                   stderr=subprocess.PIPE, text=True, timeout=120,
+                                   env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env)
+            finally:
+                os.close(write_end)
+            assert r.returncode == 1, (prefix, r.stderr)
+            assert r.stderr == ("error: IoFailureError: cannot write standard output: "
+                                "[Errno 32] Broken pipe\n"), prefix
+            assert (out.read_bytes() if out.exists() else None) == written, prefix
+
 
 def group_empties(pgid, timeout):
     """Whether process group ``pgid`` holds no process within ``timeout`` seconds."""
