@@ -195,61 +195,51 @@ def _cmd_verify(args) -> int:
     return 1 if gaps else 0
 
 
+# every flag once, as its add_argument keywords
+_FLAGS = {
+    "--coeffs": dict(type=_coeffs_flag, required=True,
+                     help="comma-separated amplitudes, e.g. 0.8,0.6"),
+    "--matrix": dict(type=_matrix_flag, required=True,
+                     help="rows separated by ';', entries by ',', e.g. 1,1;1,-1"),
+    "--m": dict(type=_int_flag(1), required=True),
+    "--n": dict(type=_int_flag(1), default=None),
+    "--dims": dict(type=_dims_flag, required=True, help="comma-separated m values, e.g. 2,4,6"),
+    "--samples": dict(type=_int_flag(1), required=True),
+    "--grid": dict(type=_int_flag(MIN_GRID_POINTS), default=720),
+    "--seed": dict(type=_int_flag(0, 2**64), required=True),
+    "--measure": dict(choices=schmidt_state.MEASURES, default="haar"),
+    "--index": dict(type=_int_flag(0), default=None, help="replay sweep record INDEX of "
+                    "(seed, m); for a Haar sweep pass --n as m plus its --offset"),
+    "--out": dict(required=True, help="JSONL output path"),
+    "--offset": dict(type=_int_flag(0), default=0,
+                     help="n = m + offset for the second factor (default 0)"),
+}
+
+# each subcommand: its help, its handler and its flags in the order its usage lists them
+_SUBCOMMANDS = {
+    "concurrence": ("concurrence of a coefficient vector", _cmd_concurrence, "--coeffs"),
+    "bell": ("closed-form Bell value and its parameters", _cmd_bell, "--coeffs"),
+    "bounds": ("full bound report as JSON", _cmd_bounds, "--coeffs"),
+    "jn": ("exhaustive classical bound of a coefficient matrix", _cmd_jn, "--matrix"),
+    "sample": ("draw one random state", _cmd_sample, "--m --n --seed --measure --index"),
+    "sweep": ("Monte-Carlo theorem sweep to JSONL", _cmd_sweep,
+              "--dims --samples --seed --measure --out --offset"),
+    "verify": ("closed formula vs dense grid oracle", _cmd_verify,
+               "--m --n --samples --grid --seed --measure"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="bellbound",
         description="Bell values and concurrence bounds for bipartite pure states.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("concurrence", help="concurrence of a coefficient vector")
-    p.add_argument("--coeffs", type=_coeffs_flag, required=True,
-                   help="comma-separated amplitudes, e.g. 0.8,0.6")
-    p.set_defaults(func=_cmd_concurrence)
-
-    p = sub.add_parser("bell", help="closed-form Bell value and its parameters")
-    p.add_argument("--coeffs", type=_coeffs_flag, required=True)
-    p.set_defaults(func=_cmd_bell)
-
-    p = sub.add_parser("bounds", help="full bound report as JSON")
-    p.add_argument("--coeffs", type=_coeffs_flag, required=True)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("jn", help="exhaustive classical bound of a coefficient matrix")
-    p.add_argument("--matrix", type=_matrix_flag, required=True,
-                   help="rows separated by ';', entries by ',', e.g. 1,1;1,-1")
-    p.set_defaults(func=_cmd_jn)
-
-    p = sub.add_parser("sample", help="draw one random state")
-    p.add_argument("--m", type=_int_flag(1), required=True)
-    p.add_argument("--n", type=_int_flag(1), default=None)
-    p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
-    p.add_argument("--measure", choices=schmidt_state.MEASURES, default="haar")
-    p.add_argument("--index", type=_int_flag(0), default=None,
-                   help="replay sweep record INDEX of (seed, m); for a Haar sweep "
-                        "pass --n as m plus its --offset")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("sweep", help="Monte-Carlo theorem sweep to JSONL")
-    p.add_argument("--dims", type=_dims_flag, required=True,
-                   help="comma-separated m values, e.g. 2,4,6")
-    p.add_argument("--samples", type=_int_flag(1), required=True)
-    p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
-    p.add_argument("--measure", choices=schmidt_state.MEASURES, default="haar")
-    p.add_argument("--out", required=True, help="JSONL output path")
-    p.add_argument("--offset", type=_int_flag(0), default=0,
-                   help="n = m + offset for the second factor (default 0)")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("verify", help="closed formula vs dense grid oracle")
-    p.add_argument("--m", type=_int_flag(1), required=True)
-    p.add_argument("--n", type=_int_flag(1), default=None)
-    p.add_argument("--samples", type=_int_flag(1), required=True)
-    p.add_argument("--grid", type=_int_flag(MIN_GRID_POINTS), default=720)
-    p.add_argument("--seed", type=_int_flag(0, 2**64), required=True)
-    p.add_argument("--measure", choices=schmidt_state.MEASURES, default="haar")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (text, handler, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 

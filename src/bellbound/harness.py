@@ -375,11 +375,11 @@ def _iter_chunks(work, config: ExperimentConfig):
             try:
                 count = int.from_bytes(data.read(8), "big")
                 ok, result = pickle.loads(os.pread(spill.fileno(), count, 0))
-                if i + workers < len(tasks):  # the worker has a chunk to come
-                    credit.write(b"\0")
             except Exception as exc:
                 raise WorkerFailedError(f"no readable result from worker {i % workers} of "
                                         f"{workers} for chunk m={m} [{lo}, {hi}): {exc!r}") from exc
+            with contextlib.suppress(BrokenPipeError):  # a worker gone fails its next read
+                credit.write(b"\0")
             if not ok:
                 raise result
             yield result

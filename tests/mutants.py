@@ -47,6 +47,13 @@ COMPUTE = ("try:\n"
            "                        message = pickle.dumps((True, work(task)), -1)\n"
            "                    except Exception as exc:\n"
            "                        message = pickle.dumps((False, exc), -1)\n")
+READ = "ok, result = pickle.loads(os.pread(spill.fileno(), count, 0))\n"
+REPORT = ("            except Exception as exc:\n" + " " * 16
+          + 'raise WorkerFailedError(f"no readable result from worker {i % workers} of "\n'
+          + " " * 40 + 'f"{workers} for chunk m={m} [{lo}, {hi}): {exc!r}") from exc\n')
+CREDIT = " " * 16 + 'credit.write(b"\\0")\n'
+SUPPRESS = (" " * 12 + "with contextlib.suppress(BrokenPipeError):"
+            "  # a worker gone fails its next read\n")
 RUN = ('\n\ndef run() -> None:\n    """Console-script entry point; the frozen collector '
        'leaves teardown nothing to scan."""\n    try:\n        code = main()\n'
        '        sys.stdout.flush()\n'
@@ -116,6 +123,9 @@ MUTANTS = [
     Mutant("a worker never waits for its credit", "harness.py",
            "credit_in.read(1)", "pass",
            (f"{HARNESS}::TestRunSweep::test_bounded_chunks_in_flight",)),
+    Mutant("the credit write goes back inside the read's try", "harness.py",
+           READ + REPORT + SUPPRESS + CREDIT, READ + CREDIT + REPORT,
+           (f"{HARNESS}::TestForkedRunner::test_dead_worker_is_named_at_its_own_chunk",)),
     Mutant("an OSError while workers start escapes", "harness.py",
            "except OSError as exc:\n                raise WorkerFailedError(",
            "except ArithmeticError as exc:\n                raise WorkerFailedError(",

@@ -21,7 +21,7 @@ import pytest
 
 import bellbound
 from bellbound import ExperimentConfig, SchmidtVector, concurrence, harness, run_sweep
-from bellbound.cli import main
+from bellbound.cli import _FLAGS, _SUBCOMMANDS, main
 from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_GRID_POINTS, MAX_ORACLE_DIM, ORACLE_TOL
 
 
@@ -408,6 +408,26 @@ def test_bad_input_exit_code(capsys, monkeypatch, tmp_path, line, code):
         assert err.startswith("usage: ") and "error: " in err
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# one bad value for each flag of cli._FLAGS with a type or choices; a new such flag
+# without a row here fails test_every_checked_flag_rejects_a_bad_value
+BAD_VALUES = {"--coeffs": "1,x", "--matrix": "1,1;1", "--m": "0", "--n": "2.0", "--dims": "2,2",
+              "--samples": "0", "--grid": "7", "--seed": "-1", "--measure": "uniform",
+              "--index": "x", "--offset": "-1"}
+CHECKED_FLAGS = [(name, flag) for name, (_, _, flags) in _SUBCOMMANDS.items()
+                 for flag in flags.split() if {"type", "choices"} & _FLAGS[flag].keys()]
+
+
+@pytest.mark.parametrize("name,flag", CHECKED_FLAGS, ids=[" ".join(row) for row in CHECKED_FLAGS])
+def test_every_checked_flag_rejects_a_bad_value(capsys, monkeypatch, tmp_path, name, flag):
+    # argparse refuses the value itself: a usage error naming the flag, before any handler runs
+    assert flag in BAD_VALUES, f"{flag} has no row in BAD_VALUES"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = in_process(capsys, [name, flag, BAD_VALUES[flag]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: bellbound {name} ") and f"error: argument {flag}: " in err
     assert list(tmp_path.iterdir()) == []
 
 

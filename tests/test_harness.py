@@ -519,6 +519,25 @@ class TestForkedRunner:
         assert taken == self.CHUNKS[:3]
         assert len(fork_spy) == 1
 
+    def test_dead_worker_is_named_at_its_own_chunk(self, set_workers, fork_spy):
+        # the caller's first chunk ends only once the forked worker has died at m = 3, so the
+        # credit for its chunk m=2 [64, 128) meets a closed pipe; the chunk it died on is named
+        def work(task):
+            if os.getpid() == TEST_PID and task[3:5] == (2, 0):
+                deadline = time.monotonic() + 5
+                while not os.waitid(os.P_PID, fork_spy[0], os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                    assert time.monotonic() < deadline, "the forked worker did not die"
+                    time.sleep(0.01)
+            return self.dies_at_m_three(task)
+
+        set_workers(2)
+        taken = []
+        with pytest.raises(WorkerFailedError, match=r"^no readable result from worker 1 of 2 "
+                                                    r"for chunk m=3 \[64, 128\): EOFError"):
+            taken.extend(harness._iter_chunks(work, self.CONFIG))
+        assert taken == self.CHUNKS[:3]
+        assert len(fork_spy) == 1
+
     @pytest.mark.parametrize("path", ["success", "failing-chunk", "dead-worker", "closed-early",
                                       "failing-own-chunk"])
     def test_every_child_is_reaped(self, set_workers, fork_spy, path):

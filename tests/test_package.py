@@ -3,8 +3,10 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,16 @@ def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         bellbound.no_such_name
     assert not hasattr(bellbound, "no_such_name")
+
+
+def test_dependency_floors_cover_what_the_code_uses():
+    # np.vecdot is NumPy 2.0's, and the strict_config and strict_markers ini keys are
+    # pytest 9's; read with a regex, since tomllib is Python 3.11's
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floors = {name: tuple(map(int, version.split(".")))
+              for name, version in re.findall(r'"(numpy|pytest)>=([\d.]+)"', text)}
+    assert floors.keys() == {"numpy", "pytest"}
+    assert floors["numpy"] >= (2, 0) and floors["pytest"] >= (9,)
 
 
 def fresh(code: str) -> str:
