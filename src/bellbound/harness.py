@@ -17,7 +17,7 @@ import os
 import pickle
 import signal
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,11 @@ class DimensionSummary:
 
     m: int
     n: int
-    samples: int
-    min_theorem1_margin: float | None
-    min_theorem2_margin: float | None
-    max_concurrence: float
-    violations: int
+    samples: int = field(metadata={"fold": operator.add})
+    min_theorem1_margin: float | None = field(metadata={"fold": min})
+    min_theorem2_margin: float | None = field(metadata={"fold": min})
+    max_concurrence: float = field(metadata={"fold": max})
+    violations: int = field(metadata={"fold": operator.add})
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ class SweepSummary:
 class OracleDimension:
     m: int
     n: int
-    samples: int
-    max_gap: float
+    samples: int = field(metadata={"fold": operator.add})
+    max_gap: float = field(metadata={"fold": max})
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,8 @@ _JSON = {True: "true", False: "false", None: "null"}
 def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     """Worker body: the records of samples [start, stop) at one m, encoded.
 
-    Returns the JSONL text, the chunk's reduction and its violations.  One
-    line per sample, keys in this order (the record schema):
+    Returns the JSONL text, the chunk's reduction (``_fold`` merges those of one m) and
+    its violations.  One line per sample, keys in this order (the record schema):
 
     - ``m``, ``n``, ``index``; ``coeffs`` (descending, unit norm);
       ``effective_rank`` (coefficients above ``ZERO_TOL``);
@@ -284,13 +284,13 @@ def _scatter_chunk(task: tuple) -> tuple[int, list[tuple[float, ...]]]:
     return task[3], list(zip(c, b, up, lo))
 
 
-def _oracle_chunk(grid_points: int, task: tuple) -> tuple[int, float]:
-    """Worker body of ``verify_oracle``: m and a chunk's largest |formula - grid maximum|."""
-    _, _, offset, m, _, _ = task
+def _oracle_chunk(grid_points: int, task: tuple) -> OracleDimension:
+    """Worker body of ``verify_oracle``: a chunk's largest |formula - grid maximum|."""
+    _, _, offset, m, start, stop = task
     rows = _draw_block(*task)
     grid = max_expectation_block(rows, m + offset, grid_points)
     gaps = (abs(formula - value) for (_, value), formula in zip(grid, bounds.closed_forms(rows)[3]))
-    return m, functools.reduce(max, gaps, 0.0)
+    return OracleDimension(m, m + offset, stop - start, functools.reduce(max, gaps, 0.0))
 
 
 def _usable_cpus() -> int:
@@ -311,32 +311,33 @@ def resolve_workers() -> int:
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
 
 
-def _chunk_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ranges covering [0, samples): one per worker while chunks fit
-    ``MAX_CHUNK``, since every chunk pays a fixed seeding, SVD and IPC cost;
-    none under 64 samples but the last."""
+def _chunk_ranges(samples: int, workers: int):
+    """Contiguous ranges covering [0, samples), made lazily: one per worker while chunks
+    fit ``MAX_CHUNK``, since every chunk pays a fixed seeding, SVD and IPC cost; all of
+    one size, at least 64 samples, but the last."""
     size = min(MAX_CHUNK, max(64, -(-samples // workers)))
-    return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+    return ((lo, min(lo + size, samples)) for lo in range(0, samples, size))
 
 
 def _iter_chunks(work, config: ExperimentConfig):
-    """Yield ``work(task)`` for every task, ``_draw_block``'s arguments ``(seed,
-    measure, offset, m, start, stop)``, in (m, index) order.
+    """Yield ``work(task)`` for every task, ``_draw_block``'s arguments ``(seed, measure,
+    offset, m, start, stop)`` made one at a time, in (m, index) order.
 
-    Chunks are sized for ``resolve_workers()``, read only here; workers are capped at the
-    tasks and usable CPUs, and are one without ``os.fork``.  The caller is worker 0 of W and
-    runs tasks 0, W, 2W, ... in turn, as a serial run would.  Forked worker ``w`` pickles the
-    result or exception of each of ``tasks[w::W]`` to offset 0 of its own spill file and sends
-    the byte count down a pipe; it computes its next chunk, then waits for the caller's credit
-    byte for the last one before it overwrites the file.  So no worker waits on the caller's own
-    chunk, and each holds two finished chunks at most.  A message that does not arrive or
-    unpickle, or an ``OSError`` at start-up, is a ``WorkerFailedError``.  Children leave by
-    ``os._exit``, never into the caller's frames, and are killed and reaped on any exit.
+    Chunks are sized for ``resolve_workers()``, read only here; workers are capped at the tasks and
+    usable CPUs, and are one without ``os.fork``.  The caller is worker 0 of W and runs tasks 0, W,
+    2W, ... in turn, as a serial run would.  Forked worker ``w`` pickles the result or exception of
+    tasks w, w + W, ... (from its copy of the generator) to offset 0 of its own spill file and sends
+    the byte count down a pipe; it computes its next chunk, then waits for the caller's credit byte
+    for the last one before it overwrites the file.  So no worker waits on the caller's own chunk,
+    and each holds two finished chunks at most.  A message that does not arrive or unpickle, or an
+    ``OSError`` at start-up, is a ``WorkerFailedError``.  Children leave by ``os._exit``, never into
+    the caller's frames, and are killed and reaped on any exit.
     """
-    workers = resolve_workers()
-    tasks = [(config.seed, config.measure, config.second_dim_offset, m, lo, hi)
-             for m in config.dims for (lo, hi) in _chunk_ranges(config.samples, workers)]
-    workers = min(workers, len(tasks), _usable_cpus()) if hasattr(os, "fork") else 1
+    requested = resolve_workers()
+    tasks = ((config.seed, config.measure, config.second_dim_offset, m, lo, hi)
+             for m in config.dims for lo, hi in _chunk_ranges(config.samples, requested))
+    per_m = -(-config.samples // next(_chunk_ranges(config.samples, requested))[1])
+    workers = min(requested, len(config.dims) * per_m, _usable_cpus()) if hasattr(os, "fork") else 1
     files, slots, pids = [], [], []  # all the caller opens; per forked worker (data, credit, spill)
     try:
         for w in range(1, workers):
@@ -357,7 +358,7 @@ def _iter_chunks(work, config: ExperimentConfig):
             try:  # the child: it keeps no caller end, so its writes fail once the caller is gone
                 for caller_end in (end for slot in slots for end in slot[:2]):
                     caller_end.close()
-                for j, task in enumerate(tasks[w::workers]):
+                for j, task in enumerate(itertools.islice(tasks, w, None, workers)):
                     try:
                         message = pickle.dumps((True, work(task)), -1)
                     except Exception as exc:
@@ -367,9 +368,9 @@ def _iter_chunks(work, config: ExperimentConfig):
                     out.write(os.pwrite(spill.fileno(), message, 0).to_bytes(8, "big"))
             finally:
                 os._exit(0)
-        for i, (_, _, _, m, lo, hi) in enumerate(tasks):
+        for i, (seed, measure, offset, m, lo, hi) in enumerate(tasks):
             if i % workers == 0:
-                yield work(tasks[i])
+                yield work((seed, measure, offset, m, lo, hi))
                 continue
             data, credit, spill = slots[i % workers - 1]
             try:
@@ -391,13 +392,15 @@ def _iter_chunks(work, config: ExperimentConfig):
             os.waitpid(pid, 0)
 
 
-def _merge(a: DimensionSummary, b: DimensionSummary) -> DimensionSummary:
-    """Reduction of two consecutive blocks of one m (margins None for odd m)."""
-    even = a.min_theorem1_margin is not None
-    return DimensionSummary(a.m, a.n, a.samples + b.samples,
-                            min(a.min_theorem1_margin, b.min_theorem1_margin) if even else None,
-                            min(a.min_theorem2_margin, b.min_theorem2_margin) if even else None,
-                            max(a.max_concurrence, b.max_concurrence), a.violations + b.violations)
+def _merge(a, b):
+    """Reduction of two consecutive chunks of one m, each field by its ``fold`` rule."""
+    rules = ((f.metadata.get("fold"), getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return type(a)(*(x if rule is None or x is None else rule(x, y) for rule, x, y in rules))
+
+
+def _fold(blocks) -> tuple:
+    """One reduction per m, in order, of chunk reductions that arrive in (m, index) order."""
+    return tuple(functools.reduce(_merge, g) for _, g in itertools.groupby(blocks, lambda b: b.m))
 
 
 @contextlib.contextmanager
@@ -435,25 +438,27 @@ def _atomic_output(path: str | None):
 def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Draw, check and record `config.samples` states per dimension.
 
-    Writes one JSON line per sample to ``config.output_path`` in (m, index)
-    order and returns the reduction; the record schema is documented on
-    ``_sweep_chunk``.  The caller is worker 0 of W (BELLBOUND_THREADS or auto); the W - 1 it
-    forks hand chunks over through spill files, two at most each (``_iter_chunks``); bytes do
-    not depend on W.  A run that fails, or has no output path, leaves no file.
+    Writes one JSON line per sample to ``config.output_path`` in (m, index) order and returns
+    the chunks' reductions folded per m (``_fold``) and their violations; the record schema is
+    on ``_sweep_chunk``.  The caller is worker 0 of W (BELLBOUND_THREADS or auto); the W - 1 it
+    forks hand chunks over through spill files, two at most each (``_iter_chunks``).  Neither
+    bytes nor summary depend on W.  A run that fails, or has no output path, leaves no file.
     """
-    per_dim: dict[int, DimensionSummary] = {}
-    violations: list[Violation] = []  # chunks arrive in (m, index) order
-    with _atomic_output(config.output_path) as fh:
-        for text, block, block_violations in _iter_chunks(_sweep_chunk, config):
+    def written(fh):  # each chunk's reduction, once its text is written and violations kept
+        for text, block, found in _iter_chunks(_sweep_chunk, config):
             fh.write(text)
-            per_dim[block.m] = _merge(per_dim[block.m], block) if block.m in per_dim else block
-            violations += block_violations
+            violations.extend(found)
+            yield block
+
+    violations: list[Violation] = []
+    with _atomic_output(config.output_path) as fh:
+        per_dim = _fold(written(fh))
     return SweepSummary(
         measure=config.measure,
         seed=config.seed,
         samples_per_dim=config.samples,
-        records_written=sum(d.samples for d in per_dim.values()),
-        per_dim=tuple(per_dim.values()),
+        records_written=sum(d.samples for d in per_dim),
+        per_dim=per_dim,
         violations=tuple(violations),
     )
 
@@ -461,16 +466,12 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
 def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
     """Cross-check the closed-form Bell value against the dense grid maximum.
 
-    For every sampled state computes |bell_value_formula - grid maximum| and
-    reduces to the largest gap per dimension.  No file output; the summary
-    is the result.  Dimensions must respect the dense-oracle guard.  Runs on
-    the BELLBOUND_THREADS / auto worker count; the result does not depend on it.
+    For every sampled state computes |bell_value_formula - grid maximum|; the
+    chunks' largest gaps fold per dimension as a sweep's do (``_fold``).  No file
+    output; the summary is the result.  Dimensions must respect the dense-oracle
+    guard.  Runs on the BELLBOUND_THREADS / auto worker count; the result does not depend on it.
     """
-    worst = dict.fromkeys(config.dims, 0.0)
-    for m, gap in _iter_chunks(functools.partial(_oracle_chunk, grid_points), config):
-        worst[m] = max(worst[m], gap)
-    per_dim = tuple(OracleDimension(m, m + config.second_dim_offset, config.samples, gap)
-                    for m, gap in worst.items())
+    per_dim = _fold(_iter_chunks(functools.partial(_oracle_chunk, grid_points), config))
     return OracleSummary(measure=config.measure, seed=config.seed,
                          samples_per_dim=config.samples, grid_points=operator.index(grid_points),
                          per_dim=per_dim, max_gap=max(d.max_gap for d in per_dim))

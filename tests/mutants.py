@@ -115,8 +115,12 @@ MUTANTS = [
     Mutant("_iter_chunks reads whichever pipe is ready", "harness.py", IN_ORDER, AS_READY,
            (f"{HARNESS}::TestRunSweep::test_chunks_leave_in_submission_order",)),
     Mutant("forked worker w runs worker w - 1's share", "harness.py",
-           "enumerate(tasks[w::workers])", "enumerate(tasks[w - 1::workers])",
+           "islice(tasks, w, None, workers)", "islice(tasks, w - 1, None, workers)",
            (f"{HARNESS}::TestRunSweep::test_worker_w_runs_every_wth_chunk",)),
+    Mutant("one field folds by the wrong rule (max in place of min)", "harness.py",
+           'min_theorem1_margin: float | None = field(metadata={"fold": min})',
+           'min_theorem1_margin: float | None = field(metadata={"fold": max})',
+           (f"{HARNESS}::TestFoldedSummaries::test_sweep_summary_does_not_depend_on_chunking",)),
     Mutant("a worker waits for its credit before computing", "harness.py",
            COMPUTE + " " * 20 + WAIT, WAIT + " " * 20 + COMPUTE,
            (f"{HARNESS}::TestForkedRunner::test_no_worker_waits_on_the_caller",)),
@@ -150,6 +154,9 @@ MUTANTS = [
     Mutant("validate_rows skips the descending-order check", "schmidt_state.py",
            "(rows[:, :-1] < rows[:, 1:]).any(axis=1)", "np.zeros(len(rows), bool)",
            (f"{SCHMIDT}::TestValidateRows::test_names_first_failing_index",)),
+    Mutant("the fused test drops the nonincreasing check", "schmidt_state.py",
+           " and (rows[:, :-1] >= rows[:, 1:]).all()", "",
+           (f"{SCHMIDT}::TestValidateRows::test_fused_test_decides_as_the_per_check_rules",)),
     Mutant("classical_bound's reused buffer skips np.abs", "bounds.py",
            "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
            "np.matmul(signs, n_matrix.entries, out=products)",

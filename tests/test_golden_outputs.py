@@ -70,7 +70,7 @@ def test_verify_stdout_is_pinned(capsys, set_workers, fork_spy, threads, argv, e
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
     assert digest(out) == expected
     # one worker per chunk up to the requested count, and the caller is one of them
-    chunks = len(harness._chunk_ranges(int(argv[argv.index("--samples") + 1]), threads))
+    chunks = len(list(harness._chunk_ranges(int(argv[argv.index("--samples") + 1]), threads)))
     assert len(fork_spy) == min(threads, chunks) - 1
 
 

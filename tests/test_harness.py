@@ -9,6 +9,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -267,16 +268,16 @@ class TestRunSweep:
 
     def test_chunks_are_capped(self):
         for workers in (1, 2, 64):
-            ranges = harness._chunk_ranges(10**6, workers)
+            ranges = list(harness._chunk_ranges(10**6, workers))
             assert max(hi - lo for lo, hi in ranges) <= harness.MAX_CHUNK
             assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
             assert ranges[0][0] == 0 and ranges[-1][1] == 10**6
 
     def test_chunk_policy_examples(self):
-        assert harness._chunk_ranges(100, 1) == [(0, 100)]
-        assert harness._chunk_ranges(800, 2) == [(0, 400), (400, 800)]
-        assert harness._chunk_ranges(250, 3) == [(0, 84), (84, 168), (168, 250)]
-        assert harness._chunk_ranges(100, 4) == [(0, 64), (64, 100)]
+        assert list(harness._chunk_ranges(100, 1)) == [(0, 100)]
+        assert list(harness._chunk_ranges(800, 2)) == [(0, 400), (400, 800)]
+        assert list(harness._chunk_ranges(250, 3)) == [(0, 84), (84, 168), (168, 250)]
+        assert list(harness._chunk_ranges(100, 4)) == [(0, 64), (64, 100)]
 
     @settings(max_examples=200, deadline=None)
     @given(samples=st.integers(1, 10**6), workers=st.integers(1, 64))
@@ -284,7 +285,7 @@ class TestRunSweep:
     @example(samples=3 * harness.MAX_CHUNK, workers=3)
     @example(samples=3 * harness.MAX_CHUNK + 1, workers=3)
     def test_chunk_policy(self, samples, workers):
-        ranges = harness._chunk_ranges(samples, workers)
+        ranges = list(harness._chunk_ranges(samples, workers))
         assert ranges[0][0] == 0 and ranges[-1][1] == samples
         assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
         sizes = [hi - lo for lo, hi in ranges]
@@ -308,7 +309,7 @@ class TestRunSweep:
         assert fork_spy == []
         set_workers(workers, cpus=64)  # so that the CPU cap does not bind
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
-        tasks = len(dims) * len(harness._chunk_ranges(samples, workers))
+        tasks = len(dims) * len(list(harness._chunk_ranges(samples, workers)))
         assert ([len(fork_spy)] if fork_spy else []) == sizes
         assert len(fork_spy) < tasks
         assert sha256(pooled) == sha256(serial)
@@ -369,6 +370,23 @@ class TestRunSweep:
         runners = [os.getpid(), *fork_spy]
         assert len(runners) == workers
         assert [pid for _, pid in chunks] == [runners[i % workers] for i in range(len(chunks))]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_chunk_of_a_huge_run_allocates_little(self, set_workers, fork_spy, workers):
+        # 10**9 samples per m are about 2 * 10**6 tasks: made lazily, none is held before
+        # the first chunk, in the caller or in a forked worker's copy
+        set_workers(workers)
+        cfg = ExperimentConfig(dims=(2, 4, 6, 8), samples=10**9, seed=0)
+        chunks = harness._iter_chunks(lambda task: task[3:], cfg)
+        tracemalloc.start()
+        try:
+            assert next(chunks) == (2, 0, harness.MAX_CHUNK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            chunks.close()
+        assert len(fork_spy) == workers - 1
+        assert peak < 2**20
 
     @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
                                                (scatter_cb, "_draw_block")])
@@ -458,6 +476,42 @@ class TestRunSweep:
         run_sweep(ExperimentConfig(dims=(2,), samples=5, seed=1, measure="simplex",
                                    output_path=str(s)))
         assert sha256(h) != sha256(s)
+
+
+class TestFoldedSummaries:
+    """A run's summary is the fold of its chunks' reductions, field by field: it must not
+    depend on how the chunks fall, at any worker count or chunk cap, for even and odd m."""
+
+    SPLITS = [(workers, cap) for workers in (1, 2, 3) for cap in (64, 100, 2048)]
+
+    @staticmethod
+    def folded(monkeypatch, set_workers, run, workers, cap):
+        set_workers(workers)
+        monkeypatch.setattr(harness, "MAX_CHUNK", cap)
+        return run()
+
+    def test_sweep_summary_does_not_depend_on_chunking(self, tmp_path, monkeypatch,
+                                                       set_workers):
+        # a tolerance far below one ulp makes m = 2 report violations, so that the counts
+        # and the violation list are folded too
+        monkeypatch.setattr(harness, "THEOREM_TOL", 1e-300)
+
+        def run():
+            return run_sweep(ExperimentConfig(dims=(2, 3, 4), samples=300, seed=6,
+                                              output_path=str(tmp_path / "out.jsonl")))
+
+        summaries = [self.folded(monkeypatch, set_workers, run, *split) for split in self.SPLITS]
+        assert summaries[0].violations and summaries[0].per_dim[1].min_theorem1_margin is None
+        assert all(summary == summaries[-1] for summary in summaries)
+
+    def test_oracle_summary_does_not_depend_on_chunking(self, monkeypatch, set_workers):
+        def run():
+            return verify_oracle(ExperimentConfig(dims=(2, 3), samples=150, seed=6,
+                                                  second_dim_offset=1), grid_points=8)
+
+        summaries = [self.folded(monkeypatch, set_workers, run, *split) for split in self.SPLITS]
+        assert [d.samples for d in summaries[0].per_dim] == [150, 150]
+        assert all(summary == summaries[-1] for summary in summaries)
 
 
 class TestForkedRunner:
@@ -693,7 +747,7 @@ class TestGoldenSweeps:
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
         # one worker per chunk up to the requested count, and the caller is one of them
-        chunks = len(kwargs["dims"]) * len(harness._chunk_ranges(kwargs["samples"], workers))
+        chunks = len(kwargs["dims"]) * len(list(harness._chunk_ranges(kwargs["samples"], workers)))
         assert len(fork_spy) == min(workers, chunks) - 1
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -28,9 +29,59 @@ from bellbound.errors import (
     NonFiniteCoefficientError,
     ZeroVectorError,
 )
+from bellbound import schmidt_state
 from bellbound.schmidt_state import validate_rows
+from bellbound.tolerances import NORM_TOL
 
 SQ2 = math.sqrt(0.5)
+
+
+def reference_verdict(rows, first_index, tol):
+    """The message of the ``InvariantError`` that ``validate_rows`` raises on ``rows``, or
+    None: the per-check rules alone, each of them deciding, with no fused test before them."""
+    defect = np.abs(np.vecdot(rows, rows) - 1.0)
+    checks = (
+        (~np.isfinite(rows).all(axis=1), "coeffs must be finite"),
+        (((rows < 0.0) | (rows > 1.0 + tol)).any(axis=1), "every coefficient must lie in [0, 1]"),
+        ((rows[:, :-1] < rows[:, 1:]).any(axis=1), "coefficients must be nonincreasing"),
+        (defect > tol, "squares must sum to 1 within {tol:g} (off by {defect:.3e})"),
+    )
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if not failing.any():
+        return None
+    row = int(np.argmax(failing))
+    reason = next(text for bad, text in checks if bad[row])
+    return f"index {first_index + row}: " + reason.format(tol=tol, defect=float(defect[row]))
+
+
+# entries at the edges of the checks: signed zeros, NaN, infinities, the range bound and
+# just past it, and 2**-15, whose square puts 1.0's row exactly 2**-30 off unit norm
+EDGES = [0.0, -0.0, 1.0, 0.8, 0.6, SQ2, 0.5, 2**-15, 5e-324, -5e-324, 1.0 + NORM_TOL,
+         1.0 + 2 * NORM_TOL, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def edge_blocks(draw):
+    """A block of one to three rows of one width: edge entries, or unit rows, mostly sorted,
+    with an entry nudged by a few ulp or replaced by an edge."""
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 2)) == 0:
+            row = draw(st.lists(st.sampled_from(EDGES), min_size=m, max_size=m))
+        else:
+            entries = st.just(0.0) | st.floats(1e-6, 1.0)
+            raw = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+            row = (raw / np.linalg.norm(raw) if raw.any() else raw).tolist()
+            if draw(st.integers(0, 3)):
+                row.sort(reverse=True)
+            k, step = draw(st.integers(0, m - 1)), draw(st.integers(-4, 4))
+            for _ in range(abs(step)):
+                row[k] = math.nextafter(row[k], math.copysign(math.inf, step))
+            if draw(st.booleans()):
+                row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(EDGES))
+        rows.append(row)
+    return np.array(rows)
 
 
 class TestNewSchmidt:
@@ -142,6 +193,30 @@ class TestValidateRows:
         with pytest.raises(InvariantError, match=r"^index 42: ") as exc:
             validate_rows(rows, first_index=40)
         assert reason in str(exc.value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=edge_blocks(), first_index=st.integers(0, 2**40),
+           tol=st.sampled_from([NORM_TOL, 2**-30]))
+    @example(rows=np.array([[0.6, 0.8]]), first_index=0, tol=NORM_TOL)  # increasing
+    @example(rows=np.array([[SQ2, SQ2]]), first_index=0, tol=NORM_TOL)  # equal neighbours
+    @example(rows=np.array([[1.0, -0.0]]), first_index=0, tol=NORM_TOL)
+    @example(rows=np.array([[1.0, 2**-15]]), first_index=0, tol=2**-30)  # defect exactly tol
+    @example(rows=np.array([[1.0, 2**-15 + 2**-67]]), first_index=0, tol=2**-30)  # past it
+    @example(rows=np.array([[math.nan, 0.0], [0.8, 0.6]]), first_index=3, tol=NORM_TOL)
+    @example(rows=np.array([[1.0, 0.0], [-math.inf, 0.0]]), first_index=0, tol=NORM_TOL)
+    @example(rows=np.zeros((0, 2)), first_index=0, tol=NORM_TOL)  # no row: passes
+    @example(rows=np.zeros((1, 0)), first_index=0, tol=NORM_TOL)  # no entry: off unit norm
+    def test_fused_test_decides_as_the_per_check_rules(self, rows, first_index, tol):
+        # the fused test decides on its own; its verdict and the message must be those
+        # of the per-check rules, at NORM_TOL and at a tolerance a defect can equal exactly
+        with mock.patch.object(schmidt_state, "NORM_TOL", tol):
+            try:
+                validate_rows(rows, first_index)
+            except InvariantError as exc:
+                message = str(exc)
+            else:
+                message = None
+        assert message == reference_verdict(rows, first_index, tol)
 
 
 class TestConcurrence:
