@@ -309,35 +309,39 @@ def resolve_workers() -> int:
 
 
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
+MIN_SWEEP_WORK = 1024  # samples weighted by m a forked sweep worker needs to pay for its fork
+MIN_SCATTER_WORK = 2048  # the same for scatter_cb, whose records cost less than a sweep's
 
 
-def _chunk_ranges(samples: int, workers: int):
-    """Contiguous ranges covering [0, samples), made lazily: one per worker while chunks
-    fit ``MAX_CHUNK``, since every chunk pays a fixed seeding, SVD and IPC cost; all of
-    one size, at least 64 samples, but the last."""
-    size = min(MAX_CHUNK, max(64, -(-samples // workers)))
-    return ((lo, min(lo + size, samples)) for lo in range(0, samples, size))
+def _plan(config: ExperimentConfig, minimum: int, requested: int, cpus: int, fork: bool):
+    """W, the least of the requested count, the usable CPUs, the tasks and the work (samples
+    weighted by m) over ``minimum``, the least work that pays for a fork (1 without ``os.fork``),
+    and the chunk size for those W: one chunk per worker while it fits ``MAX_CHUNK``, at least 64
+    samples each but the last, since every chunk pays a fixed seeding, SVD and IPC cost."""
+    work = config.samples * sum(config.dims)
+    workers = min(requested, cpus, max(1, work // minimum)) if fork else 1
+    size = min(MAX_CHUNK, max(64, -(-config.samples // workers)))
+    return min(workers, len(config.dims) * -(-config.samples // size)), size
 
 
-def _iter_chunks(work, config: ExperimentConfig):
+def _iter_chunks(work, config: ExperimentConfig, minimum: int):
     """Yield ``work(task)`` for every task, ``_draw_block``'s arguments ``(seed, measure,
     offset, m, start, stop)`` made one at a time, in (m, index) order.
 
-    Chunks are sized for ``resolve_workers()``, read only here; workers are capped at the tasks and
-    usable CPUs, and are one without ``os.fork``.  The caller is worker 0 of W and runs tasks 0, W,
-    2W, ... in turn, as a serial run would.  Forked worker ``w`` pickles the result or exception of
-    tasks w, w + W, ... (from its copy of the generator) to offset 0 of its own spill file and sends
-    the byte count down a pipe; it computes its next chunk, then waits for the caller's credit byte
-    for the last one before it overwrites the file.  So no worker waits on the caller's own chunk,
-    and each holds two finished chunks at most.  A message that does not arrive or unpickle, or an
-    ``OSError`` at start-up, is a ``WorkerFailedError``.  Children leave by ``os._exit``, never into
-    the caller's frames, and are killed and reaped on any exit.
+    W and the chunk size are ``_plan``'s for ``resolve_workers()``, read only here, and the work
+    body's ``minimum``.  The caller is worker 0 of W and runs tasks 0, W, 2W, ... in turn, as a
+    serial run would.  Forked worker ``w`` pickles the result or exception of tasks w, w + W, ...
+    (from its copy of the generator) to offset 0 of its own spill file and sends the byte count down
+    a pipe; it computes its next chunk, then waits for the caller's credit byte for the last one
+    before it overwrites the file.  So no worker waits on the caller's own chunk, and each holds two
+    finished chunks at most.  A message that does not arrive or unpickle, or an ``OSError`` at
+    start-up, is a ``WorkerFailedError``.  Children leave by ``os._exit``, never into the caller's
+    frames, and are killed and reaped on any exit.
     """
-    requested = resolve_workers()
-    tasks = ((config.seed, config.measure, config.second_dim_offset, m, lo, hi)
-             for m in config.dims for lo, hi in _chunk_ranges(config.samples, requested))
-    per_m = -(-config.samples // next(_chunk_ranges(config.samples, requested))[1])
-    workers = min(requested, len(config.dims) * per_m, _usable_cpus()) if hasattr(os, "fork") else 1
+    samples = config.samples
+    workers, size = _plan(config, minimum, resolve_workers(), _usable_cpus(), hasattr(os, "fork"))
+    tasks = ((config.seed, config.measure, config.second_dim_offset, m, lo, min(lo + size, samples))
+             for m in config.dims for lo in range(0, samples, size))
     files, slots, pids = [], [], []  # all the caller opens; per forked worker (data, credit, spill)
     try:
         for w in range(1, workers):
@@ -445,7 +449,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     bytes nor summary depend on W.  A run that fails, or has no output path, leaves no file.
     """
     def written(fh):  # each chunk's reduction, once its text is written and violations kept
-        for text, block, found in _iter_chunks(_sweep_chunk, config):
+        for text, block, found in _iter_chunks(_sweep_chunk, config, MIN_SWEEP_WORK):
             fh.write(text)
             violations.extend(found)
             yield block
@@ -469,9 +473,10 @@ def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
     For every sampled state computes |bell_value_formula - grid maximum|; the
     chunks' largest gaps fold per dimension as a sweep's do (``_fold``).  No file
     output; the summary is the result.  Dimensions must respect the dense-oracle
-    guard.  Runs on the BELLBOUND_THREADS / auto worker count; the result does not depend on it.
+    guard.  A state pays for a fork, so the run takes up to BELLBOUND_THREADS / auto
+    workers, a state each at least (``minimum`` 1); the result does not depend on them.
     """
-    per_dim = _fold(_iter_chunks(functools.partial(_oracle_chunk, grid_points), config))
+    per_dim = _fold(_iter_chunks(functools.partial(_oracle_chunk, grid_points), config, 1))
     return OracleSummary(measure=config.measure, seed=config.seed,
                          samples_per_dim=config.samples, grid_points=operator.index(grid_points),
                          per_dim=per_dim, max_gap=max(d.max_gap for d in per_dim))
@@ -487,7 +492,8 @@ def scatter_cb(config: ExperimentConfig) -> Path:
     """
     with _atomic_output(config.output_path) as fh:
         fh.write("m,concurrence,bell_value,upper,lower\n")
-        for m, group in itertools.groupby(_iter_chunks(_scatter_chunk, config), key=lambda c: c[0]):
+        chunks = _iter_chunks(_scatter_chunk, config, MIN_SCATTER_WORK)
+        for m, group in itertools.groupby(chunks, key=lambda c: c[0]):
             rows = sorted((row for _, block in group for row in block), key=lambda r: r[0])
             fh.writelines(f"{m},{c!r},{b!r},{up!r},{lo!r}\n" for c, b, up, lo in rows)
     return Path(config.output_path)

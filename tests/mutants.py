@@ -117,6 +117,12 @@ MUTANTS = [
     Mutant("forked worker w runs worker w - 1's share", "harness.py",
            "islice(tasks, w, None, workers)", "islice(tasks, w - 1, None, workers)",
            (f"{HARNESS}::TestRunSweep::test_worker_w_runs_every_wth_chunk",)),
+    Mutant("minimum ignored", "harness.py",
+           "min(requested, cpus, max(1, work // minimum))", "min(requested, cpus)",
+           (f"{HARNESS}::TestRunSweep::test_forks_only_where_a_worker_pays",)),
+    Mutant("chunks cut for the requested count", "harness.py",
+           "max(64, -(-config.samples // workers))", "max(64, -(-config.samples // requested))",
+           (f"{HARNESS}::TestRunSweep::test_pool_capped_at_usable_cpus",)),
     Mutant("one field folds by the wrong rule (max in place of min)", "harness.py",
            'min_theorem1_margin: float | None = field(metadata={"fold": min})',
            'min_theorem1_margin: float | None = field(metadata={"fold": max})',

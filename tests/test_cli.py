@@ -330,7 +330,7 @@ class TestWorkerSetUp:
     ])
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_failed_set_up_is_a_worker_failure(self, capsys, monkeypatch, tmp_path, set_workers,
-                                               target, error, command):
+                                               any_work_forks, target, error, command):
         def fails(*args, **kwargs):
             raise error
 
@@ -590,11 +590,13 @@ class TestImportPath:
 
     def test_parallel_sweep_loads_no_process_pool(self, tmp_path):
         # the sweep is worker 0 of its two and forks the other itself; the CPU
-        # mask is widened, so that a one-CPU host forks it too
+        # mask is widened, so that a one-CPU host forks it too, and the least work
+        # per forked worker is lowered, so that this small sweep forks at all
         argv = ["sweep", "--dims", "2,4", "--samples", "200", "--seed", "1",
                 "--out", str(tmp_path / "x.jsonl")]
         code = ("import contextlib, io, os, sys; from bellbound.cli import main\n"
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "import bellbound.harness; bellbound.harness.MIN_SWEEP_WORK = 1\n"
                 "forks, fork = [], os.fork\n"
                 "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"

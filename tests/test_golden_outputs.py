@@ -69,13 +69,15 @@ def test_verify_stdout_is_pinned(capsys, set_workers, fork_spy, threads, argv, e
     set_workers(threads)
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
     assert digest(out) == expected
-    # one worker per chunk up to the requested count, and the caller is one of them
-    chunks = len(list(harness._chunk_ranges(int(argv[argv.index("--samples") + 1]), threads)))
-    assert len(fork_spy) == min(threads, chunks) - 1
+    # one worker per chunk up to the requested count, and the caller is one of them; a
+    # state pays for a fork
+    cfg = ExperimentConfig(dims=(int(argv[1]),), samples=int(argv[argv.index("--samples") + 1]),
+                           seed=19)
+    assert len(fork_spy) == harness._plan(cfg, 1, threads, threads, True)[0] - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_scatter_csv_is_pinned(tmp_path, set_workers, threads):
+def test_scatter_csv_is_pinned(tmp_path, set_workers, any_work_forks, threads):
     set_workers(threads)
     out = tmp_path / "cloud.csv"
     scatter_cb(ExperimentConfig(dims=(1, 3, 4), samples=300, seed=41, second_dim_offset=1,

@@ -85,8 +85,8 @@ def counting_chunks(log, peaks, pause=0.0):
             return result, pad
         return run
 
-    def counted(work, config):
-        for taken, (result, _) in enumerate(chunks(padded(work), config), 1):
+    def counted(work, config, minimum):
+        for taken, (result, _) in enumerate(chunks(padded(work), config, minimum), 1):
             time.sleep(pause)
             peaks.append(log.stat().st_size - taken)
             yield result
@@ -230,7 +230,7 @@ class TestRunSweep:
             run_sweep(cfg)
         assert sha256(out1) == sha256(out2)
 
-    def test_parallel_output_matches_serial(self, tmp_path, set_workers):
+    def test_parallel_output_matches_serial(self, tmp_path, set_workers, any_work_forks):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
         cfg = ExperimentConfig(dims=(2, 3), samples=150, seed=21, output_path=str(serial))
         set_workers(1)
@@ -241,7 +241,8 @@ class TestRunSweep:
         assert sha256(serial) == sha256(parallel)
         assert s1.per_dim == s2.per_dim
 
-    def test_violations_match_record_flags(self, tmp_path, monkeypatch, set_workers):
+    def test_violations_match_record_flags(self, tmp_path, monkeypatch, set_workers,
+                                           any_work_forks):
         # at a tolerance far below one ulp, m=2 states that saturate the
         # upper envelope show up as rounding-level violations; forked
         # workers inherit the patched module
@@ -266,33 +267,77 @@ class TestRunSweep:
         set_workers(1)
         assert summary == run_sweep(cfg)
 
-    def test_chunks_are_capped(self):
-        for workers in (1, 2, 64):
-            ranges = list(harness._chunk_ranges(10**6, workers))
+    def test_chunks_are_capped(self, set_workers):
+        # the tasks cover [0, samples) in contiguous chunks of at most MAX_CHUNK samples; the
+        # cap at any worker count is test_chunk_policy's
+        for workers in (1, 2):
+            set_workers(workers)
+            cfg = ExperimentConfig(dims=(2,), samples=10**6, seed=0)
+            ranges = list(harness._iter_chunks(lambda task: task[4:], cfg, 1))
             assert max(hi - lo for lo, hi in ranges) <= harness.MAX_CHUNK
             assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
             assert ranges[0][0] == 0 and ranges[-1][1] == 10**6
 
     def test_chunk_policy_examples(self):
-        assert list(harness._chunk_ranges(100, 1)) == [(0, 100)]
-        assert list(harness._chunk_ranges(800, 2)) == [(0, 400), (400, 800)]
-        assert list(harness._chunk_ranges(250, 3)) == [(0, 84), (84, 168), (168, 250)]
-        assert list(harness._chunk_ranges(100, 4)) == [(0, 64), (64, 100)]
+        # (samples, dims, minimum, requested workers, usable CPUs) -> (W, chunk size)
+        sweep = harness.MIN_SWEEP_WORK
+        plans = {
+            (100, (2,), 1, 1, 1): (1, 100),
+            (800, (2,), 1, 2, 2): (2, 400),
+            (250, (2,), 1, 3, 3): (3, 84),
+            (100, (2,), 1, 4, 4): (2, 64),              # 64-sample floor: two tasks, two workers
+            (10**6, (2,), 1, 10000, 2): (2, 2048),      # cut for the 2 CPUs, not the 10000 asked
+            (100, (2, 4, 6, 8), sweep, 1, 1): (1, 100),  # sweep-haar-even, serial
+            (800, (2, 4, 6, 8), sweep, 2, 2): (2, 400),  # sweep-haar-even, parallel
+            (250, (2, 4, 6, 8), sweep, 2, 2): (2, 125),  # the benchmark's two golden shapes
+            (250, (3, 9, 33), sweep, 2, 2): (2, 125),
+            (200, (2, 4), sweep, 1, 1): (1, 200),        # cli-mix's sweep at 1 and 2 threads
+            (200, (2, 4), sweep, 2, 2): (1, 200),
+            (2, (3,), 1, 2, 2): (1, 64),                # cli-mix's verify --m 3 --samples 2
+            (1, (8,), 1, 2, 2): (1, 64),                # the oracle workload's one-state call
+        }
+        for (samples, dims, minimum, requested, cpus), plan in plans.items():
+            cfg = ExperimentConfig(dims=dims, samples=samples, seed=0)
+            assert harness._plan(cfg, minimum, requested, cpus, True) == plan
 
-    @settings(max_examples=200, deadline=None)
-    @given(samples=st.integers(1, 10**6), workers=st.integers(1, 64))
-    @example(samples=harness.MAX_CHUNK, workers=1)
-    @example(samples=3 * harness.MAX_CHUNK, workers=3)
-    @example(samples=3 * harness.MAX_CHUNK + 1, workers=3)
-    def test_chunk_policy(self, samples, workers):
-        ranges = list(harness._chunk_ranges(samples, workers))
-        assert ranges[0][0] == 0 and ranges[-1][1] == samples
-        assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
-        sizes = [hi - lo for lo, hi in ranges]
-        assert max(sizes) <= harness.MAX_CHUNK
-        assert min(sizes[:-1], default=64) >= 64
-        if samples <= workers * harness.MAX_CHUNK:
-            assert len(ranges) <= workers  # one chunk per worker, so one at 1 worker
+    @pytest.mark.parametrize("writer,dims,samples,forks", [
+        # sweep: two workers lose at 1600 samples x m and below, and win from 2400
+        (run_sweep, (2, 4), 100, 0), (run_sweep, (2, 4), 200, 0), (run_sweep, (8,), 100, 0),
+        (run_sweep, (8,), 200, 0), (run_sweep, (2, 4), 400, 1), (run_sweep, (2, 4), 800, 1),
+        (run_sweep, (8,), 400, 1), (run_sweep, (8,), 800, 1),
+        # scatter_cb: they lose at 3200 and below, and win from 4800
+        (scatter_cb, (2, 4), 400, 0), (scatter_cb, (8,), 400, 0), (scatter_cb, (2, 4), 800, 1),
+        (scatter_cb, (8,), 800, 1),
+    ])
+    def test_forks_only_where_a_worker_pays(self, tmp_path, set_workers, fork_spy, writer, dims,
+                                            samples, forks):
+        # below the measured break-even a run at two workers forks nothing, above it W - 1
+        set_workers(2)
+        writer(ExperimentConfig(dims=dims, samples=samples, seed=0,
+                                output_path=str(tmp_path / "out")))
+        assert len(fork_spy) == forks
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.integers(1, 10**6), dims=st.sets(st.integers(1, 40), min_size=1, max_size=5),
+           minimum=st.integers(1, 10**4), requested=st.integers(1, 10**4),
+           cpus=st.integers(1, 64), fork=st.booleans())
+    @example(samples=harness.MAX_CHUNK, dims={2}, minimum=1, requested=1, cpus=1, fork=True)
+    @example(samples=3 * harness.MAX_CHUNK, dims={2}, minimum=1, requested=3, cpus=3, fork=True)
+    @example(samples=3 * harness.MAX_CHUNK + 1, dims={2}, minimum=1, requested=3, cpus=3,
+             fork=True)
+    def test_chunk_policy(self, samples, dims, minimum, requested, cpus, fork):
+        cfg = ExperimentConfig(dims=tuple(sorted(dims)), samples=samples, seed=0)
+        workers, size = harness._plan(cfg, minimum, requested, cpus, fork)
+        tasks = len(dims) * -(-samples // size)
+        # every chunk but the last of an m holds 64 to MAX_CHUNK samples
+        assert 64 <= size <= harness.MAX_CHUNK
+        assert 1 <= workers <= min(requested, cpus, tasks)
+        assert workers == 1 or workers * minimum <= samples * sum(dims)
+        assert fork or workers == 1
+        # the chunks are cut for the workers that run, one per worker while they fit
+        assert size == min(harness.MAX_CHUNK, max(64, -(-samples // workers)))
+        if fork and workers < min(requested, cpus):
+            assert workers == tasks or (workers + 1) * minimum > samples * sum(dims)
 
     @pytest.mark.parametrize("dims,samples,workers,sizes", [
         ((2, 4), 64, 4, [1]),         # two tasks: the caller and one fork, not four
@@ -300,8 +345,8 @@ class TestRunSweep:
         ((2, 3, 4), 100, 64, [5]),    # 64-sample floor: two chunks per m
         ((2, 3), 300, 2, [1]),        # more tasks than workers
     ])
-    def test_pool_sized_to_tasks(self, tmp_path, set_workers, fork_spy, dims, samples,
-                                 workers, sizes):
+    def test_pool_sized_to_tasks(self, tmp_path, set_workers, any_work_forks, fork_spy, dims,
+                                 samples, workers, sizes):
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=dims, samples=samples, seed=8)
         set_workers(1)
@@ -309,12 +354,14 @@ class TestRunSweep:
         assert fork_spy == []
         set_workers(workers, cpus=64)  # so that the CPU cap does not bind
         run_sweep(ExperimentConfig(output_path=str(pooled), **kwargs))
-        tasks = len(dims) * len(list(harness._chunk_ranges(samples, workers)))
+        _, size = harness._plan(ExperimentConfig(**kwargs), 1, workers, 64, True)
+        tasks = len(dims) * -(-samples // size)
         assert ([len(fork_spy)] if fork_spy else []) == sizes
         assert len(fork_spy) < tasks
         assert sha256(pooled) == sha256(serial)
 
-    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers, fork_spy):
+    def test_bounded_chunks_in_flight(self, tmp_path, monkeypatch, set_workers, any_work_forks,
+                                      fork_spy):
         # three chunks per m and six dims: each forked worker runs six chunks
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         kwargs = dict(dims=(2, 3, 4, 5, 6, 7), samples=64 * 3, seed=4)
@@ -334,14 +381,15 @@ class TestRunSweep:
         assert sha256(pooled) == sha256(serial)
 
     def test_pool_capped_at_usable_cpus(self, tmp_path, set_workers, fork_spy):
-        # chunks stay sized for the requested workers; processes for the CPUs
+        # chunks follow the workers that run: 2048 samples each for the CPUs, not 64 for the
+        # 10000 workers asked
         cfg = ExperimentConfig(dims=(2,), samples=10**6, seed=0)
-        expected = [(2, lo, hi) for lo, hi in harness._chunk_ranges(10**6, 10000)]
+        expected = [(2, lo, min(lo + 2048, 10**6)) for lo in range(0, 10**6, 2048)]
         log, peaks = tmp_path / "finished.log", []
         for cpus in (2, 1):
             set_workers(10000, cpus=cpus)
             log.write_bytes(b"")
-            tasks = counting_chunks(log, peaks)(lambda task: task[3:], cfg)
+            tasks = counting_chunks(log, peaks)(lambda task: task[3:], cfg, 1)
             assert list(tasks) == expected
         assert len(fork_spy) == 1  # the caller and one forked worker; one CPU ran serially
         assert max(peaks) <= 2
@@ -351,8 +399,8 @@ class TestRunSweep:
         # chunk still leaves before the second worker's
         set_workers(3)
         cfg = ExperimentConfig(dims=(2, 3), samples=192, seed=0)
-        expected = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(192, 3)]
-        assert list(harness._iter_chunks(first_forked_chunk_finishes_last, cfg)) == expected
+        expected = [(m, lo, lo + 64) for m in (2, 3) for lo in (0, 64, 128)]
+        assert list(harness._iter_chunks(first_forked_chunk_finishes_last, cfg, 1)) == expected
 
     @pytest.mark.parametrize("workers,dims,samples", [
         (1, (2, 3), 128),
@@ -363,8 +411,10 @@ class TestRunSweep:
     def test_worker_w_runs_every_wth_chunk(self, set_workers, fork_spy, workers, dims, samples):
         set_workers(workers)
         cfg = ExperimentConfig(dims=dims, samples=samples, seed=0)
-        expected = [(m, lo, hi) for m in dims for lo, hi in harness._chunk_ranges(samples, workers)]
-        chunks = list(harness._iter_chunks(lambda task: (task[3:], os.getpid()), cfg))
+        _, size = harness._plan(cfg, 1, workers, workers, True)
+        expected = [(m, lo, min(lo + size, samples)) for m in dims
+                    for lo in range(0, samples, size)]
+        chunks = list(harness._iter_chunks(lambda task: (task[3:], os.getpid()), cfg, 1))
         assert [chunk for chunk, _ in chunks] == expected
         # the caller is worker 0 and runs chunks i = 0 (mod W); worker w is the w-th fork
         runners = [os.getpid(), *fork_spy]
@@ -377,7 +427,7 @@ class TestRunSweep:
         # the first chunk, in the caller or in a forked worker's copy
         set_workers(workers)
         cfg = ExperimentConfig(dims=(2, 4, 6, 8), samples=10**9, seed=0)
-        chunks = harness._iter_chunks(lambda task: task[3:], cfg)
+        chunks = harness._iter_chunks(lambda task: task[3:], cfg, harness.MIN_SWEEP_WORK)
         tracemalloc.start()
         try:
             assert next(chunks) == (2, 0, harness.MAX_CHUNK)
@@ -455,7 +505,8 @@ class TestRunSweep:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "out.jsonl", "serial-1.jsonl", "serial-2.jsonl"]
 
-    def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, set_workers, capsys):
+    def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, set_workers,
+                                           any_work_forks, capsys):
         # two workers: the caller runs the m=2 chunk, and the forked worker exits on
         # the m=3 chunk
         set_workers(2)
@@ -491,7 +542,7 @@ class TestFoldedSummaries:
         return run()
 
     def test_sweep_summary_does_not_depend_on_chunking(self, tmp_path, monkeypatch,
-                                                       set_workers):
+                                                       set_workers, any_work_forks):
         # a tolerance far below one ulp makes m = 2 report violations, so that the counts
         # and the violation list are folded too
         monkeypatch.setattr(harness, "THEOREM_TOL", 1e-300)
@@ -520,7 +571,7 @@ class TestForkedRunner:
     chunks 0 and 2 and the worker chunks 1 and 3, (3, 64, 128) among them."""
 
     CONFIG = ExperimentConfig(dims=(2, 3), samples=128, seed=0)
-    CHUNKS = [(m, lo, hi) for m in (2, 3) for lo, hi in harness._chunk_ranges(128, 2)]
+    CHUNKS = [(m, lo, lo + 64) for m in (2, 3) for lo in (0, 64)]
 
     @staticmethod
     def fails_at_m_three(task):
@@ -552,7 +603,7 @@ class TestForkedRunner:
         set_workers(2)
         taken = []
         with pytest.raises(TooLargeError, match=r"^chunk m=3 \[64, 128\) failed$"):
-            taken.extend(harness._iter_chunks(self.fails_in_the_worker_at_m_three, self.CONFIG))
+            taken.extend(harness._iter_chunks(self.fails_in_the_worker_at_m_three, self.CONFIG, 1))
         assert taken == self.CHUNKS[:3]
         assert len(fork_spy) == 1
 
@@ -569,7 +620,7 @@ class TestForkedRunner:
         taken = []
         with pytest.raises(WorkerFailedError, match=r"^no readable result from worker 1 of 2 "
                                                     r"for chunk m=3 \[64, 128\): "):
-            taken.extend(harness._iter_chunks(fails, self.CONFIG))
+            taken.extend(harness._iter_chunks(fails, self.CONFIG, 1))
         assert taken == self.CHUNKS[:3]
         assert len(fork_spy) == 1
 
@@ -588,7 +639,7 @@ class TestForkedRunner:
         taken = []
         with pytest.raises(WorkerFailedError, match=r"^no readable result from worker 1 of 2 "
                                                     r"for chunk m=3 \[64, 128\): EOFError"):
-            taken.extend(harness._iter_chunks(work, self.CONFIG))
+            taken.extend(harness._iter_chunks(work, self.CONFIG, 1))
         assert taken == self.CHUNKS[:3]
         assert len(fork_spy) == 1
 
@@ -597,9 +648,9 @@ class TestForkedRunner:
     def test_every_child_is_reaped(self, set_workers, fork_spy, path):
         set_workers(2)
         if path == "success":
-            assert list(harness._iter_chunks(lambda task: task[3:], self.CONFIG)) == self.CHUNKS
+            assert list(harness._iter_chunks(lambda task: task[3:], self.CONFIG, 1)) == self.CHUNKS
         elif path == "closed-early":  # the workers stall; the consumer takes one chunk
-            chunks = harness._iter_chunks(self.stalls_after_first, self.CONFIG)
+            chunks = harness._iter_chunks(self.stalls_after_first, self.CONFIG, 1)
             assert next(chunks) == self.CHUNKS[0]
             start = time.monotonic()
             chunks.close()
@@ -614,7 +665,7 @@ class TestForkedRunner:
                 "failing-own-chunk": (self.fails_in_the_caller_at_m_three, TooLargeError,
                                       r"^chunk m=3 \[0, 64\) failed$")}[path]
             with pytest.raises(error, match=message):
-                list(harness._iter_chunks(work, self.CONFIG))
+                list(harness._iter_chunks(work, self.CONFIG, 1))
         assert len(fork_spy) == 1
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
@@ -635,7 +686,7 @@ class TestForkedRunner:
             return task[3:]
 
         set_workers(2)
-        assert list(counting_chunks(log, peaks)(work, self.CONFIG)) == self.CHUNKS
+        assert list(counting_chunks(log, peaks)(work, self.CONFIG, 1)) == self.CHUNKS
         assert len(fork_spy) == 1
 
     def test_short_spill_write_is_a_worker_failure(self, monkeypatch, set_workers, fork_spy):
@@ -651,7 +702,7 @@ class TestForkedRunner:
         taken = []
         with pytest.raises(WorkerFailedError, match=r"^no readable result from worker 1 of 2 "
                                                     r"for chunk m=2 \[64, 128\): "):
-            taken.extend(harness._iter_chunks(lambda task: task[3:], self.CONFIG))
+            taken.extend(harness._iter_chunks(lambda task: task[3:], self.CONFIG, 1))
         assert taken == self.CHUNKS[:1]
         assert len(fork_spy) == 1
 
@@ -668,7 +719,7 @@ class TestForkedRunner:
         monkeypatch.setattr(os, "fork", second_fails)
         with pytest.raises(WorkerFailedError,
                            match=r"^cannot start worker 2 of 3: BlockingIOError"):
-            list(harness._iter_chunks(lambda task: task[3:], self.CONFIG))
+            list(harness._iter_chunks(lambda task: task[3:], self.CONFIG, 1))
         assert len(fork_spy) == 1
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
@@ -683,7 +734,7 @@ class TestForkedRunner:
 
         def consumer():
             try:
-                yield from harness._iter_chunks(work, self.CONFIG)
+                yield from harness._iter_chunks(work, self.CONFIG, 1)
             finally:
                 with open(log, "a") as fh:
                     fh.write(f"{os.getpid()}\n")
@@ -740,15 +791,16 @@ GOLDEN_SWEEPS = [
 class TestGoldenSweeps:
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 splits 250 samples unevenly
     @pytest.mark.parametrize("kwargs,digest", GOLDEN_SWEEPS)
-    def test_output_bytes_are_pinned(self, tmp_path, set_workers, fork_spy, kwargs, digest,
-                                     workers):
+    def test_output_bytes_are_pinned(self, tmp_path, set_workers, any_work_forks, fork_spy,
+                                     kwargs, digest, workers):
         out = tmp_path / "golden.jsonl"
         set_workers(workers)
         run_sweep(ExperimentConfig(output_path=str(out), **kwargs))
         assert sha256(out) == digest
         # one worker per chunk up to the requested count, and the caller is one of them
-        chunks = len(kwargs["dims"]) * len(list(harness._chunk_ranges(kwargs["samples"], workers)))
-        assert len(fork_spy) == min(workers, chunks) - 1
+        plan = harness._plan(ExperimentConfig(**kwargs), harness.MIN_SWEEP_WORK, workers, workers,
+                             True)
+        assert len(fork_spy) == plan[0] - 1
 
 
 def reference_haar(m, n, rng):
