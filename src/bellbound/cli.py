@@ -95,7 +95,7 @@ def _second_dim(args) -> int:
     """``--n``, which defaults to ``--m``; below ``--m`` it is a usage error."""
     n = args.n if args.n is not None else args.m
     if n < args.m:
-        raise argparse.ArgumentTypeError(f"--n must be >= --m, got n={n} < m={args.m}")
+        args.parser.error(f"--n must be >= --m, got n={n} < m={args.m}")  # exits 2
     return n
 
 
@@ -239,17 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))  # exits 2
     except BellboundError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

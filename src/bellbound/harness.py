@@ -225,11 +225,7 @@ def _draw_block(seed: int, measure: str, offset: int, m: int, start: int, stop: 
     """Validated rows of samples [start, stop) at one m: ``_draw_rows``, the draw kernel
     of ``sample_haar`` / ``sample_simplex``, on the range's ``_substreams``."""
     rows = _draw_rows(_substreams(seed, m, start, stop), stop - start, measure, m, m + offset)
-    try:
-        validate_rows(rows, start)
-    except InvariantError as exc:
-        exc.args = (f"sample m={m} {exc}",)
-        raise
+    validate_rows(rows, start, f"sample m={m} ")
     return rows
 
 

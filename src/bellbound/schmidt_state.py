@@ -75,14 +75,14 @@ class SchmidtVector:
         return f"SchmidtVector({self.coeffs.tolist()!r})"
 
 
-def validate_rows(rows: np.ndarray, first_index: int = 0) -> None:
+def validate_rows(rows: np.ndarray, first_index: int = 0, label: str = "") -> None:
     """Check the :class:`SchmidtVector` invariants on every row of an ``(N, m)`` block.
 
     Rows must be finite, entrywise in [0, 1], nonincreasing, with squares summing to one
     within ``NORM_TOL``.  One fused test decides: its reductions start at 0 (an empty block
     passes) and are NaN on a NaN, so NaN and inf fail its range part.  Only on a failure do
     the per-check rules run, to raise :class:`InvariantError` naming the first failing row
-    as ``index first_index + row`` and its reason.
+    as ``label`` then ``index first_index + row``, and its reason.
     """
     defect = np.abs(np.vecdot(rows, rows) - 1.0)
     if (0.0 <= rows.min(initial=0.0) <= rows.max(initial=0.0) <= 1.0 + NORM_TOL
@@ -98,9 +98,8 @@ def validate_rows(rows: np.ndarray, first_index: int = 0) -> None:
     failing = np.logical_or.reduce([bad for bad, _ in checks])
     row = int(np.argmax(failing))
     reason = next(text for bad, text in checks if bad[row])
-    raise InvariantError(
-        f"index {first_index + row}: " + reason.format(tol=NORM_TOL, defect=float(defect[row]))
-    )
+    raise InvariantError(f"{label}index {first_index + row}: "
+                         + reason.format(tol=NORM_TOL, defect=float(defect[row])))
 
 
 def new_schmidt(raw) -> SchmidtVector:

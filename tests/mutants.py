@@ -163,6 +163,19 @@ MUTANTS = [
     Mutant("the fused test drops the nonincreasing check", "schmidt_state.py",
            " and (rows[:, :-1] >= rows[:, 1:]).all()", "",
            (f"{SCHMIDT}::TestValidateRows::test_fused_test_decides_as_the_per_check_rules",)),
+    Mutant("sweep exits 0 on theorem violations", "cli.py",
+           "return 1 if summary.violations else 0", "return 0",
+           (f"{CLI}::TestSweep::test_theorem_violations_exit_one_with_one_line_each",)),
+    Mutant("sweep drops its TheoremViolation lines", "cli.py",
+           "for v in summary.violations:", "for v in ():",
+           (f"{CLI}::TestSweep::test_theorem_violations_exit_one_with_one_line_each",)),
+    Mutant("a bad draw loses its sample label", "harness.py",
+           'validate_rows(rows, start, f"sample m={m} ")', "validate_rows(rows, start)",
+           (f"{HARNESS}::TestSweepKernel::test_invalid_draw_names_sample",)),
+    Mutant("a cross-flag usage error goes through the top-level parser", "cli.py",
+           "set_defaults(func=handler, parser=p)", "set_defaults(func=handler, parser=parser)",
+           (f"{CLI}::TestSample::test_m_above_n_is_usage_error",
+            f"{CLI}::TestVerify::test_n_below_m_is_usage_error")),
     Mutant("classical_bound's reused buffer skips np.abs", "bounds.py",
            "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
            "np.matmul(signs, n_matrix.entries, out=products)",

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -173,7 +174,9 @@ class TestSample:
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--m", "4", "--n", "2", "--seed", "1"])
         assert exc.value.code == 2
-        assert "--n must be >= --m, got n=2 < m=4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bellbound sample ")  # the subcommand's own parser
+        assert err.endswith("bellbound sample: error: --n must be >= --m, got n=2 < m=4\n")
 
 
     @pytest.mark.parametrize("measure,n", [("haar", "5"), ("simplex", "3")])
@@ -234,6 +237,33 @@ class TestSweep:
             assert code == 0
             digests.append(hashlib.sha256(out_path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_theorem_violations_exit_one_with_one_line_each(self, capsys, monkeypatch, tmp_path,
+                                                            set_workers, any_work_forks, threads):
+        # a tolerance far below one ulp makes m = 2's rounding margins fail theorem 1, as in
+        # TestFoldedSummaries; the patch reaches the forked worker
+        monkeypatch.setattr(harness, "THEOREM_TOL", 1e-300)
+        set_workers(threads)
+        out_path = tmp_path / "sweep.jsonl"
+        code, out, err = run_cli(capsys, "sweep", "--dims", "2,3", "--samples", "300",
+                                 "--seed", "6", "--out", str(out_path))
+        assert code == 1
+        total = int(parsed_lines(out)["violations"])
+        per_dim = [int(line.rpartition(" violations=")[2])
+                   for line in out.splitlines() if line.startswith("m=")]
+        assert total > 0 and total == sum(per_dim)
+        # the whole file is written, then one line per violation in (m, index) order
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert [(r["m"], r["index"]) for r in records] == [(m, i) for m in (2, 3)
+                                                           for i in range(300)]
+        line = re.compile(r"error: TheoremViolation: m=2 index=(\d+) theorem1 margin=(\S+)")
+        found = [line.fullmatch(text) for text in err.splitlines()]
+        assert len(found) == total and all(found)
+        failing = [r for r in records if r["theorem1_ok"] is False]
+        assert [int(f[1]) for f in found] == [r["index"] for r in failing]
+        assert [float(f[2]) for f in found] == [r["upper"] - r["bell_value"] for r in failing]
+        assert not any(r["theorem2_ok"] is False for r in records)
 
     def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -302,6 +332,9 @@ class TestVerify:
             main(["verify", "--m", "4", "--n", "2", "--samples", "1",
                   "--grid", "64", "--seed", "1"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bellbound verify ")  # the subcommand's own parser
+        assert err.endswith("bellbound verify: error: --n must be >= --m, got n=2 < m=4\n")
 
     def test_gap_beyond_oracle_tol_exits_one(self, capsys, monkeypatch, set_workers):
         argv = ["verify", "--m", "3", "--n", "4", "--samples", "5", "--grid", "64",
@@ -406,6 +439,10 @@ def test_bad_input_exit_code(capsys, monkeypatch, tmp_path, line, code):
     assert (status, out) == (code, "")
     if code == 2:
         assert err.startswith("usage: ") and "error: " in err
+        # a named subcommand prints its own usage; argparse reports a flag that no
+        # subcommand knows through the top-level parser
+        if words and words[0] in _SUBCOMMANDS and "unrecognized arguments" not in err:
+            assert err.startswith(f"usage: bellbound {words[0]} ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []

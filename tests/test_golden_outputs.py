@@ -1,5 +1,5 @@
 """Golden pins of the CLI and scatter outputs, before any change to the code
-paths behind them: ``verify`` and ``sample`` stdout, the ``scatter_cb`` CSV,
+paths behind them: ``verify``, ``sweep`` and ``sample`` stdout, the ``scatter_cb`` CSV,
 ``bounds`` JSON and ``jn`` values.  Each digest is a sha256 of the exact bytes.
 """
 
@@ -74,6 +74,30 @@ def test_verify_stdout_is_pinned(capsys, set_workers, fork_spy, threads, argv, e
     cfg = ExperimentConfig(dims=(int(argv[1]),), samples=int(argv[argv.index("--samples") + 1]),
                            seed=19)
     assert len(fork_spy) == harness._plan(cfg, 1, threads, threads, True)[0] - 1
+
+
+# 130 samples split into two chunks per m at 2 workers; the haar shape's m = 2 line
+# pins a negative rounding margin within THEOREM_TOL
+GOLDEN_SWEEP = [
+    pytest.param(("--dims", "2,3,4", "--measure", "haar", "--offset", "1"),
+                 "f1afad926e916f4a9f7da56170d16ba5933509d45a8fdc4a4374d21e534edd07",
+                 id="haar-offset-1"),
+    pytest.param(("--dims", "1,2,5", "--measure", "simplex"),
+                 "63d23bfc153a68b69fd2d3738bb57c4272797d38bf92f017a86c162b1ad0542d",
+                 id="simplex"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("argv,expected", GOLDEN_SWEEP)
+def test_sweep_stdout_is_pinned(capsys, monkeypatch, tmp_path, set_workers, any_work_forks,
+                                fork_spy, threads, argv, expected):
+    monkeypatch.chdir(tmp_path)  # a relative --out keeps the "out = " line fixed
+    set_workers(threads)
+    out = cli_stdout(capsys, "sweep", "--samples", "130", "--seed", "19", "--out", "out.jsonl",
+                     *argv)
+    assert digest(out) == expected
+    assert len(fork_spy) == threads - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])
