@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr; one
 line per theorem violation of ``sweep`` or per oracle gap beyond
 ``ORACLE_TOL`` of ``verify``), 2 usage error (argparse).  Every number is
-printed with repr so re-parsing the output reproduces the value bit-for-bit.
-Each handler imports the modules it runs, so a call loads no other one.
+printed in shortest round-trip form, so re-parsing the output reproduces it
+bit-for-bit.  Each handler imports the modules it runs, so a call loads no other one.
 """
 
 from __future__ import annotations
@@ -99,10 +99,15 @@ def _second_dim(args) -> int:
     return n
 
 
+def _report(**values) -> None:
+    """One ``name = value`` line per keyword; ``str`` prints a NumPy scalar's digits."""
+    for name, value in values.items():
+        print(f"{name} = {value}")
+
+
 def _cmd_concurrence(args) -> int:
     s = schmidt_state.new_schmidt(args.coeffs)
-    print(f"coeffs = {s.to_json()}")
-    print(f"concurrence = {schmidt_state.concurrence(s)!r}")
+    _report(coeffs=s.to_json(), concurrence=schmidt_state.concurrence(s))
     return 0
 
 
@@ -110,11 +115,8 @@ def _cmd_bell(args) -> int:
     from . import bounds
 
     s = schmidt_state.new_schmidt(args.coeffs)
-    print(f"coeffs = {s.to_json()}")
-    print(f"k = {bounds.k_value(s)!r}")
-    print(f"gamma = {bounds.gamma_value(s)!r}")
-    print(f"theta_star = {bounds.theta_star(s)!r}")
-    print(f"bell_value = {bounds.bell_value_formula(s)!r}")
+    _report(coeffs=s.to_json(), k=bounds.k_value(s), gamma=bounds.gamma_value(s),
+            theta_star=bounds.theta_star(s), bell_value=bounds.bell_value_formula(s))
     return 0
 
 
@@ -152,10 +154,8 @@ def _cmd_sweep(args) -> int:
                                       measure=args.measure, second_dim_offset=args.offset,
                                       output_path=args.out)
     summary = harness.run_sweep(config)
-    print(f"measure = {summary.measure}")
-    print(f"seed = {summary.seed}")
-    print(f"samples_per_dim = {summary.samples_per_dim}")
-    print(f"records_written = {summary.records_written}")
+    _report(measure=config.measure, seed=config.seed, samples_per_dim=config.samples,
+            records_written=summary.records_written)
     for d in summary.per_dim:
         print(
             f"m={d.m} n={d.n} samples={d.samples}"
@@ -164,8 +164,7 @@ def _cmd_sweep(args) -> int:
             f" max_concurrence={d.max_concurrence!r}"
             f" violations={d.violations}"
         )
-    print(f"violations = {len(summary.violations)}")
-    print(f"out = {args.out}")
+    _report(violations=len(summary.violations), out=config.output_path)
     for v in summary.violations:
         print(
             f"error: TheoremViolation: m={v.m} index={v.index} {v.check}"
@@ -182,13 +181,11 @@ def _cmd_verify(args) -> int:
                                       measure=args.measure,
                                       second_dim_offset=_second_dim(args) - args.m)
     summary = harness.verify_oracle(config, grid_points=args.grid)
-    print(f"measure = {summary.measure}")
-    print(f"seed = {summary.seed}")
-    print(f"samples_per_dim = {summary.samples_per_dim}")
-    print(f"grid_points = {summary.grid_points}")
+    _report(measure=config.measure, seed=config.seed, samples_per_dim=config.samples,
+            grid_points=args.grid)
     for d in summary.per_dim:
         print(f"m={d.m} n={d.n} samples={d.samples} max_gap={d.max_gap!r}")
-    print(f"max_gap = {summary.max_gap!r}")
+    _report(max_gap=summary.max_gap)
     gaps = [d for d in summary.per_dim if not d.max_gap <= ORACLE_TOL]
     for d in gaps:
         print(f"error: OracleGap: m={d.m} n={d.n} max_gap={d.max_gap!r}", file=sys.stderr)
@@ -244,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported, as every usage error of a subcommand is, by its own parser
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except BellboundError as exc:

@@ -90,9 +90,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    measure: str
-    seed: int
-    samples_per_dim: int
     records_written: int
     per_dim: tuple[DimensionSummary, ...]
     violations: tuple[Violation, ...]
@@ -108,10 +105,6 @@ class OracleDimension:
 
 @dataclass(frozen=True)
 class OracleSummary:
-    measure: str
-    seed: int
-    samples_per_dim: int
-    grid_points: int
     per_dim: tuple[OracleDimension, ...]
     max_gap: float
 
@@ -453,14 +446,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     violations: list[Violation] = []
     with _atomic_output(config.output_path) as fh:
         per_dim = _fold(written(fh))
-    return SweepSummary(
-        measure=config.measure,
-        seed=config.seed,
-        samples_per_dim=config.samples,
-        records_written=sum(d.samples for d in per_dim),
-        per_dim=per_dim,
-        violations=tuple(violations),
-    )
+    return SweepSummary(sum(d.samples for d in per_dim), per_dim, tuple(violations))
 
 
 def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
@@ -473,9 +459,7 @@ def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
     workers, a state each at least (``minimum`` 1); the result does not depend on them.
     """
     per_dim = _fold(_iter_chunks(functools.partial(_oracle_chunk, grid_points), config, 1))
-    return OracleSummary(measure=config.measure, seed=config.seed,
-                         samples_per_dim=config.samples, grid_points=operator.index(grid_points),
-                         per_dim=per_dim, max_gap=max(d.max_gap for d in per_dim))
+    return OracleSummary(per_dim, max(d.max_gap for d in per_dim))
 
 
 def scatter_cb(config: ExperimentConfig) -> Path:

@@ -176,6 +176,9 @@ MUTANTS = [
            "set_defaults(func=handler, parser=p)", "set_defaults(func=handler, parser=parser)",
            (f"{CLI}::TestSample::test_m_above_n_is_usage_error",
             f"{CLI}::TestVerify::test_n_below_m_is_usage_error")),
+    Mutant("an unknown flag goes through the top-level parser", "cli.py",
+           'args.parser.error(f"unrecognized', 'build_parser().error(f"unrecognized',
+           (f"{CLI}::test_bad_input_exit_code",)),
     Mutant("classical_bound's reused buffer skips np.abs", "bounds.py",
            "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
            "np.matmul(signs, n_matrix.entries, out=products)",

@@ -291,6 +291,11 @@ class TestAssembleBell:
         with pytest.raises(DimensionMismatchError):
             assemble_bell(CHSH_MATRIX, [pauli(3), build_b(4, 0)], [pauli(1), pauli(1)])
 
+    @pytest.mark.parametrize("entries", [np.eye(3), np.zeros((4, 5))], ids=["3x3", "4x5"])
+    def test_operator_rejects_entries_of_another_shape(self, entries):
+        with pytest.raises(InvariantError, match=r"entries must be 4 x 4, got \("):
+            BellOperator(2, 2, entries)
+
 
 class TestExpectation:
     def test_identity_operator_gives_norm(self):

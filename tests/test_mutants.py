@@ -1,10 +1,12 @@
 """The mutation check of ``tests/mutants.py`` still fits the tree: each mutant's text
-occurs exactly once in its source file, and each test named to kill it exists.  The
-check itself runs outside the suite; these tests catch a stale mutant at once."""
+occurs exactly once in its source file, each test named to kill it exists, and README
+states their number.  The check itself runs outside the suite; these tests catch a stale
+mutant at once."""
 
 from __future__ import annotations
 
 import ast
+import re
 
 import pytest
 
@@ -33,3 +35,8 @@ def test_killers_are_existing_tests(mutant):
     assert mutant.tests
     for test in mutant.tests:
         assert test in defined_tests(test.partition("::")[0]), test
+
+
+def test_readme_states_the_mutant_count():
+    text = " ".join((ROOT / "README.md").read_text().split())  # the count may wrap
+    assert re.findall(r"(\d+) mutants\b", text) == [str(len(MUTANTS))]
