@@ -329,6 +329,19 @@ def _grid(m: int, n: int, grid_points: int, lo: int) -> np.ndarray:
     return entries
 
 
+def oracle_guard(m: int, dim_b, grid_points) -> tuple[int, int]:
+    """Checked ``(dim_b, grid_points)`` of a dense-oracle call on rank-``m`` states."""
+    grid_points = integer_arg("grid_points", grid_points, MIN_GRID_POINTS)
+    if grid_points > MAX_GRID_POINTS:
+        raise TooLargeError(f"dense oracle guard: grid_points = {grid_points} > {MAX_GRID_POINTS}")
+    dim_b = integer_arg("dim_b", dim_b, 1)
+    if m * dim_b > MAX_ORACLE_DIM:
+        raise TooLargeError(f"dense oracle guard: m*dim_b = {m * dim_b} exceeds {MAX_ORACLE_DIM}")
+    if m > dim_b:
+        raise DimensionMismatchError(f"state rank {m} exceeds operator factors ({m}, {dim_b})")
+    return dim_b, grid_points
+
+
 def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> list:
     """:func:`max_expectation_grid`'s ``(theta, value)`` for each row of an ``(S, m)``
     block that passed ``validate_rows``, with the bits of one call per row: each grid
@@ -336,15 +349,8 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     (the first maximum, as ``np.argmax``) before its own golden search.  Each grid stack
     is built and checked once while :func:`_grid` caches it, then scattered into the
     zeroed buffer on each call."""
-    grid_points = integer_arg("grid_points", grid_points, MIN_GRID_POINTS)
-    if grid_points > MAX_GRID_POINTS:
-        raise TooLargeError(f"dense oracle guard: grid_points = {grid_points} > {MAX_GRID_POINTS}")
-    dim_b = integer_arg("dim_b", dim_b, 1)
     count, m = rows.shape
-    if m * dim_b > MAX_ORACLE_DIM:
-        raise TooLargeError(f"dense oracle guard: m*dim_b = {m * dim_b} exceeds {MAX_ORACLE_DIM}")
-    if m > dim_b:
-        raise DimensionMismatchError(f"state rank {m} exceeds operator factors ({m}, {dim_b})")
+    dim_b, grid_points = oracle_guard(m, dim_b, grid_points)
     psis = np.zeros((count, m * dim_b), dtype=complex)
     psis[:, np.arange(m) * (dim_b + 1)] = rows
     step, at = math.pi / grid_points, _family(m, dim_b)[-1]

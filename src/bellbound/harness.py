@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import json
 import operator
 import os
 import pickle
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import bounds
 # max_expectation_grid is unused, but the benchmark's tracer wraps it here
-from .bell_operators import max_expectation_block, max_expectation_grid
+from .bell_operators import max_expectation_block, max_expectation_grid, oracle_guard
 from .errors import (InvalidDimensionError, InvariantError, IoFailureError, WorkerFailedError,
                      integer_arg)
 # the benchmark's tracer wraps sample_haar, sample_simplex (both unused) and substream here
@@ -267,12 +268,6 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     return text, summary, violations
 
 
-def _scatter_chunk(task: tuple) -> tuple[int, list[tuple[float, ...]]]:
-    """Worker body of ``scatter_cb``: m and a chunk's (C, B, upper, lower) rows."""
-    c, _, _, b, up, lo, _ = bounds.closed_forms(_draw_block(*task))
-    return task[3], list(zip(c, b, up, lo))
-
-
 def _oracle_chunk(grid_points: int, task: tuple) -> OracleDimension:
     """Worker body of ``verify_oracle``: a chunk's largest |formula - grid maximum|."""
     _, _, offset, m, start, stop = task
@@ -299,14 +294,14 @@ def resolve_workers() -> int:
 
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
 MIN_SWEEP_WORK = 1024  # samples weighted by m a forked sweep worker needs to pay for its fork
-MIN_SCATTER_WORK = 2048  # the same for scatter_cb, whose records cost less than a sweep's
 
 
 def _plan(config: ExperimentConfig, minimum: int, requested: int, cpus: int, fork: bool):
     """W, the least of the requested count, the usable CPUs, the tasks and the work (samples
-    weighted by m) over ``minimum``, the least work that pays for a fork (1 without ``os.fork``),
-    and the chunk size for those W: one chunk per worker while it fits ``MAX_CHUNK``, at least 64
-    samples each but the last, since every chunk pays a fixed seeding, SVD and IPC cost."""
+    weighted by m) over ``minimum`` (``MIN_SWEEP_WORK`` or 1), the least work that pays for a fork
+    (1 without ``os.fork``), and the chunk size for those W: one chunk per worker within
+    ``MAX_CHUNK``, at least 64 samples each but the last, since a chunk pays a fixed seeding, SVD
+    and IPC cost."""
     work = config.samples * sum(config.dims)
     workers = min(requested, cpus, max(1, work // minimum)) if fork else 1
     size = min(MAX_CHUNK, max(64, -(-config.samples // workers)))
@@ -314,8 +309,8 @@ def _plan(config: ExperimentConfig, minimum: int, requested: int, cpus: int, for
 
 
 def _iter_chunks(work, config: ExperimentConfig, minimum: int):
-    """Yield ``work(task)`` for every task, ``_draw_block``'s arguments ``(seed, measure,
-    offset, m, start, stop)`` made one at a time, in (m, index) order.
+    """Yield ``work(task)``, a sweep's or an oracle's chunk, for every task, ``_draw_block``'s
+    arguments ``(seed, measure, offset, m, start, stop)`` made one at a time, in (m, index) order.
 
     W and the chunk size are ``_plan``'s for ``resolve_workers()``, read only here, and the work
     body's ``minimum``.  The caller is worker 0 of W and runs tasks 0, W, 2W, ... in turn, as a
@@ -408,7 +403,7 @@ def _atomic_output(path: str | None):
     the last to finish leaves its whole output.
     """
     if path is None:
-        raise IoFailureError("no output file: config.output_path is None")
+        raise IoFailureError("no output file: the output path is None")
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."
                        f"{os.getpid()}.{os.urandom(6).hex()}.tmp")
@@ -454,26 +449,41 @@ def verify_oracle(config: ExperimentConfig, grid_points: int) -> OracleSummary:
 
     For every sampled state computes |bell_value_formula - grid maximum|; the
     chunks' largest gaps fold per dimension as a sweep's do (``_fold``).  No file
-    output; the summary is the result.  Dimensions must respect the dense-oracle
-    guard.  A state pays for a fork, so the run takes up to BELLBOUND_THREADS / auto
+    output; the summary is the result.  Every m passes ``oracle_guard`` before any
+    fork or draw.  A state pays for a fork, so the run takes up to BELLBOUND_THREADS / auto
     workers, a state each at least (``minimum`` 1); the result does not depend on them.
     """
+    for m in config.dims:
+        oracle_guard(m, m + config.second_dim_offset, grid_points)
     per_dim = _fold(_iter_chunks(functools.partial(_oracle_chunk, grid_points), config, 1))
     return OracleSummary(per_dim, max(d.max_gap for d in per_dim))
 
 
-def scatter_cb(config: ExperimentConfig) -> Path:
-    """Write the (concurrence, Bell value, envelope) cloud as CSV.
+def scatter_cb(sweep_path, output_path) -> Path:
+    """Write the (concurrence, Bell value, envelope) cloud of a ``run_sweep`` file as CSV.
 
-    Columns ``m,concurrence,bell_value,upper,lower``; rows sorted by
-    concurrence within each m block (the sort holds one m's rows); floats
-    printed with shortest round-trip decimals; bytes independent of the
-    BELLBOUND_THREADS workers.  Returns the path; a failed run leaves no file.
+    Columns ``m,concurrence,bell_value,upper,lower``; rows stably sorted by concurrence
+    within each m block (the sort holds one m's rows); floats as the sweep wrote them.
+    Returns the path.  An unreadable input is an ``IoFailureError``, a line that is no
+    record an ``InvariantError`` naming it; a failed run leaves no file.
     """
-    with _atomic_output(config.output_path) as fh:
+    columns = operator.itemgetter("m", "concurrence", "bell_value", "upper", "lower")
+
+    def row(number: int, line: bytes) -> tuple:
+        with contextlib.suppress(ValueError, KeyError, TypeError):  # no JSON, key or object
+            values = columns(json.loads(line))
+            if list(map(type, values)) == [int, float, float, float, float]:
+                return values
+        raise InvariantError(f"{sweep_path} line {number}: not a sweep record")
+
+    try:
+        source = open(sweep_path, "rb")
+    except OSError as exc:
+        raise IoFailureError(f"cannot read {sweep_path}: {exc}") from exc
+    with source, _atomic_output(output_path) as fh:
         fh.write("m,concurrence,bell_value,upper,lower\n")
-        chunks = _iter_chunks(_scatter_chunk, config, MIN_SCATTER_WORK)
-        for m, group in itertools.groupby(chunks, key=lambda c: c[0]):
-            rows = sorted((row for _, block in group for row in block), key=lambda r: r[0])
-            fh.writelines(f"{m},{c!r},{b!r},{up!r},{lo!r}\n" for c, b, up, lo in rows)
-    return Path(config.output_path)
+        rows = itertools.starmap(row, enumerate(source, 1))
+        for _, group in itertools.groupby(rows, key=operator.itemgetter(0)):
+            fh.writelines(f"{m},{c!r},{b!r},{up!r},{lo!r}\n"
+                          for m, c, b, up, lo in sorted(group, key=operator.itemgetter(1)))
+    return Path(output_path)

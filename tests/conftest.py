@@ -26,14 +26,12 @@ def set_workers(monkeypatch):
 
 @pytest.fixture
 def any_work_forks(monkeypatch):
-    """Lowers the least work a forked sweep or scatter worker must get
-    (``harness.MIN_SWEEP_WORK``, ``MIN_SCATTER_WORK``) to one sample: a small run then
-    forks as many workers as its tasks and CPUs allow, so that a test of the runner on
-    a small input still runs it in parallel."""
+    """Lowers the least work a forked sweep worker must get (``harness.MIN_SWEEP_WORK``)
+    to one sample: a small sweep then forks as many workers as its tasks and CPUs allow,
+    so that a test of the runner on a small input still runs it in parallel."""
     from bellbound import harness
 
     monkeypatch.setattr(harness, "MIN_SWEEP_WORK", 1)
-    monkeypatch.setattr(harness, "MIN_SCATTER_WORK", 1)
 
 
 @pytest.fixture

@@ -169,6 +169,13 @@ MUTANTS = [
     Mutant("sweep drops its TheoremViolation lines", "cli.py",
            "for v in summary.violations:", "for v in ():",
            (f"{CLI}::TestSweep::test_theorem_violations_exit_one_with_one_line_each",)),
+    Mutant("scatter_cb sorts by bell_value", "harness.py",
+           "sorted(group, key=operator.itemgetter(1))", "sorted(group, key=operator.itemgetter(2))",
+           (f"{HARNESS}::TestScatterCb::test_rows_sorted_and_within_envelopes",)),
+    Mutant("verify_oracle checks its shapes only once a chunk runs", "harness.py",
+           "    for m in config.dims:\n"
+           "        oracle_guard(m, m + config.second_dim_offset, grid_points)\n", "",
+           (f"{HARNESS}::TestVerifyOracle::test_refuses_before_any_fork_or_draw",)),
     Mutant("a bad draw loses its sample label", "harness.py",
            'validate_rows(rows, start, f"sample m={m} ")', "validate_rows(rows, start)",
            (f"{HARNESS}::TestSweepKernel::test_invalid_draw_names_sample",)),

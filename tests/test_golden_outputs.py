@@ -1,6 +1,7 @@
 """Golden pins of the CLI and scatter outputs, before any change to the code
-paths behind them: ``verify``, ``sweep`` and ``sample`` stdout, the ``scatter_cb`` CSV,
-``bounds`` JSON and ``jn`` values.  Each digest is a sha256 of the exact bytes.
+paths behind them: ``verify``, ``sweep`` and ``sample`` stdout, the CSV that ``scatter_cb``
+converts from a sweep file, ``bounds`` JSON and ``jn`` values.  Each digest is a sha256 of
+the exact bytes.
 """
 
 from __future__ import annotations
@@ -101,11 +102,14 @@ def test_sweep_stdout_is_pinned(capsys, monkeypatch, tmp_path, set_workers, any_
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_scatter_csv_is_pinned(tmp_path, set_workers, any_work_forks, threads):
+def test_scatter_csv_is_pinned(tmp_path, set_workers, any_work_forks, fork_spy, threads):
+    # the CSV of a sweep written at 1 and at 2 workers
     set_workers(threads)
-    out = tmp_path / "cloud.csv"
-    scatter_cb(ExperimentConfig(dims=(1, 3, 4), samples=300, seed=41, second_dim_offset=1,
-                                output_path=str(out)))
+    sweep, out = tmp_path / "sweep.jsonl", tmp_path / "cloud.csv"
+    harness.run_sweep(ExperimentConfig(dims=(1, 3, 4), samples=300, seed=41,
+                                       second_dim_offset=1, output_path=str(sweep)))
+    assert len(fork_spy) == threads - 1
+    scatter_cb(sweep, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "0d2b0b9751e62e7d6c71bf18370ab5bf90d980350f547bd9e24732119744b156")
 

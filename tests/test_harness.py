@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -29,8 +30,8 @@ from bellbound import (
     verify_oracle,
 )
 from bellbound.cli import main
-from bellbound.errors import (InvalidDimensionError, IoFailureError, TooLargeError,
-                              WorkerFailedError)
+from bellbound.errors import (InvalidDimensionError, InvariantError, IoFailureError,
+                              TooLargeError, WorkerFailedError)
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
 
@@ -305,9 +306,6 @@ class TestRunSweep:
         (run_sweep, (2, 4), 100, 0), (run_sweep, (2, 4), 200, 0), (run_sweep, (8,), 100, 0),
         (run_sweep, (8,), 200, 0), (run_sweep, (2, 4), 400, 1), (run_sweep, (2, 4), 800, 1),
         (run_sweep, (8,), 400, 1), (run_sweep, (8,), 800, 1),
-        # scatter_cb: they lose at 3200 and below, and win from 4800
-        (scatter_cb, (2, 4), 400, 0), (scatter_cb, (8,), 400, 0), (scatter_cb, (2, 4), 800, 1),
-        (scatter_cb, (8,), 800, 1),
     ])
     def test_forks_only_where_a_worker_pays(self, tmp_path, set_workers, fork_spy, writer, dims,
                                             samples, forks):
@@ -438,8 +436,7 @@ class TestRunSweep:
         assert len(fork_spy) == workers - 1
         assert peak < 2**20
 
-    @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk"),
-                                               (scatter_cb, "_draw_block")])
+    @pytest.mark.parametrize("writer,kernel", [(run_sweep, "_sweep_chunk")])
     def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, set_workers, writer, kernel):
         set_workers(1)  # a forked worker counts calls apart
         original = getattr(harness, kernel)
@@ -1048,26 +1045,52 @@ class TestVerifyOracle:
         with pytest.raises(InvalidDimensionError):
             verify_oracle(ExperimentConfig(dims=(3, 3), samples=1, seed=0), grid_points=64)
 
+    @pytest.mark.parametrize("m,n,samples,grid,message", [
+        (2, 2, 100000, 2097152, "dense oracle guard: grid_points = 2097152 > 1048576"),
+        (8, 9, 130, 64, "dense oracle guard: m*dim_b = 72 exceeds 64"),
+    ], ids=["grid", "shape"])
+    def test_refuses_before_any_fork_or_draw(self, monkeypatch, set_workers, fork_spy, m, n,
+                                             samples, grid, message):
+        # both runs would fork a worker at two; the guards refuse them before the pool starts
+        set_workers(2)
+        draws, draw = [], harness._draw_block
+        monkeypatch.setattr(harness, "_draw_block", lambda *args: draws.append(args) or draw(*args))
+        cfg = ExperimentConfig(dims=(m,), samples=samples, seed=1, second_dim_offset=n - m)
+        assert harness._plan(cfg, 1, 2, 2, True)[0] == 2
+        with pytest.raises(TooLargeError, match=f"^{re.escape(message)}$"):
+            verify_oracle(cfg, grid_points=grid)
+        assert fork_spy == [] and draws == []
+
+
+def write_sweep(tmp_path, **kwargs):
+    """The path of a sweep file of ``ExperimentConfig(**kwargs)`` written in ``tmp_path``."""
+    sweep = tmp_path / "sweep.jsonl"
+    run_sweep(ExperimentConfig(output_path=str(sweep), **kwargs))
+    return sweep
+
+
+def sweep_then_cb(tmp_path, **kwargs):
+    """The scatter CSV that ``scatter_cb`` converts from ``write_sweep``'s file."""
+    return scatter_cb(write_sweep(tmp_path, **kwargs), tmp_path / "cloud.csv")
+
 
 class TestScatterCb:
-    def test_requires_output_path(self):
+    def test_requires_output_path(self, tmp_path):
+        sweep = write_sweep(tmp_path, dims=(2,), samples=1, seed=0)
         with pytest.raises(IoFailureError):
-            scatter_cb(ExperimentConfig(dims=(2,), samples=1, seed=0))
+            scatter_cb(sweep, None)
+        assert list(tmp_path.iterdir()) == [sweep]
 
     def test_header_and_row_count(self, tmp_path):
-        out = tmp_path / "cloud.csv"
-        cfg = ExperimentConfig(dims=(2,), samples=10, seed=17, output_path=str(out))
-        path = scatter_cb(cfg)
+        path = sweep_then_cb(tmp_path, dims=(2,), samples=10, seed=17)
+        assert path == tmp_path / "cloud.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "m,concurrence,bell_value,upper,lower"
         assert len(lines) == 11
 
     def test_rows_sorted_and_within_envelopes(self, tmp_path):
-        out = tmp_path / "cloud.csv"
-        cfg = ExperimentConfig(
-            dims=(2, 4), samples=200, seed=23, measure="simplex", output_path=str(out)
-        )
-        lines = scatter_cb(cfg).read_text().splitlines()[1:]
+        lines = sweep_then_cb(tmp_path, dims=(2, 4), samples=200, seed=23,
+                              measure="simplex").read_text().splitlines()[1:]
         assert len(lines) == 400
         last_c = {2: -1.0, 4: -1.0}
         for line in lines:
@@ -1076,12 +1099,16 @@ class TestScatterCb:
             assert c >= last_c[m]
             last_c[m] = c
             assert float(lo_txt) - THEOREM_TOL <= b <= float(up_txt) + THEOREM_TOL
+        # each m block holds that m's records, stably sorted by concurrence
+        keys = ("m", "concurrence", "bell_value", "upper", "lower")
+        records = map(json.loads, (tmp_path / "sweep.jsonl").read_text().splitlines())
+        rows = sorted((tuple(rec[key] for key in keys) for rec in records),
+                      key=lambda row: (row[0], row[1]))
+        assert lines == [f"{m},{c!r},{b!r},{up!r},{lo!r}" for m, c, b, up, lo in rows]
 
     def test_round_trip_identity(self, tmp_path):
         # re-parsing a row and recomputing reproduces the printed values
-        out = tmp_path / "cloud.csv"
-        cfg = ExperimentConfig(dims=(4,), samples=5, seed=29, output_path=str(out))
-        lines = scatter_cb(cfg).read_text().splitlines()[1:]
+        lines = sweep_then_cb(tmp_path, dims=(4,), samples=5, seed=29).read_text().splitlines()[1:]
         for line in lines:
             _, c_txt, b_txt, _, _ = line.split(",")
             assert repr(float(c_txt)) == c_txt
@@ -1089,19 +1116,44 @@ class TestScatterCb:
 
     def test_deterministic(self, tmp_path):
         outs = []
-        for name in ("c1.csv", "c2.csv"):
-            out = tmp_path / name
-            scatter_cb(ExperimentConfig(dims=(3,), samples=50, seed=31,
-                                        output_path=str(out)))
-            outs.append(sha256(out))
-        assert outs[0] == outs[1]
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            outs.append(sha256(sweep_then_cb(tmp_path / name, dims=(3,), samples=50, seed=31)))
+        outs.append(sha256(scatter_cb(tmp_path / "one" / "sweep.jsonl", tmp_path / "again.csv")))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_envelope_cap_at_m_four(self, tmp_path):
-        out = tmp_path / "cap.csv"
-        cfg = ExperimentConfig(dims=(4,), samples=2000, seed=37, output_path=str(out))
-        lines = scatter_cb(cfg).read_text().splitlines()[1:]
+        lines = sweep_then_cb(tmp_path, dims=(4,), samples=2000,
+                              seed=37).read_text().splitlines()[1:]
         top = max(float(line.split(",")[2]) for line in lines)
         assert top <= 2.0 * math.sqrt(1.0 + 1.5) + THEOREM_TOL  # 2 sqrt(1 + C_max^2)
+
+    @pytest.mark.parametrize("bad", [
+        b"not json", b"[1, 2]", b"null", b"", b"\xff", b'{"m": 2}',
+        b'{"m": 2, "concurrence": "0.5", "bell_value": 2.0, "upper": 2.2, "lower": 1.6}',
+        b'{"m": true, "concurrence": 0.5, "bell_value": 2.0, "upper": 2.2, "lower": 1.6}',
+        b'{"m": 2, "concurrence": 1, "bell_value": 2.0, "upper": 2.2, "lower": 1.6}',
+    ], ids=["text", "array", "null", "empty", "not-utf8", "no-columns", "string-value",
+            "bool-m", "int-value"])
+    def test_malformed_line_names_its_number(self, tmp_path, bad):
+        # the fifth of six records is replaced; the conversion stops there and leaves no file
+        sweep = write_sweep(tmp_path, dims=(2, 3), samples=3, seed=3)
+        lines = sweep.read_bytes().splitlines(keepends=True)
+        lines[4] = bad + b"\n"
+        sweep.write_bytes(b"".join(lines))
+        with pytest.raises(InvariantError, match=f"^{re.escape(str(sweep))} line 5: "
+                                                 "not a sweep record$"):
+            scatter_cb(sweep, tmp_path / "cloud.csv")
+        assert list(tmp_path.iterdir()) == [sweep]
+
+    @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
+    def test_unreadable_input_is_an_io_failure(self, tmp_path, is_dir):
+        sweep = tmp_path / "sweep.jsonl"
+        if is_dir:
+            sweep.mkdir()
+        with pytest.raises(IoFailureError, match=f"^cannot read {re.escape(str(sweep))}: "):
+            scatter_cb(sweep, tmp_path / "cloud.csv")
+        assert list(tmp_path.iterdir()) == ([sweep] if is_dir else [])
 
 
 class TestOracleRecordsViaSweep:
