@@ -11,7 +11,6 @@ with B the theta-maximum of the measurement family and C the concurrence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -254,6 +253,7 @@ class BoundReport:
 
     def to_json(self) -> str:
         """Flat JSON object, field names as declared."""
+        import json  # here alone: no other CLI call loads the codec
         return json.dumps(vars(self))
 
 

@@ -1,10 +1,10 @@
 """Command-line front end; one subcommand per library operation.
 
 Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr; one
-line per theorem violation of ``sweep`` or per oracle gap beyond
-``ORACLE_TOL`` of ``verify``), 2 usage error (argparse).  Every number is
-printed in shortest round-trip form, so re-parsing the output reproduces it
-bit-for-bit.  Each handler imports the modules it runs, so a call loads no other one.
+line per kept theorem violation of ``sweep`` or per oracle gap beyond
+``ORACLE_TOL`` of ``verify``), 2 usage error (argparse), 128 + N on signal N.
+Every number is printed in shortest round-trip form, so re-parsing the output
+reproduces it bit-for-bit.  Each handler imports the modules it runs, so a call loads no other one.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import contextlib
 import gc
 import os
 import re
+import signal
 import sys
 
 import numpy as np
@@ -164,13 +165,17 @@ def _cmd_sweep(args) -> int:
             f" max_concurrence={d.max_concurrence!r}"
             f" violations={d.violations}"
         )
-    _report(violations=len(summary.violations), out=config.output_path)
+    total = sum(d.violations for d in summary.per_dim)
+    _report(violations=total, out=config.output_path)
     for v in summary.violations:
         print(
             f"error: TheoremViolation: m={v.m} index={v.index} {v.check}"
             f" margin={v.margin!r}",
             file=sys.stderr,
         )
+    if total > len(summary.violations):  # the summary keeps the first harness.MAX_VIOLATIONS
+        print(f"error: TheoremViolation: {total - len(summary.violations)} more, not listed",
+              file=sys.stderr)
     return 1 if summary.violations else 0
 
 
@@ -249,10 +254,20 @@ def main(argv=None) -> int:
     except BellboundError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # named as the builtin: NumPy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
+
+
+def _interrupt(signum, frame):  # run()'s SIGTERM and SIGHUP handler; main() installs none
+    raise KeyboardInterrupt(signum)  # as Ctrl-C: no work body's `except Exception` catches it
 
 
 def run() -> None:
     """Console-script entry point; the frozen collector leaves teardown nothing to scan."""
+    for signum in (signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)):  # none on Windows
+        if signal.getsignal(signum) == signal.SIG_DFL:  # an ignored one (nohup) stays ignored
+            signal.signal(signum, _interrupt)
     try:
         code = main()
         sys.stdout.flush()
@@ -260,5 +275,9 @@ def run() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: IoFailureError: cannot write standard output: {exc}", file=sys.stderr)
         code = 1
+    except KeyboardInterrupt as exc:  # Ctrl-C, or SIGTERM / SIGHUP through _interrupt
+        signum = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        print(f"error: Interrupted: {signum.name}", file=sys.stderr)
+        code = 128 + signum
     gc.freeze()  # never in main(): in-process callers keep their own collector
     raise SystemExit(code)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import json
 import operator
 import os
 import pickle
@@ -93,7 +92,7 @@ class Violation:
 class SweepSummary:
     records_written: int
     per_dim: tuple[DimensionSummary, ...]
-    violations: tuple[Violation, ...]
+    violations: tuple[Violation, ...]  # the first MAX_VIOLATIONS in (m, index) order
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,9 @@ _JSON = {True: "true", False: "false", None: "null"}
 def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     """Worker body: the records of samples [start, stop) at one m, encoded.
 
-    Returns the JSONL text, the chunk's reduction (``_fold`` merges those of one m) and
-    its violations.  One line per sample, keys in this order (the record schema):
+    Returns the JSONL text, the chunk's reduction (``_fold`` merges those of one m), which
+    counts its violations, and the first ``MAX_VIOLATIONS`` of them.  One line per sample,
+    keys in this order (the record schema):
 
     - ``m``, ``n``, ``index``; ``coeffs`` (descending, unit norm);
       ``effective_rank`` (coefficients above ``ZERO_TOL``);
@@ -248,14 +248,16 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
     ranks = np.count_nonzero(rows > ZERO_TOL, axis=1).tolist()
     c, k, g, b, up, lo, cert = bounds.closed_forms(rows)
     ok1 = ok2 = [None] * (stop - start)
-    margins, violations = (None, None), []
+    margins, violations, count = (None, None), [], 0
     if m % 2 == 0:
         t1, t2 = np.subtract(up, b), np.subtract(b, lo)
         pass1, pass2 = t1 >= -THEOREM_TOL, t2 >= -THEOREM_TOL
         ok1, ok2, margins = pass1.tolist(), pass2.tolist(), (float(t1.min()), float(t2.min()))
-        violations = [Violation(m, start + i, key, float(t[i]))
-                      for i in np.flatnonzero(~(pass1 & pass2)).tolist()
-                      for key, t, ok in (("theorem1", t1, ok1), ("theorem2", t2, ok2)) if not ok[i]]
+        count = np.count_nonzero(~pass1) + np.count_nonzero(~pass2)
+        found = (Violation(m, start + i, key, float(t[i]))
+                 for i in np.flatnonzero(~(pass1 & pass2)).tolist()
+                 for key, t, ok in (("theorem1", t1, ok1), ("theorem2", t2, ok2)) if not ok[i])
+        violations = list(itertools.islice(found, MAX_VIOLATIONS))
     text = "".join(
         f'{{"m":{m},"n":{n},"index":{start + i},"coeffs":[{",".join(map(repr, row))}],'
         f'"effective_rank":{ranks[i]},"concurrence":{c[i]!r},"k":{k[i]!r},"gamma":{g[i]!r},'
@@ -264,7 +266,7 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
         f'"certified_nonlocal":{_JSON[cert[i]]},"oracle_value":null,"oracle_gap":null}}\n'
         for i, row in enumerate(rows.tolist())
     )
-    summary = DimensionSummary(m, n, stop - start, *margins, max(c), len(violations))
+    summary = DimensionSummary(m, n, stop - start, *margins, max(c), count)
     return text, summary, violations
 
 
@@ -293,6 +295,7 @@ def resolve_workers() -> int:
 
 
 MAX_CHUNK = 2048  # samples per chunk: bounds a chunk's draws and encoded text
+MAX_VIOLATIONS = 1000  # violations a chunk returns and a sweep keeps; per_dim counts them all
 MIN_SWEEP_WORK = 1024  # samples weighted by m a forked sweep worker needs to pay for its fork
 
 
@@ -427,7 +430,8 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Draw, check and record `config.samples` states per dimension.
 
     Writes one JSON line per sample to ``config.output_path`` in (m, index) order and returns
-    the chunks' reductions folded per m (``_fold``) and their violations; the record schema is
+    the chunks' reductions folded per m (``_fold``), which count every violation, and the first
+    ``MAX_VIOLATIONS`` violations, so a failing run stays bounded; the record schema is
     on ``_sweep_chunk``.  The caller is worker 0 of W (BELLBOUND_THREADS or auto); the W - 1 it
     forks hand chunks over through spill files, two at most each (``_iter_chunks``).  Neither
     bytes nor summary depend on W.  A run that fails, or has no output path, leaves no file.
@@ -435,7 +439,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     def written(fh):  # each chunk's reduction, once its text is written and violations kept
         for text, block, found in _iter_chunks(_sweep_chunk, config, MIN_SWEEP_WORK):
             fh.write(text)
-            violations.extend(found)
+            violations.extend(found[:MAX_VIOLATIONS - len(violations)])
             yield block
 
     violations: list[Violation] = []
@@ -467,6 +471,7 @@ def scatter_cb(sweep_path, output_path) -> Path:
     Returns the path.  An unreadable input is an ``IoFailureError``, a line that is no
     record an ``InvariantError`` naming it; a failed run leaves no file.
     """
+    import json  # the one reader of records: a sweep never loads the codec
     columns = operator.itemgetter("m", "concurrence", "bell_value", "upper", "lower")
 
     def row(number: int, line: bytes) -> tuple:

@@ -10,7 +10,6 @@ these coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,8 +67,8 @@ class SchmidtVector:
         return self.coeffs.size
 
     def to_json(self) -> str:
-        """Serialize as a JSON array with shortest round-trip decimals."""
-        return json.dumps(self.coeffs.tolist())
+        """JSON array, shortest round-trip decimals: ``json.dumps``'s bytes for a finite list."""
+        return repr(self.coeffs.tolist())
 
     def __repr__(self) -> str:
         return f"SchmidtVector({self.coeffs.tolist()!r})"

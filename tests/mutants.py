@@ -54,15 +54,6 @@ REPORT = ("            except Exception as exc:\n" + " " * 16
 CREDIT = " " * 16 + 'credit.write(b"\\0")\n'
 SUPPRESS = (" " * 12 + "with contextlib.suppress(BrokenPipeError):"
             "  # a worker gone fails its next read\n")
-RUN = ('\n\ndef run() -> None:\n    """Console-script entry point; the frozen collector '
-       'leaves teardown nothing to scan."""\n    try:\n        code = main()\n'
-       '        sys.stdout.flush()\n'
-       "    except BrokenPipeError as exc:  # a closed stdout: teardown's flush goes to "
-       "os.devnull\n"
-       '        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n'
-       '        print(f"error: IoFailureError: cannot write standard output: {exc}", '
-       'file=sys.stderr)\n        code = 1\n')
-FREEZE = "    gc.freeze()  # never in main(): in-process callers keep their own collector\n"
 GRID = "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)"
 
 MUTANTS = [
@@ -153,16 +144,31 @@ MUTANTS = [
     Mutant("run() lets a closed stdout through", "cli.py",
            "except BrokenPipeError as exc:", "except ZeroDivisionError as exc:",
            (f"{CLI}::TestModuleEntryPoint::test_closed_stdout_is_a_one_line_domain_error",)),
-    Mutant("the freeze moves from run() into main()", "cli.py",
-           "        return 1\n" + RUN + FREEZE,
-           "        return 1\n    finally:\n        gc.freeze()\n" + RUN,
+    Mutant("main() freezes the collector too", "cli.py",
+           "        return 1\n\n\ndef _interrupt",
+           "        return 1\n    finally:\n        gc.freeze()\n\n\ndef _interrupt",
            (f"{CLI}::TestModuleEntryPoint::test_main_never_freezes_the_collector",)),
+    Mutant("run() installs no SIGTERM or SIGHUP handler", "cli.py",
+           "signal.signal(signum, _interrupt)", "pass",
+           (f"{CLI}::TestInterrupt::test_ctrl_c_leaves_nothing_behind",)),
+    Mutant("a MemoryError escapes main()", "cli.py",
+           "except MemoryError as exc:", "except ZeroDivisionError as exc:",
+           (f"{CLI}::TestSweep::test_failed_allocation_is_one_line",)),
     Mutant("validate_rows skips the descending-order check", "schmidt_state.py",
            "(rows[:, :-1] < rows[:, 1:]).any(axis=1)", "np.zeros(len(rows), bool)",
            (f"{SCHMIDT}::TestValidateRows::test_names_first_failing_index",)),
     Mutant("the fused test drops the nonincreasing check", "schmidt_state.py",
            " and (rows[:, :-1] >= rows[:, 1:]).all()", "",
            (f"{SCHMIDT}::TestValidateRows::test_fused_test_decides_as_the_per_check_rules",)),
+    Mutant("the caller keeps every violation", "harness.py",
+           "violations.extend(found[:MAX_VIOLATIONS - len(violations)])",
+           "violations.extend(found)",
+           (f"{HARNESS}::TestRunSweep::"
+            "test_failing_sweep_keeps_the_first_violations_and_counts_all",
+            f"{HARNESS}::TestRunSweep::test_failing_sweep_memory_does_not_grow_with_samples")),
+    Mutant("schmidt_state imports json again", "schmidt_state.py",
+           "import math\n", "import json\nimport math\n",
+           (f"{CLI}::TestImportPath::test_subcommand_loads_only_its_modules",)),
     Mutant("sweep exits 0 on theorem violations", "cli.py",
            "return 1 if summary.violations else 0", "return 0",
            (f"{CLI}::TestSweep::test_theorem_violations_exit_one_with_one_line_each",)),

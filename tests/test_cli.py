@@ -265,6 +265,38 @@ class TestSweep:
         assert [float(f[2]) for f in found] == [r["upper"] - r["bell_value"] for r in failing]
         assert not any(r["theorem2_ok"] is False for r in records)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_violation_lines_stop_at_the_cap(self, capsys, monkeypatch, tmp_path, set_workers,
+                                             any_work_forks, threads):
+        # every m = 2 check fails: stdout counts all 1200, stderr lists the first
+        # MAX_VIOLATIONS in (m, index) order and then says how many more there were
+        monkeypatch.setattr(harness, "THEOREM_TOL", -10.0)
+        set_workers(threads)
+        code, out, err = run_cli(capsys, "sweep", "--dims", "2", "--samples", "600",
+                                 "--seed", "6", "--out", str(tmp_path / "sweep.jsonl"))
+        assert code == 1
+        assert parsed_lines(out)["violations"] == "1200"
+        lines = err.splitlines()
+        assert len(lines) == harness.MAX_VIOLATIONS + 1
+        assert [re.match(r"error: TheoremViolation: m=2 index=(\d+) (theorem\d) margin=", line)
+                .groups() for line in lines[:-1]] == [
+            (str(i // 2), f"theorem{i % 2 + 1}") for i in range(harness.MAX_VIOLATIONS)]
+        more = 1200 - harness.MAX_VIOLATIONS
+        assert lines[-1] == f"error: TheoremViolation: {more} more, not listed"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_allocation_is_one_line(self, capsys, tmp_path, set_workers, fork_spy,
+                                           threads):
+        # the m = 10**7 chunk asks for petabytes; at 2 workers a forked worker runs it, and
+        # its MemoryError reaches the caller, which reports it as the caller's own
+        set_workers(threads)
+        code, out, err = run_cli(capsys, "sweep", "--dims", "2,10000000", "--samples", "64",
+                                 "--seed", "1", "--out", str(tmp_path / "x.jsonl"))
+        assert len(fork_spy) == threads - 1
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: MemoryError: Unable to allocate .+\n", err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--dims", "2", "--samples", "1", "--seed", "1",
@@ -420,6 +452,8 @@ BAD_INPUTS = [
     (f"BELLBOUND_THREADS=-1 {SWEEP} 2 --out {{out}}", 1),
     (f"BELLBOUND_THREADS=2.5 {SWEEP} 2 --out {{out}}", 1),
     (f"BELLBOUND_THREADS=many {VERIFY} 2", 1),
+    # m = 10**7 asks for petabytes, beyond a 47-bit address space: the allocation fails at once
+    ("sample --m 10000000 --seed 1", 1), (f"{SWEEP} 10000000 --out {{out}}", 1),
 ]
 
 
@@ -480,6 +514,9 @@ class TestDispatch:
 
 
 
+SIGNALS = [signal.SIGTERM, signal.SIGHUP]  # the signals that run() makes raise, as SIGINT does
+
+
 def package_env():
     """Environment for a fresh interpreter that imports this bellbound."""
     src = str(Path(bellbound.__file__).resolve().parent.parent)
@@ -535,6 +572,25 @@ class TestModuleEntryPoint:
         assert in_process(capsys, [word.format(out=tmp_path / "x") for word in row])[0] == code
         assert gc.get_freeze_count() == frozen
 
+    @pytest.mark.parametrize("name", ["sweep", "domain-error", "usage-error"])
+    def test_main_installs_no_signal_handler(self, capsys, tmp_path, name):
+        # only run() makes SIGTERM and SIGHUP raise: a caller of main() keeps its own handlers
+        row, code = ENTRY_ROWS[name]
+        handlers = [signal.getsignal(signum) for signum in SIGNALS]
+        assert in_process(capsys, [word.format(out=tmp_path / "x") for word in row])[0] == code
+        assert [signal.getsignal(signum) for signum in SIGNALS] == handlers
+
+    def test_run_keeps_an_ignored_hangup(self, capsys):
+        # a run started under nohup keeps running when its terminal closes
+        prelude = ("import atexit, signal, sys; signal.signal(signal.SIGHUP, signal.SIG_IGN); "
+                   "atexit.register(lambda: print(signal.getsignal(signal.SIGHUP).name, "
+                   "signal.getsignal(signal.SIGTERM).__name__, file=sys.stderr)); ")
+        argv = ENTRY_ROWS["bell"][0]
+        r = subprocess.run([sys.executable, "-c", prelude + ENTRY, *argv], capture_output=True,
+                           text=True, env=package_env(), timeout=120)
+        assert (r.returncode, r.stdout) == (0, in_process(capsys, argv)[1])
+        assert r.stderr == "SIG_IGN _interrupt\n"
+
     def test_run_freezes_the_collector_and_atexit_handlers_still_run(self, capsys):
         prelude = ("import atexit, gc, sys; "
                    "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); ")
@@ -583,32 +639,39 @@ def group_empties(pgid, timeout):
 
 
 class TestInterrupt:
-    def test_ctrl_c_leaves_nothing_behind(self, tmp_path):
-        # the sweep and its forked worker get a session of their own, and SIGINT
-        # goes to the whole group, as a terminal's Ctrl-C does; SIGINT is reset
-        # to the default, since a parent that ignores it (a shell's `&` job)
-        # passes that on and the sweep would then run to its end
+    @pytest.mark.parametrize("kill", [os.kill, os.killpg], ids=["caller", "group"])
+    @pytest.mark.parametrize("signum", SIGNALS + [signal.SIGINT], ids=lambda s: s.name)
+    def test_ctrl_c_leaves_nothing_behind(self, tmp_path, signum, kill):
+        # the sweep and its forked worker get a session of their own, and the signal goes
+        # to the caller alone (as `kill` sends it) or to the whole group (as a terminal's
+        # Ctrl-C or hang-up does); each signal is reset to the default, since a parent
+        # that ignores one (a shell's `&` job, nohup) passes that on and the sweep would
+        # then run to its end
         out = tmp_path / "out.jsonl"
         argv = [sys.executable, "-m", "bellbound", "sweep", "--dims", "2,4",
                 "--samples", "50000", "--seed", "1", "--out", str(out)]
+
+        def defaults():
+            for each in SIGNALS + [signal.SIGINT]:
+                signal.signal(each, signal.SIG_DFL)
+
         proc = subprocess.Popen(
             argv, env={**package_env(), "BELLBOUND_THREADS": "2"}, start_new_session=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, preexec_fn=defaults)
         try:
             deadline = time.monotonic() + 60
             while not any(path.stat().st_size for path in tmp_path.iterdir()):
                 assert proc.poll() is None, "the sweep ended before writing"
                 assert time.monotonic() < deadline, "the sweep wrote nothing in 60 s"
                 time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGINT)  # the hidden temp file holds records
+            kill(proc.pid, signum)  # the hidden temp file holds records
             _, err = proc.communicate(timeout=60)
             emptied = group_empties(proc.pid, timeout=10)
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=60)
-        assert proc.returncode != 0, err
+        assert (proc.returncode, err) == (128 + signum, f"error: Interrupted: {signum.name}\n")
         assert list(tmp_path.iterdir()) == []
         assert emptied
 
@@ -661,13 +724,16 @@ class TestImportPath:
 
     @pytest.mark.parametrize("line,loaded", MODULE_SETS, ids=[line for line, _ in MODULE_SETS])
     def test_subcommand_loads_only_its_modules(self, tmp_path, line, loaded):
-        # each handler imports what it runs; a fresh process shows what a call loads
+        # each handler imports what it runs; a fresh process shows what a call loads. Of
+        # the stdlib, json is loaded by `bounds` alone, the one output that is a dumped dict
         argv = shlex.split(line.format(out=tmp_path / "x.jsonl"))
         code = ("import sys; from bellbound.cli import main; import contextlib, io\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert main({argv!r}) == 0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('bellbound.')))")
+                "print(sorted(m for m in sys.modules if m.startswith('bellbound.')), "
+                "'json' in sys.modules)")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**package_env(), "BELLBOUND_THREADS": "1"}, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout == f"{sorted(f'bellbound.{m}' for m in loaded)}\n"
+        json_loaded = argv[0] == "bounds"
+        assert run.stdout == f"{sorted(f'bellbound.{m}' for m in loaded)} {json_loaded}\n"

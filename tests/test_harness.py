@@ -268,6 +268,41 @@ class TestRunSweep:
         set_workers(1)
         assert summary == run_sweep(cfg)
 
+    def test_failing_sweep_keeps_the_first_violations_and_counts_all(self, tmp_path, monkeypatch,
+                                                                     set_workers, any_work_forks):
+        # every even-m check fails: each chunk returns at most MAX_VIOLATIONS of its failures and
+        # the caller keeps the first ones in (m, index) order, while per_dim counts every one
+        monkeypatch.setattr(harness, "THEOREM_TOL", -10.0)
+        monkeypatch.setattr(harness, "MAX_VIOLATIONS", 7)
+        cfg = ExperimentConfig(dims=(2, 3, 4), samples=200, seed=1,
+                               output_path=str(tmp_path / "x.jsonl"))
+        for workers in (1, 2):
+            set_workers(workers)
+            summary = run_sweep(cfg)
+            assert [d.violations for d in summary.per_dim] == [400, 0, 400]
+            assert [(v.m, v.index, v.check) for v in summary.violations] == [
+                (2, i // 2, f"theorem{i % 2 + 1}") for i in range(7)]
+
+    def test_failing_sweep_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch,
+                                                             set_workers):
+        # an all-failing run at 4x the samples peaks at about the same traced memory: what a
+        # chunk holds and the MAX_VIOLATIONS kept, not a record per failure
+        monkeypatch.setattr(harness, "THEOREM_TOL", -10.0)
+        set_workers(1)  # tracemalloc sees the caller only
+        peaks = []
+        for samples in (2 * harness.MAX_CHUNK, 8 * harness.MAX_CHUNK):
+            cfg = ExperimentConfig(dims=(2,), samples=samples, seed=1,
+                                   output_path=str(tmp_path / "x.jsonl"))
+            tracemalloc.start()
+            try:
+                summary = run_sweep(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.per_dim[0].violations == 2 * samples
+            assert len(summary.violations) == harness.MAX_VIOLATIONS
+        assert peaks[1] < 1.2 * peaks[0]
+
     def test_chunks_are_capped(self, set_workers):
         # the tasks cover [0, samples) in contiguous chunks of at most MAX_CHUNK samples; the
         # cap at any worker count is test_chunk_policy's

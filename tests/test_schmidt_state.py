@@ -169,9 +169,18 @@ class TestSchmidtVectorValidation:
         with pytest.raises(ValueError):
             s.coeffs[0] = 0.0
 
-    def test_to_json_round_trips(self):
-        s = new_schmidt([1, 2, 2])
-        assert json.loads(s.to_json()) == s.coeffs.tolist()
+    @settings(deadline=None)
+    @given(raw=st.lists(st.floats(0.0, 1e6) | st.sampled_from([5e-324, 1e-300, 1.0]),
+                        min_size=1, max_size=12).filter(lambda v: math.fsum(v) > 1e-6),
+           m=st.integers(1, 9), seed=st.integers(0, 2**32))
+    @example(raw=[1, 2, 2], m=1, seed=0)
+    def test_to_json_round_trips(self, raw, m, seed):
+        # repr of the float list writes json.dumps's bytes for every vector the class admits:
+        # finite, with no -0.0; canonicalized, drawn from either measure, or with edge entries
+        rng = np.random.default_rng(seed)
+        for s in (new_schmidt(raw), sample_haar(m, m + 1, rng), sample_simplex(m, rng)):
+            assert s.to_json() == json.dumps(s.coeffs.tolist())
+            assert json.loads(s.to_json()) == s.coeffs.tolist()
 
 
 class TestValidateRows:
