@@ -6,9 +6,9 @@ party measures block copies of ``s3`` and ``s1``.  Odd local dimensions end
 in a scalar block equal to 1.  Contracted against ``bounds.CHSH_MATRIX`` (the closed-form
 layer owns the coefficient matrices and never loads this module) this family realizes the
 closed-form Bell value ``2 sqrt((1-gamma)^2 + K^2) + 2 gamma`` as its theta-maximum; the
-dense evaluation path here, which writes only the operator entries the Kronecker product
-can make nonzero and checks all, is the formula's independent oracle.  Its grid stacks are
-checked once each while cached, the 64 last used.
+dense evaluation path here, which computes and checks only the operator entries the Kronecker
+product can make nonzero, each against its transpose, is the formula's independent oracle.  Its
+grid stacks are checked once each while cached, the 64 last used.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ __all__ = [
 ]
 
 
-def _check_hermitian(stack: np.ndarray, what: str, work=None) -> None:
-    """Each matrix on the last two axes is Hermitian within ``HERMITIAN_TOL`` entrywise;
-    like every check here, written so that a NaN fails it.  ``work``: (complex, real) scratch."""
-    diff, mag = work or (np.empty_like(stack), np.empty(stack.shape))
-    np.subtract(stack, np.conjugate(stack.swapaxes(-1, -2), out=diff), out=diff)
-    defect = float(np.abs(diff, out=mag).max())
+def _check_hermitian(stack: np.ndarray, what: str, mirror=None) -> None:
+    """Each matrix on the last two axes, or with ``mirror`` each row of entries against those at
+    its transposed positions, is Hermitian within ``HERMITIAN_TOL``; a NaN fails it, as all here."""
+    pairs = stack.swapaxes(-1, -2) if mirror is None else stack[..., mirror]
+    defect = float(np.abs(stack - np.conjugate(pairs)).max())
     if not defect <= HERMITIAN_TOL:
         raise InvariantError(f"{what} is not Hermitian (defect {defect:.3e})")
 
@@ -259,7 +258,7 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
 
 
 _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
-_LOCAL = threading.local()  # this thread's operator and check buffers (_scatter)
+_LOCAL = threading.local()  # this thread's operator buffer (_scatter)
 
 
 def _golden_depth(side: int) -> int:
@@ -273,60 +272,60 @@ def _family(m: int, n: int) -> tuple[np.ndarray, ...]:
     """The state-independent parts of the family at (m, n), read-only: the tiled ``s3``/``s1``
     blocks of the first party and its odd-m scalar slot; at each operator position (flat) where
     their nonzero entries meet those of the side ``sum_j N_ij B_j`` (CHSH matrix, checked
-    :func:`build_b`) in a Kronecker product, the flat first-party index and the side's two
-    entries; and those positions.  Callers pass the dense-oracle guards first: <= 144 shapes."""
+    :func:`build_b`) in a Kronecker product or its transpose, the flat first-party index, the
+    side's two entries and the index of the transposed position; and those positions.  Callers
+    pass the dense-oracle guards first: <= 144 shapes."""
     b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries, [build_b(n, w).entries for w in (0, 1)])
     parts = [_block_repeat(_SIGMA[3], m, tail=0.0),
              np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0),
              _block_repeat(np.zeros((2, 2)), m)]
-    at = np.flatnonzero(np.kron(np.any([parts[0], *parts[1], parts[2]], 0), np.any(b_side, 0)))
+    mask = np.kron(np.any([parts[0], *parts[1], parts[2]], 0), np.any(b_side, 0))
+    at = np.flatnonzero(mask | mask.T)
     (i, j), (k, l) = np.divmod(np.divmod(at, m * n), n)  # row i * n + k, column j * n + l
-    parts += [i * m + j, b_side.reshape(2, -1)[:, k * n + l], at]
+    parts += [i * m + j, b_side.reshape(2, -1)[:, k * n + l],
+              np.searchsorted(at, (j * n + l) * m * n + i * n + k), at]
     for part in parts:
         part.setflags(write=False)
     return tuple(parts)
 
 
-def _scatter(entries: np.ndarray, at: np.ndarray, side: int):
+def _scatter(entries: np.ndarray, at: np.ndarray, side: int) -> np.ndarray:
     """This thread's ``(G, side, side)`` operator buffer, zero but for ``entries`` at the flat
-    positions ``at``, and the Hermitian check's scratch: allocated once at the largest stack
-    asked for (>= 16 angles at D = 64, 2.6 MB in all), overwritten by the next call."""
+    positions ``at``: one complex buffer, allocated once at ``_BLOCK * MAX_ORACLE_DIM**2``
+    entries (1.05 MB) or the largest stack asked for, overwritten by the next call."""
     g, size = len(entries), len(entries) * side**2
-    bufs = getattr(_LOCAL, "bufs", ())
-    if not bufs or len(bufs[0]) < size:
-        bufs = _LOCAL.bufs = [np.empty(max(size, _BLOCK * MAX_ORACLE_DIM**2), t)
-                              for t in (complex, complex, float)]
-    ops, *work = (buf[:size].reshape(g, side, side) for buf in bufs)
+    buf = getattr(_LOCAL, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = _LOCAL.buf = np.empty(max(size, _BLOCK * MAX_ORACLE_DIM**2), complex)
+    ops = buf[:size].reshape(g, side, side)
     ops.fill(0.0)
     ops.reshape(g, -1)[:, at] = entries
-    return ops, work
+    return ops
 
 
 def _operators(m: int, n: int, thetas) -> np.ndarray:
-    """The ``(G, D, D)`` operators ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles:
-    zero but at :func:`_family`'s positions, where each is ``a_0 b_0 + a_1 b_1`` of its
-    entries.  The ``(G, 2, m, m)`` first-party stack and the whole operators pass the checkers of
-    :class:`HermitianObservable` and :class:`BellOperator`.  A view of :func:`_scatter`'s buffer."""
-    cos_part, sin_parts, odd_slot, a_at, b_side, at = _family(m, n)
+    """The read-only ``(G, P)`` entries at :func:`_family`'s ``P`` positions of the operators
+    ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles (zero elsewhere), each ``a_0 b_0 +
+    a_1 b_1``.  The ``(G, 2, m, m)`` first-party stack passes :class:`HermitianObservable`'s
+    checker, and each entry :class:`BellOperator`'s against its transpose, as the dense check."""
+    cos_part, sin_parts, odd_slot, a_at, b_side, mirror, _ = _family(m, n)
     cos, sin = (f(thetas)[:, None, None, None] for f in (np.cos, np.sin))
     a = cos * cos_part + sin * sin_parts + odd_slot
     _check_observables(a)
     terms = a.reshape(len(thetas), 2, m * m)[:, :, a_at] * b_side
-    ops, work = _scatter(terms[:, 0] + terms[:, 1], at, m * n)
-    _check_hermitian(ops, "operator", work)
-    return ops
+    entries = terms[:, 0] + terms[:, 1]
+    _check_hermitian(entries, "operator", mirror)
+    entries.setflags(write=False)
+    return entries
 
 
 @functools.lru_cache(maxsize=64)
 def _grid(m: int, n: int, grid_points: int, lo: int) -> np.ndarray:
-    """Read-only, the entries at :func:`_family`'s positions of the grid stack that
-    :func:`_operators` builds and checks at the angles ``k pi / grid_points``, ``lo <= k <
-    lo + _BLOCK`` (the last stack ends at ``grid_points``).  A stack holds at most 16 x 256
-    entries (64 KiB), so the cache holds at most 4 MiB whatever the grid."""
+    """:func:`_operators`' checked, read-only entries of the grid stack at the angles ``k pi /
+    grid_points``, ``lo <= k < lo + _BLOCK`` (the last stack ends at ``grid_points``).  A stack
+    holds at most 16 x 256 entries (64 KiB), so the cache holds at most 4 MiB whatever the grid."""
     thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / grid_points)
-    entries = _operators(m, n, thetas).reshape(len(thetas), -1)[:, _family(m, n)[-1]]
-    entries.setflags(write=False)
-    return entries
+    return _operators(m, n, thetas)
 
 
 def oracle_guard(m: int, dim_b, grid_points) -> tuple[int, int]:
@@ -353,22 +352,22 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     dim_b, grid_points = oracle_guard(m, dim_b, grid_points)
     psis = np.zeros((count, m * dim_b), dtype=complex)
     psis[:, np.arange(m) * (dim_b + 1)] = rows
-    step, at = math.pi / grid_points, _family(m, dim_b)[-1]
+    step, at, side = math.pi / grid_points, _family(m, dim_b)[-1], m * dim_b
     best, top = np.zeros(count, dtype=int), np.full(count, -np.inf)
     for lo in range(0, grid_points, _BLOCK):
-        ops = _scatter(_grid(m, dim_b, grid_points, lo), at, m * dim_b)[0]
+        ops = _scatter(_grid(m, dim_b, grid_points, lo), at, side)
         values = _real_part(np.array([(ops @ psi) @ psi.conj() for psi in psis]))
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]
-    depth, out = _golden_depth(m * dim_b), []
-    most = _BLOCK * MAX_ORACLE_DIM**2 // (m * dim_b) ** 2  # angles per golden stack, <= 1 MB
+    depth, out = _golden_depth(side), []
+    most = _BLOCK * MAX_ORACLE_DIM**2 // side**2  # angles per golden stack, <= 1 MB
     for psi, index, grid_value in zip(psis, best.tolist(), top.tolist()):
         theta_best = index * step
         theta, value = _golden_max(lambda angles, psi=psi: np.concatenate([
-            _real_part(np.vecdot(psi, _operators(m, dim_b, angles[i : i + most]) @ psi))
-            for i in range(0, len(angles), most)]), theta_best - step, theta_best + step,
-            GOLDEN_WIDTH, depth)
+            _real_part(np.vecdot(psi, _scatter(_operators(m, dim_b, angles[i:i + most]), at, side)
+                                 @ psi)) for i in range(0, len(angles), most)]),
+            theta_best - step, theta_best + step, GOLDEN_WIDTH, depth)
         if grid_value >= value:  # keep the best evaluation seen, the grid angle on a tie
             theta, value = theta_best, grid_value
         out.append((theta, value))

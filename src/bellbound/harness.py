@@ -439,6 +439,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     def written(fh):  # each chunk's reduction, once its text is written and violations kept
         for text, block, found in _iter_chunks(_sweep_chunk, config, MIN_SWEEP_WORK):
             fh.write(text)
+            del text  # not held while the next chunk is computed
             violations.extend(found[:MAX_VIOLATIONS - len(violations)])
             yield block
 

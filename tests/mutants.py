@@ -96,6 +96,13 @@ MUTANTS = [
     Mutant("_family flips the sign of the which = 1 part", "bell_operators.py",
            "np.array([1.0, -1.0])[:, None, None]", "np.array([1.0, 1.0])[:, None, None]",
            (f"{BELL}::TestBatchedEvaluator::test_operators_equal_kron_reference",)),
+    Mutant("each entry is checked against itself", "bell_operators.py",
+           "np.searchsorted(at, (j * n + l) * m * n + i * n + k)", "np.arange(len(at))",
+           (f"{BELL}::TestCompactCheck::test_agrees_with_the_dense_check",
+            f"{BELL}::TestCompactCheck::test_positions_are_closed_under_transposition")),
+    Mutant("positions not closed under transposition", "bell_operators.py",
+           "at = np.flatnonzero(mask | mask.T)", "at = np.flatnonzero(mask)",
+           (f"{BELL}::TestCompactCheck::test_asymmetric_pattern_is_refused",)),
     Mutant("verify exits on a gap beyond 10 x ORACLE_TOL", "cli.py",
            "if not d.max_gap <= ORACLE_TOL", "if not d.max_gap <= 10 * ORACLE_TOL",
            (f"{CLI}::TestVerify::test_gap_beyond_oracle_tol_exits_one",)),

@@ -54,12 +54,19 @@ def family_value(s, dim_b, theta):
     return expectation(assemble_bell(CHSH_MATRIX, a_pair, b_pair), s, dim_b)
 
 
+def dense_operators(m, n, thetas):
+    """The oracle's ``(G, D, D)`` operator stack of the family at ``thetas``: the checked
+    entries of ``_operators`` scattered into this thread's zeroed buffer, as it contracts them."""
+    at = bell_operators._family(m, n)[-1]
+    return bell_operators._scatter(bell_operators._operators(m, n, thetas), at, m * n)
+
+
 def stack_values(s, dim_b, thetas, rowwise=False):
     """The oracle's expectations of ``s`` on one operator stack of the family: one
     matrix-vector product, or row by row (``np.vecdot``) as the golden search takes them."""
     psi = np.zeros(s.m * dim_b, dtype=complex)
     psi[np.arange(s.m) * (dim_b + 1)] = s.coeffs
-    ops = bell_operators._operators(s.m, dim_b, thetas)
+    ops = dense_operators(s.m, dim_b, thetas)
     return bell_operators._real_part(np.vecdot(psi, ops @ psi) if rowwise
                                      else (ops @ psi) @ psi.conj())
 
@@ -420,7 +427,7 @@ class TestBatchedEvaluator:
     def test_operators_equal_kron_reference(self, m):
         # bit for bit, on every shape the oracle's guards admit: m <= n, m * n <= 64
         for n in range(m, 64 // m + 1):
-            assert np.array_equal(bell_operators._operators(m, n, ANGLES),
+            assert np.array_equal(dense_operators(m, n, ANGLES),
                                   kron_operators(m, n, ANGLES)), (m, n)
 
     def test_positions_come_from_the_parts(self, monkeypatch, fresh_family):
@@ -438,7 +445,7 @@ class TestBatchedEvaluator:
         fresh_family()
         monkeypatch.setattr(bell_operators, "build_b", dense_b)
         for m, n in shapes:
-            ops = bell_operators._operators(m, n, ANGLES)
+            ops = dense_operators(m, n, ANGLES)
             assert np.array_equal(ops, kron_operators(m, n, ANGLES))
             first_party = np.count_nonzero(build_a(ANGLES[-1], m, 0).entries)
             assert np.count_nonzero(ops[-1]) == first_party * n * n
@@ -504,7 +511,7 @@ class TestBatchedEvaluator:
         jobs = [(8, 8, thetas), (3, 5, thetas[:5]), (1, 2, thetas[:3])]
 
         def build(*jobs):
-            return [bell_operators._operators(*job).copy() for job in jobs]
+            return [dense_operators(*job).copy() for job in jobs]
 
         with ThreadPoolExecutor(1) as pool:
             reused = pool.submit(build, *jobs).result(timeout=60)
@@ -573,6 +580,99 @@ def test_hermitian_check_is_at_hermitian_tol(build):
     build(np.array([[0.0, 1.0 + 0.5 * HERMITIAN_TOL], [1.0, 0.0]]))
     with pytest.raises(InvariantError, match="not Hermitian"):
         build(np.array([[0.0, 1.0 + 10.0 * HERMITIAN_TOL], [1.0, 0.0]]))
+
+
+GUARDED = [(m, n) for m in range(1, 9) for n in range(m, 64 // m + 1)]  # the oracle's shapes
+
+
+def transposed(at, side):
+    """The flat positions in a ``side x side`` matrix of the transposes of ``at``."""
+    rows, cols = np.divmod(at, side)
+    return cols * side + rows
+
+
+def verdict(check, *args):
+    """The message of the ``InvariantError`` that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+class TestCompactCheck:
+    """``_operators`` checks the entries it computes, each against its transpose; the verdict
+    and message are those of the dense check of the scattered stack."""
+
+    def test_positions_are_closed_under_transposition(self):
+        assert len(GUARDED) == 144
+        for m, n in GUARDED:
+            cos_part, sin_parts, odd_slot, _, _, mirror, at = bell_operators._family(m, n)
+            b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries,
+                               [build_b(n, w).entries for w in (0, 1)])
+            pattern = np.kron(np.any([cos_part, *sin_parts, odd_slot], 0), np.any(b_side, 0))
+            assert np.array_equal(at, np.flatnonzero(pattern)), (m, n)  # as first taken
+            assert np.array_equal(at[mirror], transposed(at, m * n)), (m, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from([(1, 2), (2, 3), (3, 3), (3, 5), (5, 12), (7, 9), (1, 64),
+                                  (4, 16), (8, 8)]),
+           kind=st.sampled_from(["pair", "diagonal", "nan", "under", "over"]),
+           scale=st.sampled_from([0.0, 0.3, 0.9, 1.1, 3.0, 1e4]),
+           theta=st.floats(-4.0, 4.0), pick=st.integers(0, 2**16), row=st.integers(0, 2))
+    def test_agrees_with_the_dense_check(self, shape, kind, scale, theta, pick, row):
+        m, n = shape
+        *_, mirror, at = bell_operators._family(m, n)
+        entries = bell_operators._operators(m, n, np.array([0.4, theta, 1.3])).copy()
+        on_diagonal = mirror == np.arange(len(at))  # every shape here has entries of both
+        candidates = np.flatnonzero(on_diagonal if kind == "diagonal" else ~on_diagonal)
+        p = candidates[pick % len(candidates)]
+        if kind == "pair":  # one side of a transposed pair
+            entries[row, p] += scale * HERMITIAN_TOL
+        elif kind == "diagonal":  # an imaginary part on the diagonal
+            entries[row, p] += 0.5j * scale * HERMITIAN_TOL
+        elif kind == "nan":
+            entries[row, p] = complex(math.nan, 0.0) if scale else complex(0.0, math.nan)
+        else:  # a defect just under or just over the tolerance
+            factor = 0.99 if kind == "under" else 1.01
+            entries[row, p] = np.conj(entries[row, mirror[p]]) + factor * HERMITIAN_TOL
+        compact = verdict(bell_operators._check_hermitian, entries, "operator", mirror)
+        dense = verdict(bell_operators._check_hermitian,
+                        bell_operators._scatter(entries, at, m * n), "operator")
+        assert compact == dense
+        if kind in ("under", "over"):  # the cases sit on either side of HERMITIAN_TOL
+            assert (compact is None) == (kind == "under")
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 4), (8, 8)])
+    def test_asymmetric_pattern_is_refused(self, monkeypatch, fresh_family, shape):
+        # a second party whose s1 part sits above the diagonal only: the positions closed
+        # under transposition pair each of its entries with a zero, and the check refuses it
+        # (at m = 1 the two settings' parts cancel, and the operator is Hermitian)
+        m, n = shape
+        upper = SimpleNamespace(dim=n, entries=np.triu(build_b(n, 1).entries))
+        b_pair = [build_b(n, 0), upper]
+        monkeypatch.setattr(bell_operators, "build_b", lambda dim, which: b_pair[which])
+        *_, mirror, at = bell_operators._family(m, n)
+        assert np.array_equal(at[mirror], transposed(at, m * n))  # closed all the same
+        dense = verdict(BellOperator, m, n, kron_operators(m, n, ANGLES[1:2])[0])
+        assert dense is not None and dense.startswith("operator is not Hermitian")
+        with pytest.raises(InvariantError) as refused:
+            bell_operators._operators(m, n, ANGLES[1:2])
+        assert str(refused.value) == dense
+        with pytest.raises(InvariantError, match="operator is not Hermitian"):
+            max_expectation_grid(new_schmidt([1.0] * m), n, 64)
+
+    def test_one_buffer_per_thread(self):
+        # the grid and golden stacks of 64 states at 8x8 are contracted in one complex
+        # buffer of 16 operators at D = 64 (1.05 MB); the checks hold no scratch
+        def held():
+            max_expectation_block(block_of(8, 8, 64, 64), 8, 64)
+            return dict(vars(bell_operators._LOCAL))
+
+        with ThreadPoolExecutor(1) as pool:  # a new thread starts with no buffer
+            local = pool.submit(held).result(timeout=120)
+        assert list(local) == ["buf"]
+        assert local["buf"].dtype == complex and local["buf"].shape == (16 * 64**2,)
 
 
 def sequential_golden_max(f, lo, hi, width):
@@ -810,8 +910,7 @@ class TestBlockOracle:
     def test_grid_cache_is_bounded(self):
         # a stack holds 16 angles x at most 256 entries (8x8) x 16 B = 64 KiB, so the 64
         # stacks the cache holds take at most 4 MiB, whatever the grid
-        guarded = [(m, n) for m in range(1, 9) for n in range(m, 64 // m + 1)]
-        assert max(bell_operators._family(m, n)[-1].size for m, n in guarded) == 256
+        assert max(bell_operators._family(m, n)[-1].size for m, n in GUARDED) == 256
         cache = bell_operators._grid
         cache.cache_clear()
         for _ in range(2):  # the benchmark's 44 stacks are built once, then only scattered

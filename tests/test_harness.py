@@ -303,6 +303,24 @@ class TestRunSweep:
             assert len(summary.violations) == harness.MAX_VIOLATIONS
         assert peaks[1] < 1.2 * peaks[0]
 
+    def test_written_chunk_text_is_not_held(self, tmp_path, set_workers):
+        # a chunk's text is released once written, so the caller never holds two chunks'
+        # text: at m = 8 a passing 8-chunk sweep peaks at the traced memory of a 1-chunk one
+        # (4.2 MiB; 5.1 MiB with the previous chunk's text still bound)
+        set_workers(1)  # tracemalloc sees the caller only
+        peaks = []
+        for chunks in (1, 8):
+            cfg = ExperimentConfig(dims=(8,), samples=chunks * harness.MAX_CHUNK, seed=1,
+                                   output_path=str(tmp_path / "x.jsonl"))
+            tracemalloc.start()
+            try:
+                summary = run_sweep(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.per_dim[0].violations == 0
+        assert peaks[1] <= 1.02 * peaks[0]
+
     def test_chunks_are_capped(self, set_workers):
         # the tasks cover [0, samples) in contiguous chunks of at most MAX_CHUNK samples; the
         # cap at any worker count is test_chunk_policy's
