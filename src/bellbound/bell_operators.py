@@ -184,19 +184,17 @@ def assemble_bell(
     return BellOperator(dim_a, dim_b, total)
 
 
-def expectation(op: BellOperator, s: SchmidtVector, dim_b: int) -> float:
+def expectation(op: BellOperator, s: SchmidtVector) -> float:
     """Expectation ``<psi| op |psi>`` for the embedded Schmidt state.
 
     ``|psi> = sum_i c_i |i>|i>`` lives on the first ``s.m`` basis vectors of
     each factor, so the product-space amplitudes sit at indices
-    ``i * (dim_b + 1)``.  An imaginary residue beyond ``IMAG_TOL`` aborts
-    (``_real_part``).
+    ``i * (op.dim_b + 1)``; ``s.m`` may exceed neither of the operator's factors.
+    An imaginary residue beyond ``IMAG_TOL`` aborts (``_real_part``).
     """
-    if op.dim_b != integer_arg("dim_b", dim_b, 1):
-        raise DimensionMismatchError(f"operator has dim_b={op.dim_b}, caller said {dim_b}")
-    if s.m > op.dim_a or s.m > dim_b:
+    if s.m > op.dim_a or s.m > op.dim_b:
         raise DimensionMismatchError(
-            f"state rank {s.m} exceeds operator factors ({op.dim_a}, {dim_b})"
+            f"state rank {s.m} exceeds operator factors ({op.dim_a}, {op.dim_b})"
         )
     psi = np.zeros(op.dim_a * op.dim_b, dtype=complex)
     psi[np.arange(s.m) * (op.dim_b + 1)] = s.coeffs

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds
+from . import bounds, schmidt_state
 # max_expectation_grid is unused, but the benchmark's tracer wraps it here
 from .bell_operators import max_expectation_block, max_expectation_grid, oracle_guard
 from .errors import (InvalidDimensionError, InvariantError, IoFailureError, WorkerFailedError,
@@ -32,9 +32,8 @@ from .schmidt_state import (MEASURES, _draw_rows, sample_haar, sample_simplex, s
                             validate_rows)
 from .tolerances import THEOREM_TOL, ZERO_TOL
 
-__all__ = ["MEASURES", "ExperimentConfig", "DimensionSummary", "Violation", "SweepSummary",
-           "OracleDimension", "OracleSummary", "substream", "resolve_workers", "run_sweep",
-           "verify_oracle", "scatter_cb"]
+__all__ = ["ExperimentConfig", "DimensionSummary", "Violation", "SweepSummary", "OracleDimension",
+           "OracleSummary", "resolve_workers", "run_sweep", "verify_oracle", "scatter_cb"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -197,17 +196,17 @@ def _substreams(seed: int, m: int, start: int, stop: int):
     ``PCG64`` seeds in C from its row through ``_Words``.  PCG64 reads a row's
     four words from its buffer, so the block is made C-contiguous: a row of a
     Fortran-ordered block would seed another state.  The states of the first and
-    the last index are checked against NumPy's own seeding, so the block never
-    drifts from the scalar ``substream`` unnoticed, at either index width of a
-    range that straddles 2**32.  A single index is cheaper seeded by ``substream``.
+    the last index are checked against those of ``schmidt_state.substream``, the one
+    seeding recipe, so the block never drifts from it unnoticed, at either index width
+    of a range that straddles 2**32.  A single index is cheaper seeded by ``substream``.
     """
     if stop - start == 1:
         yield substream(seed, m, start)
         return
     words = np.ascontiguousarray(_seed_words(seed, m, start, stop))
     for index, row in {start: words[0], stop - 1: words[-1]}.items():
-        seq = np.random.SeedSequence((seed, m, index))
-        if np.random.PCG64(_Words(row)).state != np.random.PCG64(seq).state:
+        owner = schmidt_state.substream(seed, m, index)  # traced harness.substream calls are draws
+        if np.random.PCG64(_Words(row)).state != owner.bit_generator.state:
             raise InvariantError(f"sample m={m} index {index}: derived PCG64 state "
                                  "differs from NumPy's seeding")
     for row in words:
@@ -322,14 +321,15 @@ def _iter_chunks(work, config: ExperimentConfig, minimum: int):
     a pipe; it computes its next chunk, then waits for the caller's credit byte for the last one
     before it overwrites the file.  So no worker waits on the caller's own chunk, and each holds two
     finished chunks at most.  A message that does not arrive or unpickle, or an ``OSError`` at
-    start-up, is a ``WorkerFailedError``.  Children leave by ``os._exit``, never into the caller's
-    frames, and are killed and reaped on any exit.
+    start-up, is a ``WorkerFailedError``.  A child ends in the ``finally``'s ``os._exit`` from its
+    fork on, however it leaves its code, never in the caller's frames; all are killed and reaped.
     """
     samples = config.samples
     workers, size = _plan(config, minimum, resolve_workers(), _usable_cpus(), hasattr(os, "fork"))
     tasks = ((config.seed, config.measure, config.second_dim_offset, m, lo, min(lo + size, samples))
              for m in config.dims for lo in range(0, samples, size))
     files, slots, pids = [], [], []  # all the caller opens; per forked worker (data, credit, spill)
+    caller = os.getpid()
     try:
         for w in range(1, workers):
             try:  # the data pipe, the credit pipe and the spill file, then the fork
@@ -346,19 +346,18 @@ def _iter_chunks(work, config: ExperimentConfig, minimum: int):
                 out.close()
                 credit_in.close()
                 continue
-            try:  # the child: it keeps no caller end, so its writes fail once the caller is gone
-                for caller_end in (end for slot in slots for end in slot[:2]):
-                    caller_end.close()
-                for j, task in enumerate(itertools.islice(tasks, w, None, workers)):
-                    try:
-                        message = pickle.dumps((True, work(task)), -1)
-                    except Exception as exc:
-                        message = pickle.dumps((False, exc), -1)
-                    if j:  # the spill file is free once the caller has read chunk j - 1
-                        credit_in.read(1)
-                    out.write(os.pwrite(spill.fileno(), message, 0).to_bytes(8, "big"))
-            finally:
-                os._exit(0)
+            # the child: it keeps no caller end, so its writes fail once the caller is gone
+            for caller_end in (end for slot in slots for end in slot[:2]):
+                caller_end.close()
+            for j, task in enumerate(itertools.islice(tasks, w, None, workers)):
+                try:
+                    message = pickle.dumps((True, work(task)), -1)
+                except Exception as exc:
+                    message = pickle.dumps((False, exc), -1)
+                if j:  # the spill file is free once the caller has read chunk j - 1
+                    credit_in.read(1)
+                out.write(os.pwrite(spill.fileno(), message, 0).to_bytes(8, "big"))
+            return  # through the finally, which ends the child
         for i, (seed, measure, offset, m, lo, hi) in enumerate(tasks):
             if i % workers == 0:
                 yield work((seed, measure, offset, m, lo, hi))
@@ -376,6 +375,8 @@ def _iter_chunks(work, config: ExperimentConfig, minimum: int):
                 raise result
             yield result
     finally:
+        if os.getpid() != caller:  # a child: a signal or error in its code, or its return
+            os._exit(0)
         for file in files:
             file.close()
         for pid in pids:

@@ -9,7 +9,7 @@ mutant's tests and puts the file back.  Each mutant is printed with the test tha
 it, ``SURVIVED`` (all its tests passed) or ``STALE`` (its text does not occur exactly
 once, so the mutant no longer fits the source).  Exits 1 on any survivor or stale
 mutant.  The checkout is never written.  pytest does not collect this file (no ``test_``
-prefix); a run takes about a minute on 2 CPUs.
+prefix); a run takes one to three minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ IN_ORDER = "data, credit, spill = slots[i % workers - 1]"
 AS_READY = ("data, credit, spill = next(slot for slot in slots if slot[0] in "
             '__import__("select").select([slot[0] for slot in slots], [], [])[0])')
 WAIT = ("if j:  # the spill file is free once the caller has read chunk j - 1\n"
-        "                        credit_in.read(1)\n")
+        "                    credit_in.read(1)\n")
 COMPUTE = ("try:\n"
-           "                        message = pickle.dumps((True, work(task)), -1)\n"
-           "                    except Exception as exc:\n"
-           "                        message = pickle.dumps((False, exc), -1)\n")
+           "                    message = pickle.dumps((True, work(task)), -1)\n"
+           "                except Exception as exc:\n"
+           "                    message = pickle.dumps((False, exc), -1)\n")
 READ = "ok, result = pickle.loads(os.pread(spill.fileno(), count, 0))\n"
 REPORT = ("            except Exception as exc:\n" + " " * 16
           + 'raise WorkerFailedError(f"no readable result from worker {i % workers} of "\n'
@@ -110,6 +110,13 @@ MUTANTS = [
            "width = len(_words(lo))\n        hi = min(stop, 1 << 32 * width)",
            "width = 1\n        hi = stop",
            (f"{HARNESS}::TestSeedDerivation::test_matches_numpy_seeding",)),
+    Mutant("the block check hashes its own SeedSequence", "harness.py",
+           "owner = schmidt_state.substream(seed, m, index)",
+           "owner = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, m, index))))",
+           (f"{HARNESS}::TestSeedDerivation::test_block_is_checked_against_substream",)),
+    Mutant("the block check calls the traced substream", "harness.py",
+           "owner = schmidt_state.substream(", "owner = substream(",
+           (f"{HARNESS}::TestSeedDerivation::test_block_check_calls_no_traced_substream",)),
     Mutant("_iter_chunks reads whichever pipe is ready", "harness.py", IN_ORDER, AS_READY,
            (f"{HARNESS}::TestRunSweep::test_chunks_leave_in_submission_order",)),
     Mutant("forked worker w runs worker w - 1's share", "harness.py",
@@ -126,7 +133,7 @@ MUTANTS = [
            'min_theorem1_margin: float | None = field(metadata={"fold": max})',
            (f"{HARNESS}::TestFoldedSummaries::test_sweep_summary_does_not_depend_on_chunking",)),
     Mutant("a worker waits for its credit before computing", "harness.py",
-           COMPUTE + " " * 20 + WAIT, WAIT + " " * 20 + COMPUTE,
+           COMPUTE + " " * 16 + WAIT, WAIT + " " * 16 + COMPUTE,
            (f"{HARNESS}::TestForkedRunner::test_no_worker_waits_on_the_caller",)),
     Mutant("a worker never waits for its credit", "harness.py",
            "credit_in.read(1)", "pass",
@@ -141,6 +148,11 @@ MUTANTS = [
     Mutant("a forked worker falls through, not os._exit", "harness.py",
            "os._exit(0)", "pass",
            (f"{HARNESS}::TestForkedRunner::test_children_never_return_into_the_caller",)),
+    Mutant("a child leaves by os._exit only when it returned", "harness.py",
+           "if os.getpid() != caller:",
+           'if os.getpid() != caller and __import__("sys").exc_info()[0] is None:',
+           (f"{HARNESS}::TestForkedRunner::test_child_signalled_at_its_fork_ends_alone",
+            f"{CLI}::TestInterrupt::test_worker_signalled_at_its_fork_ends_alone")),
     Mutant("_iter_chunks reaps no child", "harness.py",
            "os.waitpid(pid, 0)", "pass",
            (f"{HARNESS}::TestForkedRunner::test_every_child_is_reaped",)),

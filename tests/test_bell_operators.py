@@ -51,7 +51,7 @@ def family_value(s, dim_b, theta):
     """Dense expectation of the CHSH-family operator at a fixed angle."""
     a_pair = [build_a(theta, s.m, 0), build_a(theta, s.m, 1)]
     b_pair = [build_b(dim_b, 0), build_b(dim_b, 1)]
-    return expectation(assemble_bell(CHSH_MATRIX, a_pair, b_pair), s, dim_b)
+    return expectation(assemble_bell(CHSH_MATRIX, a_pair, b_pair), s)
 
 
 def dense_operators(m, n, thetas):
@@ -274,7 +274,7 @@ class TestAssembleBell:
             [build_a(theta, 2, 0), build_a(theta, 2, 1)],
             [build_b(2, 0), build_b(2, 1)],
         )
-        value = expectation(op, new_schmidt([1, 1]), 2)
+        value = expectation(op, new_schmidt([1, 1]))
         assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_linear_in_coefficient_matrix(self):
@@ -308,20 +308,15 @@ class TestExpectation:
     def test_identity_operator_gives_norm(self):
         op = BellOperator(2, 3, np.eye(6))
         s = new_schmidt([3, 4])
-        assert expectation(op, s, 3) == pytest.approx(1.0, abs=1e-15)
+        assert expectation(op, s) == pytest.approx(1.0, abs=1e-15)
 
     def test_family_at_theta_zero_on_bell_state(self):
         assert family_value(new_schmidt([1, 1]), 2, 0.0) == pytest.approx(2.0, abs=1e-12)
 
-    def test_rejects_dim_b_mismatch(self):
-        op = BellOperator(2, 2, np.eye(4))
-        with pytest.raises(DimensionMismatchError):
-            expectation(op, new_schmidt([1, 1]), 3)
-
     def test_rejects_state_larger_than_operator(self):
         op = BellOperator(2, 2, np.eye(4))
         with pytest.raises(DimensionMismatchError):
-            expectation(op, new_schmidt([1, 1, 1]), 2)
+            expectation(op, new_schmidt([1, 1, 1]))
 
 
 class TestClosedFormAgreement:

@@ -626,6 +626,27 @@ class TestModuleEntryPoint:
             assert (out.read_bytes() if out.exists() else None) == written, prefix
 
 
+def signalled_at_fork(signum: signal.Signals) -> str:
+    """Source that a fresh interpreter runs before a sweep: two CPUs and the least forked
+    work lowered to one sample, so that the sweep forks one worker, and an ``os.fork`` that
+    raises ``signum`` in the child before it returns there, ahead of any line of the runner.
+    SIGINT raises ``KeyboardInterrupt`` and SIGTERM takes the default, which ``run()`` then
+    replaces, whatever the test run's parent ignores.  Only a fresh interpreter may run it:
+    a child that escaped the runner here would go on running the test suite."""
+    return ("import os, signal\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import bellbound.harness; bellbound.harness.MIN_SWEEP_WORK = 1\n"
+            "fork = os.fork\n"
+            "def fork_then_signal():\n"
+            "    pid = fork()\n"
+            "    if not pid:\n"
+            f"        signal.raise_signal(signal.{signum.name})\n"
+            "    return pid\n"
+            "os.fork = fork_then_signal\n")
+
+
 def group_empties(pgid, timeout):
     """Whether process group ``pgid`` holds no process within ``timeout`` seconds."""
     deadline = time.monotonic() + timeout
@@ -674,6 +695,22 @@ class TestInterrupt:
         assert (proc.returncode, err) == (128 + signum, f"error: Interrupted: {signum.name}\n")
         assert list(tmp_path.iterdir()) == []
         assert emptied
+
+    def test_worker_signalled_at_its_fork_ends_alone(self, tmp_path):
+        # SIGTERM in the forked worker as its fork returns: the worker ends there, and the
+        # one line on stderr is the caller's, naming the chunk that the worker never sent
+        out = tmp_path / "out.jsonl"
+        argv = ["bellbound", "sweep", "--dims", "2,3", "--samples", "10", "--seed", "5",
+                "--out", str(out)]
+        code = (signalled_at_fork(signal.SIGTERM)
+                + f"import sys; from bellbound.cli import run\nsys.argv = {argv!r}\nrun()\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: WorkerFailedError: no readable result from worker 1 "
+                                   "of 2 for chunk m=3 [0, 10): "), r.stderr
+        assert r.stderr.count("\n") == 1, r.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImportPath:

@@ -8,6 +8,9 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -34,6 +37,8 @@ from bellbound.errors import (InvalidDimensionError, InvariantError, IoFailureEr
                               TooLargeError, WorkerFailedError)
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
+
+from test_cli import package_env, signalled_at_fork
 
 TEST_PID = os.getpid()  # the test run's own process; forked workers have other pids
 
@@ -774,6 +779,26 @@ class TestForkedRunner:
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
 
+    def test_child_signalled_at_its_fork_ends_alone(self, tmp_path):
+        # KeyboardInterrupt in the forked child as its fork returns, before any line of the
+        # runner runs there: only the caller leaves run_sweep, with the chunk the child never
+        # sent, and the caller's except block runs in the caller alone
+        out = tmp_path / "out.jsonl"
+        config = f"ExperimentConfig(dims=(2, 3), samples=10, seed=5, output_path={str(out)!r})"
+        code = (signalled_at_fork(signal.SIGINT)
+                + "from bellbound import ExperimentConfig, run_sweep\n"
+                + "print('caller', os.getpid(), flush=True)\n"
+                + f"try:\n    run_sweep({config})\n"
+                + "except BaseException as exc:\n"
+                + "    print('left run_sweep', os.getpid(), type(exc).__name__, flush=True)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
+        caller = r.stdout.split()[1]
+        assert r.stdout == f"caller {caller}\nleft run_sweep {caller} WorkerFailedError\n", \
+            r.stderr
+        assert r.returncode == 0, r.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_children_never_return_into_the_caller(self, tmp_path, set_workers, fork_spy):
         log, parent = tmp_path / "pids", os.getpid()
 
@@ -992,6 +1017,26 @@ class TestSeedDerivation:
         for index, rng in zip(range(start, stop), streams):
             assert rng.integers(2**63, size=4).tolist() == \
                 substream(11, 4, index).integers(2**63, size=4).tolist()
+
+    def test_block_is_checked_against_substream(self, monkeypatch):
+        # substream is the one seeding recipe: with another recipe in its place, a block
+        # hashed as before no longer matches it, at either index width
+        monkeypatch.setattr(schmidt_state, "substream",
+                            lambda seed, m, index: np.random.default_rng((index, m, seed)))
+        for start, stop in [(3, 7), (2**32 + 1, 2**32 + 3)]:
+            with pytest.raises(bb.errors.InvariantError,
+                               match=rf"^sample m=2 index {start}: derived PCG64 state"):
+                next(harness._substreams(5, 2, start, stop))
+
+    def test_block_check_calls_no_traced_substream(self, monkeypatch):
+        # harness.substream, which a trace counts as drawn states, seeds a one-sample
+        # range alone; the block's check asks schmidt_state's
+        calls = []
+        monkeypatch.setattr(harness, "substream", lambda *args: calls.append(args) or
+                            schmidt_state.substream(*args))
+        assert len(list(harness._substreams(5, 2, 3, 7))) == 4
+        assert len(list(harness._substreams(5, 2, 9, 10))) == 1
+        assert calls == [(5, 2, 9)]
 
     def test_wrong_derivation_fails_the_run(self, tmp_path, monkeypatch, set_workers):
         seed_words = harness._seed_words

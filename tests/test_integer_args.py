@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from bellbound import (
-    CHSH_MATRIX,
     BellOperator,
     ExperimentConfig,
-    SchmidtVector,
-    assemble_bell,
     build_a,
     build_b,
-    expectation,
     max_concurrence,
     sample_haar,
     sample_simplex,
@@ -29,9 +25,6 @@ from bellbound.errors import InvalidDimensionError, InvalidIndexError, Invariant
 from bellbound.tolerances import MIN_GRID_POINTS
 
 ROWS = np.array([[0.8, 0.6]])
-# a 2 x 2 operator of the family, dim_b = 2
-OPERATOR = assemble_bell(CHSH_MATRIX, [build_a(0.3, 2, w) for w in (0, 1)],
-                         [build_b(2, w) for w in (0, 1)])
 
 
 def config(**fields):
@@ -63,8 +56,6 @@ ENTRY_POINTS = [
      InvalidDimensionError),
     ("BellOperator-dim_a", lambda x: BellOperator(x, 2, np.eye(6)), 3, 0, InvariantError),
     ("BellOperator-dim_b", lambda x: BellOperator(2, x, np.eye(6)), 3, 0, InvariantError),
-    ("expectation-dim_b", lambda x: expectation(OPERATOR, SchmidtVector(ROWS[0]), x), 2, 0,
-     InvalidDimensionError),
     ("substream-seed", lambda x: substream(x, 2, 3).random(), 2**63 - 1, -1,
      InvalidDimensionError),
     ("substream-m", lambda x: substream(5, x, 3).random(), 2, 0, InvalidDimensionError),

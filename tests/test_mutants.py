@@ -1,7 +1,7 @@
 """The mutation check of ``tests/mutants.py`` still fits the tree: each mutant's text
-occurs exactly once in its source file, each test named to kill it exists, and README
-states their number.  The check itself runs outside the suite; these tests catch a stale
-mutant at once."""
+occurs exactly once in its source file, each mutant changes that text and leaves a file
+that parses, each test named to kill it exists, and README states their number.  The
+check itself runs outside the suite; these tests catch a stale mutant at once."""
 
 from __future__ import annotations
 
@@ -28,6 +28,14 @@ def defined_tests(path: str) -> set[str]:
 @pytest.mark.parametrize("mutant", MUTANTS, ids=IDS)
 def test_mutant_text_occurs_once(mutant):
     assert (ROOT / "src" / "bellbound" / mutant.path).read_text().count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=IDS)
+def test_mutant_is_a_change_that_parses(mutant):
+    # a mutant that broke the import would count as killed by the first test to error
+    assert mutant.new != mutant.old
+    source = (ROOT / "src" / "bellbound" / mutant.path).read_text()
+    ast.parse(source.replace(mutant.old, mutant.new), mutant.path)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=IDS)

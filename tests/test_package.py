@@ -29,8 +29,6 @@ def test_public_name_is_its_owners_object(name):
     owners = [module for module in OWNERS if name in module.__all__]
     if name in ("errors", "tolerances", "__version__"):
         assert owners == []
-    elif name in ("MEASURES", "substream"):  # schmidt_state's, re-exported by harness
-        assert owners == [schmidt_state, harness]
     else:
         assert len(owners) == 1
     for module in owners:
