@@ -257,9 +257,6 @@ class BoundReport:
         return json.dumps(vars(self))
 
 
-_CHSH_CLASSICAL = classical_bound(CHSH_MATRIX)
-
-
 def bound_report(s: SchmidtVector) -> BoundReport:
     """Assemble a :class:`BoundReport` for one state.
 
@@ -269,5 +266,5 @@ def bound_report(s: SchmidtVector) -> BoundReport:
     """
     (c,), (k,), (g,), (b,), (up,), (lo,), (cert,) = closed_forms(s.coeffs[None, :])
     return BoundReport(concurrence=c, k=k, gamma=g, bell_value=b, upper=up, lower=lo,
-                       classical=_CHSH_CLASSICAL, theorem1_margin=up - b,
+                       classical=classical_bound(CHSH_MATRIX), theorem1_margin=up - b,
                        theorem2_margin=b - lo, certified_nonlocal=cert)

@@ -26,22 +26,9 @@ from .tolerances import MIN_GRID_POINTS, ORACLE_TOL
 __all__ = ["main", "run", "build_parser"]
 
 
+# "-" and a digit, ".", "inf" or "nan" opens a value (``--matrix -1,1;1,1``): argparse asks
+# _negative_number_matcher once no option matches a token, and no option here opens so
 _SIGNED_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """Argument parser that reads a token opening with a signed number as a value.
-
-    Stock argparse classifies a token such as ``-1,1;1,1`` as an unknown
-    option, so ``--matrix -1,1;1,1`` would end in "expected one argument".
-    No option of this CLI starts with ``-`` followed by a digit, ``inf`` or
-    ``nan``.
-    """
-
-    def _parse_optional(self, arg_string):
-        if _SIGNED_VALUE.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
 
 
 def _coeffs_flag(text: str) -> list[float]:
@@ -232,13 +219,15 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="bellbound",
         description="Bell values and concurrence bounds for bipartite pure states.",
     )
+    parser._negative_number_matcher = _SIGNED_VALUE  # "bellbound -inf": an invalid choice
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, handler, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
+        p._negative_number_matcher = _SIGNED_VALUE
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=handler, parser=p)

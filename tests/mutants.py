@@ -211,6 +211,12 @@ MUTANTS = [
     Mutant("an unknown flag goes through the top-level parser", "cli.py",
            'args.parser.error(f"unrecognized', 'build_parser().error(f"unrecognized',
            (f"{CLI}::test_bad_input_exit_code",)),
+    Mutant("the subcommand parsers keep argparse's own negative-number rule", "cli.py",
+           "        p._negative_number_matcher = _SIGNED_VALUE\n", "",
+           (f"{CLI}::TestJn::test_leading_minus_value_as_two_tokens",)),
+    Mutant("the top-level parser keeps argparse's own negative-number rule", "cli.py",
+           "parser._negative_number_matcher = _SIGNED_VALUE", "pass",
+           (f"{CLI}::TestDispatch::test_signed_token_is_an_invalid_subcommand",)),
     Mutant("classical_bound's reused buffer skips np.abs", "bounds.py",
            "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
            "np.matmul(signs, n_matrix.entries, out=products)",

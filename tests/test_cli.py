@@ -102,7 +102,7 @@ class TestConcurrence:
         assert code == 1
         assert "NegativeCoefficientError" in err
 
-    @pytest.mark.parametrize("coeffs", ["inf,1", "nan,1", "-inf,1"])
+    @pytest.mark.parametrize("coeffs", ["inf,1", "nan,1", "-inf,1", "-nan,1", "-INF,1"])
     def test_non_finite_is_domain_error(self, capsys, coeffs):
         code, _, err = run_cli(capsys, "concurrence", "--coeffs", coeffs)
         assert code == 1
@@ -511,6 +511,15 @@ class TestDispatch:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("token", ["-inf", "-nan"])
+    def test_signed_token_is_an_invalid_subcommand(self, capsys, token):
+        # argparse's own rule takes "-1" and "-.5" as values, but not these: the top-level
+        # parser reads them through _SIGNED_VALUE, as its subcommand parsers do
+        with pytest.raises(SystemExit) as exc:
+            main([token])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{token}'" in capsys.readouterr().err
 
 
 
