@@ -48,3 +48,32 @@ def fork_spy(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     return pids
+
+
+@pytest.fixture
+def scalar_block():
+    """``scalar_block(measure, m, seed, draws, prefix)``: the ``(draws, m)`` block of the
+    states that ``draws`` calls of ``sample_haar(m, m, rng)`` or ``sample_simplex(m, rng)``
+    return on ``rng = default_rng(seed)``, drawn at once by the draw kernel.
+
+    The one generator is passed for every row, so the block draws what the scalar calls
+    draw, in their order.  Its rows pass ``validate_rows``, as each scalar state passes
+    ``SchmidtVector``'s check, and its first ``prefix`` rows equal, bit for bit, the
+    states of ``prefix`` scalar calls on a fresh generator with that seed.
+    """
+    import numpy as np
+
+    from bellbound import sample_haar, sample_simplex
+    from bellbound.schmidt_state import _draw_rows, validate_rows
+
+    def scalar_block(measure: str, m: int, seed: int, draws: int, prefix: int):
+        rng = np.random.default_rng(seed)
+        rows = _draw_rows([rng] * draws, draws, measure, m, m)
+        validate_rows(rows)
+        rng = np.random.default_rng(seed)
+        calls = [sample_haar(m, m, rng) if measure == "haar" else sample_simplex(m, rng)
+                 for _ in range(prefix)]
+        assert np.array([s.coeffs for s in calls]).tobytes() == rows[:prefix].tobytes()
+        return rows
+
+    return scalar_block

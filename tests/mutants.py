@@ -6,16 +6,18 @@ Copies the checkout's ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory and first runs every listed test there unchanged; they must pass.  Then, one
 mutant at a time, it replaces one exact text in one source file of the copy, runs that
 mutant's tests and puts the file back.  Each mutant is printed with the test that killed
-it, ``SURVIVED`` (all its tests passed) or ``STALE`` (its text does not occur exactly
-once, so the mutant no longer fits the source).  Exits 1 on any survivor or stale
-mutant.  The checkout is never written.  pytest does not collect this file (no ``test_``
-prefix); a run takes one to three minutes on 2 CPUs.
+it, ``SURVIVED`` (all its tests passed), ``BROKEN`` (pytest crashed, could not collect
+the tests or ran past ``TIMEOUT``, so no test failed on the mutant) or ``STALE`` (its
+text does not occur exactly once, so the mutant no longer fits the source).  Exits 1
+on any survivor, broken or stale mutant.  The checkout is never written.  pytest does
+not collect this file (no ``test_`` prefix); a run takes one to three minutes on 2 CPUs.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -228,19 +230,41 @@ MUTANTS = [
 ]
 
 
-def run_tests(tree: Path, tests) -> list[str]:
-    """The node ids of the tests that failed (or errored) among ``tests`` in ``tree``;
-    stops at the first failure."""
+TIMEOUT = 600  # seconds for one run of pytest
+
+
+def run_tests(tree: Path, tests) -> tuple[int | None, str]:
+    """pytest's exit code and output on ``tests`` in ``tree``, stopping at the first failure.
+    A run past ``TIMEOUT`` seconds has its session killed and returns no exit code."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
-        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
-        start_new_session=True)  # a mutant that signals its process group ends only its run
-    failed = [line.split()[1] for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
-    if proc.returncode not in (0, 1):  # 1: tests failed; anything else: pytest did not run
-        failed.append(f"pytest exit {proc.returncode}: {proc.stdout[-300:]}{proc.stderr[-300:]}")
-    return failed
+    with subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", *tests],
+            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True) as proc:  # a mutant that signals its group ends only its run
+        try:
+            output = proc.communicate(timeout=TIMEOUT)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # pytest, unreaped, and every process it forked
+            proc.communicate()
+            return None, ""
+    return proc.returncode, output
+
+
+def verdict(code: int | None, output: str, tests) -> str:
+    """The outcome of one mutant from its run's exit code (None for a timeout) and output.
+
+    It is killed only when pytest exits 1 (tests failed) and a ``FAILED`` or ``ERROR`` line
+    names one of ``tests``, a parametrised id standing for its function.  Exit 0 is a
+    survivor.  Any other exit (a collection error, ``INTERNALERROR``, a usage error) or a
+    timeout is ``BROKEN``: pytest did not run the tests to their end.
+    """
+    if code == 0:
+        return "SURVIVED"
+    if code != 1:
+        return "BROKEN (timeout)" if code is None else f"BROKEN (pytest exit {code})"
+    named = (line.split()[1].partition("[")[0] for line in output.splitlines()
+             if line.startswith(("FAILED ", "ERROR ")))
+    return next((f"killed by {test}" for test in named if test in tests), "SURVIVED")
 
 
 def main(argv: list[str]) -> int:
@@ -256,9 +280,10 @@ def main(argv: list[str]) -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree)
         tests = sorted({test for m in chosen for test in m.tests})
-        broken = run_tests(tree, tests)
-        if broken:
-            print(f"the tests fail with no mutant applied: {broken}", file=sys.stderr)
+        code, output = run_tests(tree, tests)
+        if code != 0:  # None: the run timed out
+            print(f"the tests do not pass with no mutant applied (exit {code}):\n{output}",
+                  file=sys.stderr)
             return 1
         bad = 0
         for mutant in chosen:
@@ -269,10 +294,9 @@ def main(argv: list[str]) -> int:
             else:
                 source.write_text(original.replace(mutant.old, mutant.new))
                 try:
-                    failed = run_tests(tree, mutant.tests)
+                    outcome = verdict(*run_tests(tree, mutant.tests), mutant.tests)
                 finally:
                     source.write_text(original)
-                outcome = f"killed by {failed[0]}" if failed else "SURVIVED"
             bad += not outcome.startswith("killed")
             print(f"{mutant.name:<45} {outcome}", flush=True)
         print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")

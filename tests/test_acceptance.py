@@ -31,6 +31,7 @@ from bellbound import (
     upper_bound,
     verify_oracle,
 )
+from bellbound.bounds import closed_forms
 from bellbound.cli import main
 from bellbound.tolerances import ORACLE_TOL, SATURATION_TOL, THEOREM_TOL
 
@@ -158,19 +159,16 @@ def test_criterion_5_two_qubit_relation(capsys):
     assert worst_identity <= SATURATION_TOL
 
 
-def test_criterion_6_nonlocality_threshold(capsys):
+def test_criterion_6_nonlocality_threshold(capsys, scalar_block):
     above_threshold = 0
     failures = 0
     for m in (2, 4, 6, 8):
         for measure, seed in (("haar", 600 + m), ("simplex", 650 + m)):
-            rng = np.random.default_rng(seed)
-            for _ in range(10_000):
-                s = sample_haar(m, m, rng) if measure == "haar" else sample_simplex(m, rng)
-                c = concurrence(s)
-                if c > 1.0 + 1e-9:
-                    above_threshold += 1
-                    if not bell_value_formula(s) > 2.0:
-                        failures += 1
+            # concurrence and Bell value of each state, bit-equal to the scalar forms
+            c, _, _, b, *_ = closed_forms(scalar_block(measure, m, seed, 10_000, prefix=250))
+            above = [b_i for c_i, b_i in zip(c, b) if c_i > 1.0 + 1e-9]
+            above_threshold += len(above)
+            failures += sum(not b_i > 2.0 for b_i in above)
 
     witness = new_schmidt([math.sqrt(0.9), math.sqrt(0.1)])
     witness_b = bell_value_formula(witness)

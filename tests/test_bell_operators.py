@@ -202,12 +202,6 @@ class TestBuildA:
     def test_dimension_one_is_scalar_one(self):
         assert_allclose(build_a(0.3, 1, 0).entries, [[1.0]], atol=0.0)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidDimensionError):
-            build_a(0.0, 0, 0)
-        with pytest.raises(InvalidIndexError):
-            build_a(0.0, 2, 2)
-
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("which", [0, 1])
     def test_spectrum_is_plus_minus_one(self, dim, which):

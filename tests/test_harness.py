@@ -105,10 +105,6 @@ class TestExperimentConfig:
         with pytest.raises(InvalidDimensionError):
             ExperimentConfig(dims=(), samples=1, seed=0)
 
-    def test_rejects_nonpositive_samples(self):
-        with pytest.raises(InvalidDimensionError):
-            ExperimentConfig(dims=(2,), samples=0, seed=0)
-
     def test_rejects_unknown_measure(self):
         with pytest.raises(InvalidDimensionError):
             ExperimentConfig(dims=(2,), samples=1, seed=0, measure="uniform")
