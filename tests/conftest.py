@@ -3,8 +3,55 @@
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bellbound
+
+
+def package_env():
+    """Environment for a fresh interpreter that imports this bellbound."""
+    src = str(Path(bellbound.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def fresh():
+    """``fresh(*args, **env)``: the finished ``sys.executable *args`` in a fresh interpreter
+    that imports this bellbound, with ``env`` added to its environment, its stdout and
+    stderr captured as text, and killed after 120 s."""
+
+    def fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**package_env(), **env}, timeout=120)
+
+    return fresh
+
+
+def signalled_at_fork(signum: signal.Signals) -> str:
+    """Source that a fresh interpreter runs before a sweep: two CPUs and the least forked
+    work lowered to one sample, so that the sweep forks one worker, and an ``os.fork`` that
+    raises ``signum`` in the child before it returns there, ahead of any line of the runner.
+    SIGINT raises ``KeyboardInterrupt`` and SIGTERM takes the default, which ``run()`` then
+    replaces, whatever the test run's parent ignores.  Only a fresh interpreter may run it:
+    a child that escaped the runner here would go on running the test suite."""
+    return ("import os, signal\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import bellbound.harness; bellbound.harness.MIN_SWEEP_WORK = 1\n"
+            "fork = os.fork\n"
+            "def fork_then_signal():\n"
+            "    pid = fork()\n"
+            "    if not pid:\n"
+            f"        signal.raise_signal(signal.{signum.name})\n"
+            "    return pid\n"
+            "os.fork = fork_then_signal\n")
 
 
 @pytest.fixture

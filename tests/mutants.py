@@ -208,8 +208,7 @@ MUTANTS = [
            (f"{HARNESS}::TestSweepKernel::test_invalid_draw_names_sample",)),
     Mutant("a cross-flag usage error goes through the top-level parser", "cli.py",
            "set_defaults(func=handler, parser=p)", "set_defaults(func=handler, parser=parser)",
-           (f"{CLI}::TestSample::test_m_above_n_is_usage_error",
-            f"{CLI}::TestVerify::test_n_below_m_is_usage_error")),
+           (f"{CLI}::test_bad_input_exit_code",)),
     Mutant("an unknown flag goes through the top-level parser", "cli.py",
            'args.parser.error(f"unrecognized', 'build_parser().error(f"unrecognized',
            (f"{CLI}::test_bad_input_exit_code",)),
@@ -218,7 +217,7 @@ MUTANTS = [
            (f"{CLI}::TestJn::test_leading_minus_value_as_two_tokens",)),
     Mutant("the top-level parser keeps argparse's own negative-number rule", "cli.py",
            "parser._negative_number_matcher = _SIGNED_VALUE", "pass",
-           (f"{CLI}::TestDispatch::test_signed_token_is_an_invalid_subcommand",)),
+           (f"{CLI}::test_bad_input_exit_code",)),
     Mutant("classical_bound's reused buffer skips np.abs", "bounds.py",
            "np.abs(np.matmul(signs, n_matrix.entries, out=products), out=products)",
            "np.matmul(signs, n_matrix.entries, out=products)",

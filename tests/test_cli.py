@@ -15,15 +15,15 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bellbound
 from bellbound import ExperimentConfig, SchmidtVector, concurrence, harness, run_sweep
 from bellbound.cli import _FLAGS, _SUBCOMMANDS, main
 from bellbound.tolerances import MAX_EXHAUSTIVE_N, MAX_GRID_POINTS, MAX_ORACLE_DIM, ORACLE_TOL
+
+from conftest import package_env, signalled_at_fork
 
 
 def run_cli(capsys, *argv):
@@ -58,15 +58,6 @@ class TestJn:
         assert run_cli(capsys, "jn", "--matrix", matrix) == joined
 
 
-    @pytest.mark.parametrize("entry", ["inf", "nan"])
-    def test_non_finite_entry_is_usage_error_with_reason(self, capsys, entry):
-        with pytest.raises(SystemExit) as exc:
-            main(["jn", f"--matrix={entry},1;1,1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"--matrix entries must be finite, got '{entry},1;1,1'" in err
-
-
 class TestConcurrence:
     def test_product_state(self, capsys):
         code, out, _ = run_cli(capsys, "concurrence", "--coeffs", "1,0")
@@ -86,22 +77,6 @@ class TestConcurrence:
         pairs = parsed_lines(out)
         s = SchmidtVector(np.array(json.loads(pairs["coeffs"])))
         assert repr(concurrence(s)) == pairs["concurrence"]
-
-    def test_zero_vector_is_domain_error(self, capsys):
-        code, _, err = run_cli(capsys, "concurrence", "--coeffs", "0,0")
-        assert code == 1
-        assert "ZeroVectorError" in err
-
-    def test_negative_is_domain_error(self, capsys):
-        code, _, err = run_cli(capsys, "concurrence", "--coeffs", "0.5,-1")
-        assert code == 1
-        assert "NegativeCoefficientError" in err
-
-    @pytest.mark.parametrize("coeffs", ["inf,1", "nan,1", "-inf,1", "-nan,1", "-INF,1"])
-    def test_non_finite_is_domain_error(self, capsys, coeffs):
-        code, _, err = run_cli(capsys, "concurrence", "--coeffs", coeffs)
-        assert code == 1
-        assert "NonFiniteCoefficientError" in err
 
 
 class TestBell:
@@ -160,15 +135,6 @@ class TestSample:
         assert code == 0
         assert len(json.loads(out)) == 3
 
-    def test_m_above_n_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--m", "4", "--n", "2", "--seed", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: bellbound sample ")  # the subcommand's own parser
-        assert err.endswith("bellbound sample: error: --n must be >= --m, got n=2 < m=4\n")
-
-
     @pytest.mark.parametrize("measure,n", [("haar", "5"), ("simplex", "3")])
     def test_index_replays_sweep_record(self, capsys, tmp_path, set_workers, measure, n):
         out = tmp_path / "sweep.jsonl"
@@ -188,12 +154,6 @@ class TestSample:
             _, printed, _ = run_cli(capsys, "sample", "--seed", "5", "--m", "4",
                                     "--index", str(start + k))
             assert json.loads(printed) == row
-
-    def test_non_integral_flag_is_usage_error_with_reason(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--m", "2.5", "--seed", "1"])
-        assert exc.value.code == 2
-        assert "argument --m: value must be an integer >= 1, got '2.5'" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -282,28 +242,6 @@ class TestSweep:
         assert re.fullmatch(r"error: MemoryError: Unable to allocate .+\n", err)
         assert list(tmp_path.iterdir()) == []
 
-    def test_unwritable_out_is_domain_error(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "sweep", "--dims", "2", "--samples", "1", "--seed", "1",
-            "--out", str(tmp_path / "nope" / "x.jsonl"),
-        )
-        assert code == 1
-        assert "IoFailureError" in err
-
-    # the theorem checks use THEOREM_TOL: --tolerance is unknown, whatever its value
-    @pytest.mark.parametrize("flag", ["--offset=-1", "--tolerance=inf", "--tolerance=nan",
-                                      "--tolerance=0", "--tolerance=1e-09",
-                                      "--tolerance=1e300"])
-    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag):
-        out_path = tmp_path / "x.jsonl"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dims", "2", "--samples", "1", "--seed", "1",
-                  "--out", str(out_path), flag])
-        assert exc.value.code == 2
-        assert not out_path.exists()
-        unknown = f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
-        assert unknown == flag.startswith("--tolerance")
-
 
 class TestVerify:
     def test_smoke(self, capsys):
@@ -329,15 +267,6 @@ class TestVerify:
         )
         assert code == 0
         assert "grid_points = 8" in out
-
-    def test_n_below_m_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--m", "4", "--n", "2", "--samples", "1",
-                  "--grid", "64", "--seed", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: bellbound verify ")  # the subcommand's own parser
-        assert err.endswith("bellbound verify: error: --n must be >= --m, got n=2 < m=4\n")
 
     def test_gap_beyond_oracle_tol_exits_one(self, capsys, monkeypatch, set_workers):
         argv = ["verify", "--m", "3", "--n", "4", "--samples", "5", "--grid", "64",
@@ -387,53 +316,122 @@ EYE_PAST_GUARD = ";".join(",".join(map(str, row))
 SWEEP = "sweep --samples 1 --seed 1 --dims"
 VERIFY = "verify --samples 1 --seed 1 --grid 8 --m"
 
-# one row per bad input: a shell-like command line, with NAME=value words
-# before the subcommand setting the environment, and its exit code
+INT = "value must be an integer"
+SEEDS = f"{INT} in [0, {2**64})"
+REALS = "--coeffs expects comma-separated reals"
+FINITE = "--matrix entries must be finite"
+NOT_FINITE = "error: NonFiniteCoefficientError: amplitudes must be finite reals"
+NEGATIVE = "error: NegativeCoefficientError: amplitudes must be nonnegative"
+ZERO = "error: ZeroVectorError: amplitude norm 0.000e+00 is below 1e-12"
+GUARD = "error: TooLargeError: dense oracle guard:"
+THREADS = "error: InvalidDimensionError: BELLBOUND_THREADS must be an integer >= 0, got"
+ALLOCATE = "error: MemoryError: Unable to allocate"  # the size it names depends on the platform
+
+# one row per bad input: a shell-like command line, with NAME=value words before the
+# subcommand setting the environment; its exit code; and the reason that the last line of
+# its stderr gives, which names the flag or the error class and the refused value
 BAD_INPUTS = [
-    ("", 2), ("frobnicate", 2), ("concurrence", 2),
-    ("concurrence --coeffs a,b", 2), ("bell --coeffs 1,x", 2), ("bounds --coeffs 1,,2", 2),
-    ("jn --matrix 1,1;1", 2), ("jn --matrix=inf,1;1,1", 2), ("jn --matrix 1,x;1,1", 2),
-    ("sample --m 0 --seed 1", 2), ("sample --m 2 --seed -1", 2),
-    (f"sample --m 2 --seed {2**64}", 2), ("sample --m 2 --seed 1 --measure uniform", 2),
-    ("sample --m 4 --n 2 --seed 1", 2), ("sample --m 4 --n 2 --seed 1 --index 3", 2),
-    ("sample --measure simplex --m 3 --n 1 --seed 1", 2),
-    ("sample --m 2.5 --seed 1", 2), ("sample --m 2 --n 2.0 --seed 1", 2),
-    ("sample --m 2 --seed 3.5", 2), ("sample --m 2 --seed 1 --index 0.5", 2),
-    ("sample --m 2 --seed 1 --index -1", 2), ("sample --m 2 --seed 1 --index x", 2),
-    (f"{SWEEP} 2,2 --out {{out}}", 2), (f"{SWEEP} 0 --out {{out}}", 2),
-    (f"{SWEEP} 2,x --out {{out}}", 2), (f"{SWEEP} 2", 2),
-    (f"{SWEEP} 2 --out {{out}} --samples 0", 2), (f"{SWEEP} 2 --out {{out}} --offset -1", 2),
-    (f"{SWEEP} 4.5 --out {{out}}", 2), (f"{SWEEP} 2 --out {{out}} --samples 1.9", 2),
-    (f"{SWEEP} 2 --out {{out}} --offset 0.5", 2),
-    (f"{SWEEP} 2 --out {{out}} --tolerance inf", 2),
-    (f"{SWEEP} 2 --out {{out}} --tolerance nan", 2),
-    (f"{SWEEP} 2 --out {{out}} --tolerance 0", 2),
-    (f"{SWEEP} 2 --out {{out}} --tolerance 1e300", 2),
-    (f"{VERIFY} 2 --grid 0", 2), (f"{VERIFY} 2 --grid 3", 2),
-    (f"{VERIFY} 2 --grid 7", 2), (f"{VERIFY} 4 --n 2", 2), (f"{VERIFY} 2 --n 0", 2),
-    (f"{VERIFY} 2 --samples 0", 2), (f"{VERIFY} 2 --measure uniform", 2),
-    (f"{VERIFY} 2 --grid 8.5", 2), (f"{VERIFY} 2.5", 2),
-    ("concurrence --coeffs 0,0", 1), ("concurrence --coeffs 0.5,-1", 1),
-    ("bell --coeffs -1,0", 1), ("bounds --coeffs 0,0", 1), (f"jn --matrix {EYE_PAST_GUARD}", 1),
-    ("jn --matrix 1e308,1e308;1e308,1e308", 1),
-    (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1),
-    (f"{VERIFY} 2 --grid {MAX_GRID_POINTS + 1}", 1), (f"{VERIFY} 2 --grid {10**13}", 1),
-    (f"{SWEEP} 2 --out {{tmp}}", 1),
-    (f"{SWEEP} 2 --out {{tmp}}/missing/x.jsonl", 1),
-    (f"BELLBOUND_THREADS=many {SWEEP} 2 --out {{out}}", 1),
-    (f"BELLBOUND_THREADS=-1 {SWEEP} 2 --out {{out}}", 1),
-    (f"BELLBOUND_THREADS=2.5 {SWEEP} 2 --out {{out}}", 1),
-    (f"BELLBOUND_THREADS=many {VERIFY} 2", 1),
+    ("", 2, "bellbound: error: the following arguments are required: subcommand"),
+    ("frobnicate", 2, "argument subcommand: invalid choice: 'frobnicate'"),
+    # argparse's own rule takes "-1" and "-.5" as values, but not these: the top-level
+    # parser reads them through _SIGNED_VALUE, as its subcommand parsers do
+    ("-inf", 2, "argument subcommand: invalid choice: '-inf'"),
+    ("-nan", 2, "argument subcommand: invalid choice: '-nan'"),
+    ("concurrence", 2, "the following arguments are required: --coeffs"),
+    ("concurrence --coeffs a,b", 2, f"argument --coeffs: {REALS}, got 'a,b'"),
+    ("bell --coeffs 1,x", 2, f"argument --coeffs: {REALS}, got '1,x'"),
+    ("bounds --coeffs 1,,2", 2, f"argument --coeffs: {REALS}, got '1,,2'"),
+    ("jn --matrix 1,1;1", 2, "argument --matrix: --matrix must be square, got '1,1;1'"),
+    ("jn --matrix=inf,1;1,1", 2, f"argument --matrix: {FINITE}, got 'inf,1;1,1'"),
+    ("jn --matrix=nan,1;1,1", 2, f"argument --matrix: {FINITE}, got 'nan,1;1,1'"),
+    ("jn --matrix 1,x;1,1", 2, "argument --matrix: --matrix expects ';'-separated rows of "
+                              "comma-separated reals, got '1,x;1,1'"),
+    ("sample --m 0 --seed 1", 2, f"argument --m: {INT} >= 1, got 0"),
+    ("sample --m 2 --seed -1", 2, f"argument --seed: {SEEDS}, got -1"),
+    (f"sample --m 2 --seed {2**64}", 2, f"argument --seed: {SEEDS}, got {2**64}"),
+    ("sample --m 2 --seed 1 --measure uniform", 2, "argument --measure: invalid choice: 'uniform'"),
+    # a rule across flags, reported by the subcommand's own parser
+    ("sample --m 4 --n 2 --seed 1", 2,
+     "bellbound sample: error: --n must be >= --m, got n=2 < m=4"),
+    ("sample --m 4 --n 2 --seed 1 --index 3", 2,
+     "bellbound sample: error: --n must be >= --m, got n=2 < m=4"),
+    ("sample --measure simplex --m 3 --n 1 --seed 1", 2,
+     "bellbound sample: error: --n must be >= --m, got n=1 < m=3"),
+    ("sample --m 2.5 --seed 1", 2, f"argument --m: {INT} >= 1, got '2.5'"),
+    ("sample --m 2 --n 2.0 --seed 1", 2, f"argument --n: {INT} >= 1, got '2.0'"),
+    ("sample --m 2 --seed 3.5", 2, f"argument --seed: {SEEDS}, got '3.5'"),
+    ("sample --m 2 --seed 1 --index 0.5", 2, f"argument --index: {INT} >= 0, got '0.5'"),
+    ("sample --m 2 --seed 1 --index -1", 2, f"argument --index: {INT} >= 0, got -1"),
+    ("sample --m 2 --seed 1 --index x", 2, f"argument --index: {INT} >= 0, got 'x'"),
+    (f"{SWEEP} 2,2 --out {{out}}", 2,
+     "argument --dims: --dims entries must be distinct, got '2,2'"),
+    (f"{SWEEP} 0 --out {{out}}", 2, f"argument --dims: {INT} >= 1, got 0"),
+    (f"{SWEEP} 2,x --out {{out}}", 2, f"argument --dims: {INT} >= 1, got 'x'"),
+    (f"{SWEEP} 2", 2, "the following arguments are required: --out"),
+    (f"{SWEEP} 2 --out {{out}} --samples 0", 2, f"argument --samples: {INT} >= 1, got 0"),
+    (f"{SWEEP} 2 --out {{out}} --offset -1", 2, f"argument --offset: {INT} >= 0, got -1"),
+    (f"{SWEEP} 2 --out {{out}} --offset=-1", 2, f"argument --offset: {INT} >= 0, got -1"),
+    (f"{SWEEP} 4.5 --out {{out}}", 2, f"argument --dims: {INT} >= 1, got '4.5'"),
+    (f"{SWEEP} 2 --out {{out}} --samples 1.9", 2, f"argument --samples: {INT} >= 1, got '1.9'"),
+    (f"{SWEEP} 2 --out {{out}} --offset 0.5", 2, f"argument --offset: {INT} >= 0, got '0.5'"),
+    # the theorem checks use THEOREM_TOL: --tolerance is unknown, whatever its value
+    (f"{SWEEP} 2 --out {{out}} --tolerance inf", 2, "unrecognized arguments: --tolerance inf"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance nan", 2, "unrecognized arguments: --tolerance nan"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance 0", 2, "unrecognized arguments: --tolerance 0"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance 1e300", 2, "unrecognized arguments: --tolerance 1e300"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance=inf", 2, "unrecognized arguments: --tolerance=inf"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance=nan", 2, "unrecognized arguments: --tolerance=nan"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance=0", 2, "unrecognized arguments: --tolerance=0"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance=1e-09", 2, "unrecognized arguments: --tolerance=1e-09"),
+    (f"{SWEEP} 2 --out {{out}} --tolerance=1e300", 2, "unrecognized arguments: --tolerance=1e300"),
+    (f"{VERIFY} 2 --grid 0", 2, f"argument --grid: {INT} >= 8, got 0"),
+    (f"{VERIFY} 2 --grid 3", 2, f"argument --grid: {INT} >= 8, got 3"),
+    (f"{VERIFY} 2 --grid 7", 2, f"argument --grid: {INT} >= 8, got 7"),
+    (f"{VERIFY} 4 --n 2", 2, "bellbound verify: error: --n must be >= --m, got n=2 < m=4"),
+    (f"{VERIFY} 2 --n 0", 2, f"argument --n: {INT} >= 1, got 0"),
+    (f"{VERIFY} 2 --samples 0", 2, f"argument --samples: {INT} >= 1, got 0"),
+    (f"{VERIFY} 2 --measure uniform", 2, "argument --measure: invalid choice: 'uniform'"),
+    (f"{VERIFY} 2 --grid 8.5", 2, f"argument --grid: {INT} >= 8, got '8.5'"),
+    (f"{VERIFY} 2.5", 2, f"argument --m: {INT} >= 1, got '2.5'"),
+    ("concurrence --coeffs 0,0", 1, ZERO),
+    ("concurrence --coeffs 0.5,-1", 1, NEGATIVE),
+    ("concurrence --coeffs inf,1", 1, NOT_FINITE), ("concurrence --coeffs nan,1", 1, NOT_FINITE),
+    ("concurrence --coeffs -inf,1", 1, NOT_FINITE), ("concurrence --coeffs -nan,1", 1, NOT_FINITE),
+    ("concurrence --coeffs -INF,1", 1, NOT_FINITE),
+    ("bell --coeffs -1,0", 1, NEGATIVE),
+    ("bounds --coeffs 0,0", 1, ZERO),
+    (f"jn --matrix {EYE_PAST_GUARD}", 1, "error: TooLargeError: exhaustive search guard: "
+                                         f"n={MAX_EXHAUSTIVE_N + 1} exceeds {MAX_EXHAUSTIVE_N}"),
+    ("jn --matrix 1e308,1e308;1e308,1e308", 1,
+     "error: TooLargeError: classical bound is not finite in float64, got inf"),
+    (f"{VERIFY} 8 --n {MAX_ORACLE_DIM // 8 + 1}", 1,
+     f"{GUARD} m*dim_b = {8 * (MAX_ORACLE_DIM // 8 + 1)} exceeds {MAX_ORACLE_DIM}"),
+    (f"{VERIFY} 2 --grid {MAX_GRID_POINTS + 1}", 1,
+     f"{GUARD} grid_points = {MAX_GRID_POINTS + 1} > {MAX_GRID_POINTS}"),
+    (f"{VERIFY} 2 --grid {10**13}", 1, f"{GUARD} grid_points = {10**13} > {MAX_GRID_POINTS}"),
+    (f"{SWEEP} 2 --out {{tmp}}", 1,
+     "error: IoFailureError: cannot write {tmp}: not a regular file"),
+    # the temporary file that the error names holds the pid and random hex
+    (f"{SWEEP} 2 --out {{tmp}}/missing/x.jsonl", 1, "error: IoFailureError: cannot write "
+                                                    "{tmp}/missing/x.jsonl: [Errno 2] No such file"
+                                                    " or directory"),
+    (f"BELLBOUND_THREADS=many {SWEEP} 2 --out {{out}}", 1, f"{THREADS} 'many'"),
+    (f"BELLBOUND_THREADS=-1 {SWEEP} 2 --out {{out}}", 1, f"{THREADS} -1"),
+    (f"BELLBOUND_THREADS=2.5 {SWEEP} 2 --out {{out}}", 1, f"{THREADS} '2.5'"),
+    (f"BELLBOUND_THREADS=many {VERIFY} 2", 1, f"{THREADS} 'many'"),
     # m = 10**7 asks for petabytes, beyond a 47-bit address space: the allocation fails at once
-    ("sample --m 10000000 --seed 1", 1), (f"{SWEEP} 10000000 --out {{out}}", 1),
+    ("sample --m 10000000 --seed 1", 1, ALLOCATE),
+    (f"{SWEEP} 10000000 --out {{out}}", 1, ALLOCATE),
 ]
 
 
-@pytest.mark.parametrize("line,code", BAD_INPUTS, ids=[line[:90] for line, _ in BAD_INPUTS])
-def test_bad_input_exit_code(capsys, monkeypatch, tmp_path, line, code):
-    # usage errors exit 2 with argparse's usage, domain errors 1 with one line;
-    # neither prints to stdout or leaves a file
-    words = shlex.split(line.format(tmp=tmp_path, out=tmp_path / "x.jsonl"))
+@pytest.mark.parametrize("line,code,reason", BAD_INPUTS,
+                         ids=[line[:90] for line, *_ in BAD_INPUTS])
+def test_bad_input_exit_code(capsys, monkeypatch, tmp_path, line, code, reason):
+    # usage errors exit 2 with argparse's usage, domain errors 1 with one line, and the
+    # last line says why; neither prints to stdout or leaves a file
+    paths = dict(tmp=tmp_path, out=tmp_path / "x.jsonl")
+    words = shlex.split(line.format(**paths))
     monkeypatch.setenv("BELLBOUND_THREADS", "1")
     while words and "=" in words[0]:
         monkeypatch.setenv(*words.pop(0).split("=", 1))
@@ -450,6 +448,7 @@ def test_bad_input_exit_code(capsys, monkeypatch, tmp_path, line, code):
             assert err.startswith(f"usage: bellbound {words[0]} ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason and reason.format(**paths) in err.splitlines()[-1]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -473,26 +472,7 @@ def test_every_checked_flag_rejects_a_bad_value(capsys, monkeypatch, tmp_path, n
     assert list(tmp_path.iterdir()) == []
 
 
-class TestDispatch:
-    @pytest.mark.parametrize("token", ["-inf", "-nan"])
-    def test_signed_token_is_an_invalid_subcommand(self, capsys, token):
-        # argparse's own rule takes "-1" and "-.5" as values, but not these: the top-level
-        # parser reads them through _SIGNED_VALUE, as its subcommand parsers do
-        with pytest.raises(SystemExit) as exc:
-            main([token])
-        assert exc.value.code == 2
-        assert f"invalid choice: '{token}'" in capsys.readouterr().err
-
-
-
 SIGNALS = [signal.SIGTERM, signal.SIGHUP]  # the signals that run() makes raise, as SIGINT does
-
-
-def package_env():
-    """Environment for a fresh interpreter that imports this bellbound."""
-    src = str(Path(bellbound.__file__).resolve().parent.parent)
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 ENTRY = "from bellbound.cli import run; run()"
@@ -517,7 +497,7 @@ def in_process(capsys, argv):
 
 
 class TestModuleEntryPoint:
-    def test_python_m_matches_console_entry_point(self, capsys, tmp_path):
+    def test_python_m_matches_console_entry_point(self, capsys, fresh, tmp_path):
         # both fresh entries give main()'s exit code, streams and file bytes,
         # whichever way main() ends
         out = tmp_path / "out.jsonl"
@@ -528,8 +508,7 @@ class TestModuleEntryPoint:
             written = out.read_bytes() if out.exists() else None
             out.unlink(missing_ok=True)
             for prefix in (["-m", "bellbound"], ["-c", ENTRY]):
-                r = subprocess.run([sys.executable, *prefix, *argv], capture_output=True,
-                                   text=True, env=package_env(), timeout=120)
+                r = fresh(*prefix, *argv)
                 assert (r.returncode, r.stdout, r.stderr) == expected, (name, prefix)
                 assert (out.read_bytes() if out.exists() else None) == written, (name, prefix)
                 out.unlink(missing_ok=True)
@@ -551,23 +530,21 @@ class TestModuleEntryPoint:
         assert in_process(capsys, [word.format(out=tmp_path / "x") for word in row])[0] == code
         assert [signal.getsignal(signum) for signum in SIGNALS] == handlers
 
-    def test_run_keeps_an_ignored_hangup(self, capsys):
+    def test_run_keeps_an_ignored_hangup(self, capsys, fresh):
         # a run started under nohup keeps running when its terminal closes
         prelude = ("import atexit, signal, sys; signal.signal(signal.SIGHUP, signal.SIG_IGN); "
                    "atexit.register(lambda: print(signal.getsignal(signal.SIGHUP).name, "
                    "signal.getsignal(signal.SIGTERM).__name__, file=sys.stderr)); ")
         argv = ENTRY_ROWS["bell"][0]
-        r = subprocess.run([sys.executable, "-c", prelude + ENTRY, *argv], capture_output=True,
-                           text=True, env=package_env(), timeout=120)
+        r = fresh("-c", prelude + ENTRY, *argv)
         assert (r.returncode, r.stdout) == (0, in_process(capsys, argv)[1])
         assert r.stderr == "SIG_IGN _interrupt\n"
 
-    def test_run_freezes_the_collector_and_atexit_handlers_still_run(self, capsys):
+    def test_run_freezes_the_collector_and_atexit_handlers_still_run(self, capsys, fresh):
         prelude = ("import atexit, gc, sys; "
                    "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); ")
         argv = ENTRY_ROWS["bell"][0]
-        r = subprocess.run([sys.executable, "-c", prelude + ENTRY, *argv], capture_output=True,
-                           text=True, env=package_env(), timeout=120)
+        r = fresh("-c", prelude + ENTRY, *argv)
         assert (r.returncode, r.stdout, r.stderr) == (0, in_process(capsys, argv)[1], "True\n")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -595,27 +572,6 @@ class TestModuleEntryPoint:
             assert r.stderr == ("error: IoFailureError: cannot write standard output: "
                                 "[Errno 32] Broken pipe\n"), prefix
             assert (out.read_bytes() if out.exists() else None) == written, prefix
-
-
-def signalled_at_fork(signum: signal.Signals) -> str:
-    """Source that a fresh interpreter runs before a sweep: two CPUs and the least forked
-    work lowered to one sample, so that the sweep forks one worker, and an ``os.fork`` that
-    raises ``signum`` in the child before it returns there, ahead of any line of the runner.
-    SIGINT raises ``KeyboardInterrupt`` and SIGTERM takes the default, which ``run()`` then
-    replaces, whatever the test run's parent ignores.  Only a fresh interpreter may run it:
-    a child that escaped the runner here would go on running the test suite."""
-    return ("import os, signal\n"
-            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-            "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "import bellbound.harness; bellbound.harness.MIN_SWEEP_WORK = 1\n"
-            "fork = os.fork\n"
-            "def fork_then_signal():\n"
-            "    pid = fork()\n"
-            "    if not pid:\n"
-            f"        signal.raise_signal(signal.{signum.name})\n"
-            "    return pid\n"
-            "os.fork = fork_then_signal\n")
 
 
 def group_empties(pgid, timeout):
@@ -667,7 +623,7 @@ class TestInterrupt:
         assert list(tmp_path.iterdir()) == []
         assert emptied
 
-    def test_worker_signalled_at_its_fork_ends_alone(self, tmp_path):
+    def test_worker_signalled_at_its_fork_ends_alone(self, fresh, tmp_path):
         # SIGTERM in the forked worker as its fork returns: the worker ends there, and the
         # one line on stderr is the caller's, naming the chunk that the worker never sent
         out = tmp_path / "out.jsonl"
@@ -675,8 +631,7 @@ class TestInterrupt:
                 "--out", str(out)]
         code = (signalled_at_fork(signal.SIGTERM)
                 + f"import sys; from bellbound.cli import run\nsys.argv = {argv!r}\nrun()\n")
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
+        r = fresh("-c", code, BELLBOUND_THREADS="2")
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error: WorkerFailedError: no readable result from worker 1 "
                                    "of 2 for chunk m=3 [0, 10): "), r.stderr
@@ -685,41 +640,16 @@ class TestInterrupt:
 
 
 class TestImportPath:
-    def test_cli_import_loads_no_process_pool(self):
-        # a CLI cold start loads neither module: the forked runner needs no process pool,
-        # and every CLI process would pay its import
-        code = ("import sys, bellbound.cli; "
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-                "if m in sys.modules))")
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=package_env(), timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout == "[]\n"
-
-    def test_parallel_sweep_loads_no_process_pool(self, tmp_path):
-        # the sweep is worker 0 of its two and forks the other itself; the CPU
-        # mask is widened, so that a one-CPU host forks it too, and the least work
-        # per forked worker is lowered, so that this small sweep forks at all
-        argv = ["sweep", "--dims", "2,4", "--samples", "200", "--seed", "1",
-                "--out", str(tmp_path / "x.jsonl")]
-        code = ("import contextlib, io, os, sys; from bellbound.cli import main\n"
-                "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "import bellbound.harness; bellbound.harness.MIN_SWEEP_WORK = 1\n"
-                "forks, fork = [], os.fork\n"
-                "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert main({argv!r}) == 0\n"
-                "print(len(forks), sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-                "if m in sys.modules))")
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout == "1 []\n"
-
-    CORE = ("cli", "errors", "schmidt_state", "tolerances")
+    EAGER = ("errors", "schmidt_state", "tolerances")
+    CORE = EAGER + ("cli",)
     KERNEL = CORE + ("bell_operators", "bounds")
 
+    # one row per way in: an import, or a command line with NAME=value words before the
+    # subcommand setting the environment; and the bellbound modules that it loads
     MODULE_SETS = [
+        ("import bellbound", EAGER),
+        ("import bellbound.bounds", EAGER + ("bounds",)),  # bell_operators imports from bounds
+        ("import bellbound.cli", CORE),
         ("concurrence --coeffs 1,2", CORE),
         ("sample --m 3 --seed 1", CORE),
         ("sample --m 3 --seed 1 --measure simplex", CORE),
@@ -727,22 +657,34 @@ class TestImportPath:
         ("bell --coeffs 1,2", CORE + ("bounds",)),
         ("bounds --coeffs 1,2", CORE + ("bounds",)),
         ("jn --matrix 1,1;1,-1", CORE + ("bounds",)),
-        ("sweep --dims 2 --samples 1 --seed 1 --out {out}", KERNEL + ("harness",)),
+        # enough work for the sweep to be worker 0 of two and fork the other itself
+        ("BELLBOUND_THREADS=2 sweep --dims 2,4 --samples 400 --seed 1 --out {out}",
+         KERNEL + ("harness",)),
         ("verify --m 2 --samples 1 --grid 8 --seed 1", KERNEL + ("harness",)),
     ]
 
     @pytest.mark.parametrize("line,loaded", MODULE_SETS, ids=[line for line, _ in MODULE_SETS])
-    def test_subcommand_loads_only_its_modules(self, tmp_path, line, loaded):
-        # each handler imports what it runs; a fresh process shows what a call loads. Of
-        # the stdlib, json is loaded by `bounds` alone, the one output that is a dumped dict
-        argv = shlex.split(line.format(out=tmp_path / "x.jsonl"))
-        code = ("import sys; from bellbound.cli import main; import contextlib, io\n"
+    def test_subcommand_loads_only_its_modules(self, fresh, tmp_path, line, loaded):
+        # each handler imports what it runs; a fresh process on two CPUs shows what a call
+        # loads, and that it forks BELLBOUND_THREADS - 1 workers. Of the stdlib, json is
+        # loaded by `bounds` alone, the one output that is a dumped dict, and no process
+        # pool at all: the runner forks its workers, and every CLI process would pay it
+        words = shlex.split(line.format(out=tmp_path / "x.jsonl"))
+        env = {"BELLBOUND_THREADS": "1"}
+        while "=" in words[0]:
+            env.update([words.pop(0).split("=", 1)])
+        call = (f"{line}\n" if words[0] == "import" else
+                "import contextlib, io; from bellbound.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert main({argv!r}) == 0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('bellbound.')), "
-                "'json' in sys.modules)")
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**package_env(), "BELLBOUND_THREADS": "1"}, timeout=120)
+                f"    assert main({words!r}) == 0\n")
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(os.getpid()) or fork()\n" + call
+                + "print(len(forks), sorted(m for m in sys.modules if m.startswith('bellbound.')), "
+                "[m for m in ('json', 'multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules])")
+        run = fresh("-c", code, **env)
         assert run.returncode == 0, run.stderr
-        json_loaded = argv[0] == "bounds"
-        assert run.stdout == f"{sorted(f'bellbound.{m}' for m in loaded)} {json_loaded}\n"
+        forks, stdlib = int(env["BELLBOUND_THREADS"]) - 1, ["json"] * (words[0] == "bounds")
+        assert run.stdout == f"{forks} {sorted(f'bellbound.{m}' for m in loaded)} {stdlib}\n"

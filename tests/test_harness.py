@@ -9,8 +9,6 @@ import math
 import os
 import re
 import signal
-import subprocess
-import sys
 import threading
 import time
 import tracemalloc
@@ -38,7 +36,7 @@ from bellbound.errors import (InvalidDimensionError, InvariantError, IoFailureEr
 from bellbound.harness import resolve_workers
 from bellbound.tolerances import ORACLE_TOL, THEOREM_TOL
 
-from test_cli import package_env, signalled_at_fork
+from conftest import signalled_at_fork
 
 TEST_PID = os.getpid()  # the test run's own process; forked workers have other pids
 
@@ -775,7 +773,7 @@ class TestForkedRunner:
         with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_signalled_at_its_fork_ends_alone(self, tmp_path):
+    def test_child_signalled_at_its_fork_ends_alone(self, fresh, tmp_path):
         # KeyboardInterrupt in the forked child as its fork returns, before any line of the
         # runner runs there: only the caller leaves run_sweep, with the chunk the child never
         # sent, and the caller's except block runs in the caller alone
@@ -787,8 +785,7 @@ class TestForkedRunner:
                 + f"try:\n    run_sweep({config})\n"
                 + "except BaseException as exc:\n"
                 + "    print('left run_sweep', os.getpid(), type(exc).__name__, flush=True)\n")
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env={**package_env(), "BELLBOUND_THREADS": "2"}, timeout=120)
+        r = fresh("-c", code, BELLBOUND_THREADS="2")
         caller = r.stdout.split()[1]
         assert r.stdout == f"caller {caller}\nleft run_sweep {caller} WorkerFailedError\n", \
             r.stderr

@@ -4,8 +4,6 @@
 from __future__ import annotations
 
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -13,10 +11,7 @@ import pytest
 import bellbound
 from bellbound import bell_operators, bounds, harness, schmidt_state
 
-from test_cli import package_env
-
 OWNERS = (schmidt_state, bell_operators, bounds, harness)
-LAZY = ("bellbound.bell_operators", "bellbound.bounds", "bellbound.harness", "bellbound.cli")
 
 
 def test_all_has_no_duplicates():
@@ -51,41 +46,23 @@ def test_dependency_floors_cover_what_the_code_uses():
     assert floors["numpy"] >= (2, 0) and floors["pytest"] >= (9,)
 
 
-def fresh(code: str) -> str:
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=package_env(), timeout=120)
-    assert run.returncode == 0, run.stderr
-    return run.stdout
-
-
-def test_import_loads_no_lazy_module():
-    out = fresh("import sys, bellbound\n"
-                f"print(sorted(m for m in {LAZY!r} if m in sys.modules))")
-    assert out == "[]\n"
-
-
-def test_closed_forms_load_no_oracle():
-    # bell_operators imports the coefficient matrix from bounds, never the reverse
-    out = fresh("import sys, bellbound.bounds\n"
-                "print('bellbound.bell_operators' in sys.modules)")
-    assert out == "False\n"
-
-
-def test_star_import_and_dir_list_every_name():
+def test_star_import_and_dir_list_every_name(fresh):
     # dir first: the star import binds every lazy name
     code = ("import bellbound\n"
             "print(sorted(set(bellbound.__all__) - set(dir(bellbound))))\n"
             "names = {}\n"
             "exec('from bellbound import *', names)\n"
             "print(sorted(set(bellbound.__all__) - set(names)))")
-    assert fresh(code) == "[]\n[]\n"
+    run = fresh("-c", code)
+    assert (run.returncode, run.stdout) == (0, "[]\n[]\n"), run.stderr
 
 
-def test_first_use_binds_the_owners_names():
+def test_first_use_binds_the_owners_names(fresh):
     code = ("import sys, bellbound\n"
             "run = bellbound.run_sweep\n"
             "print('bellbound.harness' in sys.modules, run is bellbound.harness.run_sweep,\n"
             "      'bellbound.bell_operators' in sys.modules)\n"
             "print(bellbound.bounds.bound_report is bellbound.bound_report,\n"
             "      bellbound.cli is sys.modules['bellbound.cli'])")
-    assert fresh(code) == "True True True\nTrue True\n"
+    run = fresh("-c", code)
+    assert (run.returncode, run.stdout) == (0, "True True True\nTrue True\n"), run.stderr
