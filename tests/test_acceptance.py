@@ -8,7 +8,6 @@ package constants; none are loosened here.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from bellbound import (
-    CHSH_MATRIX,
     BellCoefficientMatrix,
     ExperimentConfig,
     bell_value_formula,
@@ -24,7 +22,6 @@ from bellbound import (
     classical_bound_naive,
     concurrence,
     is_nonlocal_certified,
-    lower_bound,
     new_schmidt,
     sample_haar,
     sample_simplex,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import gc
-import hashlib
 import json
 import math
 import os
@@ -157,32 +156,6 @@ class TestSample:
 
 
 class TestSweep:
-    def test_smoke_and_summary_format(self, capsys, tmp_path):
-        out_path = tmp_path / "sweep.jsonl"
-        code, out, err = run_cli(
-            capsys, "sweep", "--dims", "2,3", "--samples", "25", "--seed", "3",
-            "--measure", "simplex", "--out", str(out_path),
-        )
-        assert code == 0
-        assert err == ""
-        pairs = parsed_lines(out)
-        assert pairs["measure"] == "simplex"
-        assert pairs["records_written"] == "50"
-        assert pairs["violations"] == "0"
-        assert len(out_path.read_text().splitlines()) == 50
-
-    def test_identical_flags_hash_identical_files(self, capsys, tmp_path):
-        digests = []
-        for name in ("s1.jsonl", "s2.jsonl"):
-            out_path = tmp_path / name
-            code, _, _ = run_cli(
-                capsys, "sweep", "--dims", "2,4", "--samples", "40", "--seed", "8",
-                "--out", str(out_path),
-            )
-            assert code == 0
-            digests.append(hashlib.sha256(out_path.read_bytes()).hexdigest())
-        assert digests[0] == digests[1]
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_theorem_violations_exit_one_with_one_line_each(self, capsys, monkeypatch, tmp_path,
                                                             set_workers, any_work_forks, threads):
@@ -244,30 +217,6 @@ class TestSweep:
 
 
 class TestVerify:
-    def test_smoke(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--m", "2", "--n", "2", "--samples", "5",
-            "--grid", "64", "--seed", "2",
-        )
-        assert code == 0
-        pairs = parsed_lines(out)
-        assert float(pairs["max_gap"]) <= ORACLE_TOL
-
-    def test_n_defaults_to_m(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--m", "3", "--samples", "3", "--grid", "64",
-            "--seed", "2",
-        )
-        assert code == 0
-        assert "m=3 n=3" in out
-
-    def test_grid_eight_is_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--m", "2", "--samples", "1", "--seed", "1", "--grid", "8",
-        )
-        assert code == 0
-        assert "grid_points = 8" in out
-
     def test_gap_beyond_oracle_tol_exits_one(self, capsys, monkeypatch, set_workers):
         argv = ["verify", "--m", "3", "--n", "4", "--samples", "5", "--grid", "64",
                 "--seed", "2"]

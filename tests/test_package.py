@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -12,6 +13,34 @@ import bellbound
 from bellbound import bell_operators, bounds, harness, schmidt_state
 
 OWNERS = (schmidt_state, bell_operators, bounds, harness)
+
+SOURCES = [*Path(bellbound.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+
+# module-level imports that their module never reads, each bound there for a reader elsewhere
+UNREAD_IMPORTS = {
+    # bench/tracing.py wraps these names in harness, and tests/test_bench_tracing.py pins that
+    ("harness.py", "max_expectation_grid"),
+    ("harness.py", "sample_haar"),
+    ("harness.py", "sample_simplex"),
+    # the eager core: importing bellbound loads the schmidt_state submodule
+    ("__init__.py", "schmidt_state"),
+}
+
+
+def unread_imports(path: Path) -> set[tuple[str, str]]:
+    """The ``(file name, name)`` of each module-level import in ``path`` that no name in the
+    module reads and that its ``__all__`` does not list."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__"
+                                                for target in node.targets):
+            read.update(item.value for item in ast.walk(node.value)
+                        if isinstance(item, ast.Constant))
+    imported = [alias.asname or alias.name.partition(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    return {(path.name, name) for name in imported if name not in read}
 
 
 def test_all_has_no_duplicates():
@@ -44,6 +73,10 @@ def test_dependency_floors_cover_what_the_code_uses():
               for name, version in re.findall(r'"(numpy|pytest)>=([\d.]+)"', text)}
     assert floors.keys() == {"numpy", "pytest"}
     assert floors["numpy"] >= (2, 0) and floors["pytest"] >= (9,)
+
+
+def test_every_import_is_read():
+    assert set().union(*map(unread_imports, SOURCES)) == UNREAD_IMPORTS
 
 
 def test_star_import_and_dir_list_every_name(fresh):
