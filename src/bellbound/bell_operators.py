@@ -206,11 +206,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[float, float]:
     """Golden-section maximum of a unimodal f on [lo, hi] to absolute width.  ``f`` maps a
-    list of angles to their values.  The loop keeps a one-angle search's arithmetic, so it
-    asks for the same angles, but evaluates each new one with all that the next
-    ``depth - 1`` steps can ask for either way, and with the path down to width 1.5e-8
-    (~sqrt(eps): f1 - f2 meets rounding) if each goes toward the peak ``mid + atan2(b, a)``
-    of the family's form ``f(mid + t) = a cos t + b sin t + c`` through x1, x2 and mid."""
+    list of angles to their values.  The loop keeps a one-angle search's arithmetic, so at
+    any ``depth`` it asks for the same angles, but evaluates each new one with all that the
+    next ``depth - 1`` steps can ask for either way (the oracle's ``_GOLDEN_DEPTH``), and
+    with the path down to width 1.5e-8 (~sqrt(eps): f1 - f2 meets rounding) if each goes
+    toward the peak ``mid + atan2(b, a)`` of the family's form ``f(mid + t) = a cos t +
+    b sin t + c`` through x1, x2 and mid."""
     known = {}
 
     def ahead(lo, hi, x1, x2, steps):
@@ -256,13 +257,8 @@ def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[floa
 
 
 _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
+_GOLDEN_DEPTH = 3  # golden steps per lookahead stack; a depth only regroups angles, never bits
 _LOCAL = threading.local()  # this thread's operator buffer (_scatter)
-
-
-def _golden_depth(side: int) -> int:
-    """The largest depth <= 3 whose 2**depth - 1 operators fit in 128 KiB, 3 up to m*n = 34
-    and 2 up to 52: with the golden path, 2-3% faster on the benchmark's shapes than 2 or 3."""
-    return max(d for d in (1, 2, 3) if d == 1 or ((1 << d) - 1) * 16 * side**2 <= 128 << 10)
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,14 +354,13 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]
-    depth, out = _golden_depth(side), []
-    most = _BLOCK * MAX_ORACLE_DIM**2 // side**2  # angles per golden stack, <= 1 MB
+    out, most = [], _BLOCK * MAX_ORACLE_DIM**2 // side**2  # angles per golden stack, <= 1 MB
     for psi, index, grid_value in zip(psis, best.tolist(), top.tolist()):
         theta_best = index * step
         theta, value = _golden_max(lambda angles, psi=psi: np.concatenate([
             _real_part(np.vecdot(psi, _scatter(_operators(m, dim_b, angles[i:i + most]), at, side)
                                  @ psi)) for i in range(0, len(angles), most)]),
-            theta_best - step, theta_best + step, GOLDEN_WIDTH, depth)
+            theta_best - step, theta_best + step, GOLDEN_WIDTH, _GOLDEN_DEPTH)
         if grid_value >= value:  # keep the best evaluation seen, the grid angle on a tie
             theta, value = theta_best, grid_value
         out.append((theta, value))

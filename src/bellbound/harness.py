@@ -61,7 +61,7 @@ class ExperimentConfig:
         if self.measure not in MEASURES:
             raise InvalidDimensionError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.output_path is not None:
-            object.__setattr__(self, "output_path", str(self.output_path))
+            object.__setattr__(self, "output_path", os.fsdecode(self.output_path))
 
 
 @dataclass(frozen=True)
@@ -396,7 +396,7 @@ def _fold(blocks) -> tuple:
 
 
 @contextlib.contextmanager
-def _atomic_output(path: str | None):
+def _atomic_output(path: str | bytes | os.PathLike | None):
     """Text file that appears at ``path`` only if the block completes.
 
     Writes to a temporary file beside the target and moves it into place
@@ -408,6 +408,7 @@ def _atomic_output(path: str | None):
     """
     if path is None:
         raise IoFailureError("no output file: the output path is None")
+    path = os.fsdecode(path)  # a str, bytes or path object, named as text in every message
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."
                        f"{os.getpid()}.{os.urandom(6).hex()}.tmp")
@@ -493,4 +494,4 @@ def scatter_cb(sweep_path, output_path) -> Path:
         for _, group in itertools.groupby(rows, key=operator.itemgetter(0)):
             fh.writelines(f"{m},{c!r},{b!r},{up!r},{lo!r}\n"
                           for m, c, b, up, lo in sorted(group, key=operator.itemgetter(1)))
-    return Path(output_path)
+    return Path(os.fsdecode(output_path))

@@ -10,6 +10,7 @@ these coefficients.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -54,9 +55,10 @@ class SchmidtVector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float) + 0.0  # + 0.0 clears the sign of a -0.0
+        arr = _reals(self.coeffs, InvariantError("coeffs must be a nonempty 1-D real array"))
         if arr.ndim != 1 or arr.size == 0:
-            raise InvariantError("coeffs must be a nonempty 1-D real array")
+            raise InvariantError(f"coeffs must be a nonempty 1-D real array, got shape {arr.shape}")
+        arr += 0.0  # clears the sign of a -0.0
         validate_rows(arr[None, :])
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -72,6 +74,15 @@ class SchmidtVector:
 
     def __repr__(self) -> str:
         return f"SchmidtVector({self.coeffs.tolist()!r})"
+
+
+def _reals(values, error: Exception) -> np.ndarray:
+    """A new float array of ``values``, else ``error``: a complex value or text that is no
+    number is refused, never cast (NumPy would drop an imaginary part or raise its own)."""
+    with contextlib.suppress(TypeError, ValueError):  # a ragged nesting too
+        if not np.iscomplexobj(values):
+            return np.array(values, dtype=float)
+    raise error
 
 
 def validate_rows(rows: np.ndarray, first_index: int = 0, label: str = "") -> None:
@@ -102,31 +113,18 @@ def validate_rows(rows: np.ndarray, first_index: int = 0, label: str = "") -> No
 
 
 def new_schmidt(raw) -> SchmidtVector:
-    """Canonicalize raw amplitudes into a :class:`SchmidtVector`.
+    """Canonicalize raw amplitudes (nonnegative finite reals in any order, not necessarily
+    normalized) into a :class:`SchmidtVector`: sorted descending, scaled to unit 2-norm.
 
-    Parameters
-    ----------
-    raw : sequence of float
-        Nonnegative amplitudes, in any order, not necessarily normalized.
-
-    Returns
-    -------
-    SchmidtVector
-        The input sorted descending and scaled to unit 2-norm.
-
-    Raises
-    ------
-    EmptyInputError
-        If ``raw`` has no entries.
-    NonFiniteCoefficientError
-        If any entry is infinite or NaN.
-    NegativeCoefficientError
-        If any entry is negative.
-    ZeroVectorError
-        If the 2-norm of ``raw`` is below the zero cutoff.
+    Raises ``NonFiniteCoefficientError`` on an infinite, NaN or complex entry or on text that
+    is no number, ``InvariantError`` naming the shape of anything but one sequence,
+    ``EmptyInputError`` on no entries, ``NegativeCoefficientError`` on a negative entry and
+    ``ZeroVectorError`` on a 2-norm below the zero cutoff ``ZERO_TOL``.
     """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    arr = _reals(raw, NonFiniteCoefficientError("amplitudes must be finite reals"))
+    if arr.ndim != 1:
+        raise InvariantError(f"amplitudes must be one sequence, got shape {arr.shape}")
+    if arr.size == 0:
         raise EmptyInputError("need at least one amplitude")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteCoefficientError("amplitudes must be finite reals")

@@ -66,6 +66,9 @@ MUTANTS = [
            "thetas = np.arange(lo, min(lo + _BLOCK, grid_points)) * (math.pi / 64)",
            (f"{BELL}::TestGoldenPath::test_matches_sequential_search",
             f"{BELL}::TestBatchedEvaluator::test_grid_best_index_matches_scalar_path")),
+    Mutant("golden lookahead at depth 1", "bell_operators.py",
+           "_GOLDEN_DEPTH = 3", "_GOLDEN_DEPTH = 1",
+           (f"{BELL}::TestBatchedEvaluator::test_evaluator_calls_per_search",)),
     Mutant("a later stack wins a tie", "bell_operators.py",
            "ahead = new > top", "ahead = new >= top",
            (f"{BELL}::TestGoldenLookahead::test_flat_family_matches_sequential_search",)),

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1040,6 +1041,25 @@ def write_sweep(tmp_path, **kwargs):
 def sweep_then_cb(tmp_path, **kwargs):
     """The scatter CSV that ``scatter_cb`` converts from ``write_sweep``'s file."""
     return scatter_cb(write_sweep(tmp_path, **kwargs), tmp_path / "cloud.csv")
+
+
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+@pytest.mark.parametrize("as_path", [str, Path, os.fsencode], ids=["str", "pathlib", "bytes"])
+def test_every_path_type_writes_the_named_file(tmp_path, monkeypatch, where, as_path):
+    # a str, a pathlib.Path and a bytes path name the same file, with the same bytes: a
+    # bytes path is decoded, never written under the text of its repr
+    config = dict(dims=(2, 3), samples=5, seed=7)
+    reference = write_sweep(tmp_path, **config)
+    expected = [reference.read_bytes(),
+                scatter_cb(reference, tmp_path / "cloud.csv").read_bytes()]
+    (target := tmp_path / "out").mkdir()
+    monkeypatch.chdir(target)
+    sweep, cloud = (Path(name) if where == "relative" else target / name
+                    for name in ("sweep.jsonl", "cloud.csv"))
+    run_sweep(ExperimentConfig(output_path=as_path(sweep), **config))
+    assert scatter_cb(as_path(sweep), as_path(cloud)) == cloud
+    assert sorted(os.listdir(target)) == ["cloud.csv", "sweep.jsonl"]
+    assert [(target / name).read_bytes() for name in ("sweep.jsonl", "cloud.csv")] == expected
 
 
 class TestScatterCb:

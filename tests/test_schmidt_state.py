@@ -84,6 +84,42 @@ def edge_blocks(draw):
     return np.array(rows)
 
 
+NOT_REAL = "^amplitudes must be finite reals$"
+NOT_A_VECTOR = "^coeffs must be a nonempty 1-D real array"
+
+# input that is not a sequence of reals: each entry point refuses it with its own error,
+# never NumPy's TypeError or ValueError, and never by dropping an imaginary part
+REFUSALS = [
+    pytest.param(new_schmidt, [0.6 + 0j, 0.8], NonFiniteCoefficientError, NOT_REAL,
+                 id="new_schmidt-complex-list"),
+    pytest.param(new_schmidt, np.array([0.8, 0.6j]), NonFiniteCoefficientError, NOT_REAL,
+                 id="new_schmidt-complex-array"),
+    pytest.param(new_schmidt, ["a"], NonFiniteCoefficientError, NOT_REAL, id="new_schmidt-text"),
+    pytest.param(new_schmidt, [[0.6], [0.8, 0.1]], NonFiniteCoefficientError, NOT_REAL,
+                 id="new_schmidt-ragged"),
+    pytest.param(new_schmidt, [[0.6, 0.8]], InvariantError,
+                 r"^amplitudes must be one sequence, got shape \(1, 2\)$", id="new_schmidt-2d"),
+    pytest.param(new_schmidt, 0.6, InvariantError,
+                 r"^amplitudes must be one sequence, got shape \(\)$", id="new_schmidt-scalar"),
+    pytest.param(SchmidtVector, [1j], InvariantError, NOT_A_VECTOR + "$",
+                 id="SchmidtVector-complex-list"),
+    pytest.param(SchmidtVector, np.array([0.8 + 0j, 0.6]), InvariantError, NOT_A_VECTOR + "$",
+                 id="SchmidtVector-complex-array"),
+    pytest.param(SchmidtVector, ["a"], InvariantError, NOT_A_VECTOR + "$",
+                 id="SchmidtVector-text"),
+    pytest.param(SchmidtVector, [[0.8, 0.6]], InvariantError,
+                 NOT_A_VECTOR + r", got shape \(1, 2\)$", id="SchmidtVector-2d"),
+    pytest.param(SchmidtVector, [], InvariantError, NOT_A_VECTOR + r", got shape \(0,\)$",
+                 id="SchmidtVector-empty"),
+]
+
+
+@pytest.mark.parametrize("entry, value, error, message", REFUSALS)
+def test_refuses_what_is_no_real_sequence(entry, value, error, message):
+    with pytest.raises(error, match=message):
+        entry(value)
+
+
 class TestNewSchmidt:
     def test_normalizes_product_state(self):
         s = new_schmidt([2, 0])
