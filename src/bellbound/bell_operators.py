@@ -285,8 +285,8 @@ def _family(m: int, n: int) -> tuple[np.ndarray, ...]:
 
 def _scatter(entries: np.ndarray, at: np.ndarray, side: int) -> np.ndarray:
     """This thread's ``(G, side, side)`` operator buffer, zero but for ``entries`` at the flat
-    positions ``at``: one complex buffer, allocated once at ``_BLOCK * MAX_ORACLE_DIM**2``
-    entries (1.05 MB) or the largest stack asked for, overwritten by the next call."""
+    positions ``at``: one complex buffer of ``_BLOCK * MAX_ORACLE_DIM**2`` entries (1.05 MB),
+    or of the largest stack or golden request asked for, overwritten by the next call."""
     g, size = len(entries), len(entries) * side**2
     buf = getattr(_LOCAL, "buf", None)
     if buf is None or len(buf) < size:
@@ -354,16 +354,13 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]
-    out, most = [], _BLOCK * MAX_ORACLE_DIM**2 // side**2  # angles per golden stack, <= 1 MB
-    for psi, index, grid_value in zip(psis, best.tolist(), top.tolist()):
-        theta_best = index * step
-        theta, value = _golden_max(lambda angles, psi=psi: np.concatenate([
-            _real_part(np.vecdot(psi, _scatter(_operators(m, dim_b, angles[i:i + most]), at, side)
-                                 @ psi)) for i in range(0, len(angles), most)]),
-            theta_best - step, theta_best + step, GOLDEN_WIDTH, _GOLDEN_DEPTH)
-        if grid_value >= value:  # keep the best evaluation seen, the grid angle on a tie
-            theta, value = theta_best, grid_value
-        out.append((theta, value))
+    out = []
+    for psi, theta, grid_value in zip(psis, (best * step).tolist(), top.tolist()):
+        golden = _golden_max(lambda angles, psi=psi: _real_part(np.vecdot(
+            psi, _scatter(_operators(m, dim_b, angles), at, side) @ psi)),
+            theta - step, theta + step, GOLDEN_WIDTH, _GOLDEN_DEPTH)
+        # the better of the two bests seen; max keeps the first, the grid's, on a tie
+        out.append(max((theta, grid_value), golden, key=lambda pair: pair[1]))
     return out
 
 

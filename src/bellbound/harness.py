@@ -475,6 +475,7 @@ def scatter_cb(sweep_path, output_path) -> Path:
     record an ``InvariantError`` naming it; a failed run leaves no file.
     """
     import json  # the one reader of records: a sweep never loads the codec
+    sweep_path = os.fsdecode(sweep_path)  # a str, bytes or path object, named as text
     columns = operator.itemgetter("m", "concurrence", "bell_value", "upper", "lower")
 
     def row(number: int, line: bytes) -> tuple:

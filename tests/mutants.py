@@ -69,6 +69,14 @@ MUTANTS = [
     Mutant("golden lookahead at depth 1", "bell_operators.py",
            "_GOLDEN_DEPTH = 3", "_GOLDEN_DEPTH = 1",
            (f"{BELL}::TestBatchedEvaluator::test_evaluator_calls_per_search",)),
+    Mutant("golden requests cut into stacks of at most 1 MB", "bell_operators.py",
+           "_real_part(np.vecdot(\n            psi, _scatter(_operators(m, dim_b, angles), at, side)"
+           " @ psi)),",
+           "np.concatenate([_real_part(np.vecdot(psi, _scatter(_operators(\n"
+           "            m, dim_b, angles[i:i + _BLOCK * MAX_ORACLE_DIM**2 // side**2]), at, side)"
+           " @ psi))\n            for i in range(0, len(angles), _BLOCK * MAX_ORACLE_DIM**2"
+           " // side**2)]),",
+           (f"{BELL}::TestBatchedEvaluator::test_evaluator_calls_per_search",)),
     Mutant("a later stack wins a tie", "bell_operators.py",
            "ahead = new > top", "ahead = new >= top",
            (f"{BELL}::TestGoldenLookahead::test_flat_family_matches_sequential_search",)),
@@ -98,6 +106,9 @@ MUTANTS = [
            "gamma = [x ** 2 for x in rows[:, -1].tolist()] if m % 2 else [0.0] * len(rows)",
            "gamma = [0.0] * len(rows)",
            (f"{HARNESS}::TestSweepKernel::test_records_match_scalar_api",)),
+    Mutant("closed_forms' upper uses hypot(1, K)", "bounds.py",
+           "[2.0 * x for x in h]", "[2.0 * math.hypot(1.0, k_i) for k_i in k]",
+           (f"{BOUNDS}::TestExactReference::test_columns_are_within_a_few_ulps",)),
     Mutant("_family flips the sign of the which = 1 part", "bell_operators.py",
            "np.array([1.0, -1.0])[:, None, None]", "np.array([1.0, 1.0])[:, None, None]",
            (f"{BELL}::TestBatchedEvaluator::test_operators_equal_kron_reference",)),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from bellbound import (
     theta_star,
     upper_bound,
 )
-from bellbound.bounds import _sign_space
+from bellbound.bounds import _sign_space, closed_forms
 from bellbound.errors import NegativeInputError, OddDimensionError, TooLargeError
 from bellbound.tolerances import SATURATION_TOL, THEOREM_TOL
 
@@ -358,3 +361,84 @@ class TestTheoremProperties:
                 assert is_nonlocal_certified(s)
         if m > 2:  # C > 1 is reachable only above two slots
             assert found_above_one > 0
+
+
+
+EXACT = decimal.Context(prec=60)
+with decimal.localcontext(EXACT):
+    ROOT2 = Decimal(2).sqrt()
+    PRODUCT_MARGIN = 2 - ROOT2  # theorem 2 at a product state
+    RANK3_MARGIN = 2 * Decimal(13).sqrt() / 3 - (Decimal(14) / 3).sqrt()  # 0.2434539508...
+ULP_BOUNDS = (4, 1, 4, 4, 4)  # k, gamma (one libm pow), bell_value, upper, lower
+C_BOUND = 32 * Decimal(math.ulp(1.0))  # absolute: t^2 - q cancels near product states
+
+
+def exact_columns(row) -> tuple[Decimal, ...]:
+    """``closed_forms``' ``(concurrence, k, gamma, bell_value, upper, lower)`` of one float
+    row, as its formulas define them on the row's exact values: Fractions, then one rounding
+    at 60 digits per step.  Each float is an integer over one common power of two, so the
+    sums t = sum p, q = sum p^2 and K, and C^2 = 2 (t^2 - q), are exact integers over it."""
+    scale = max(x.as_integer_ratio()[1] for x in row)
+    a = [int(Fraction(x) * scale) for x in row]
+    p = [x * x for x in a]
+    t, q = sum(p), sum(x * x for x in p)
+    k = Fraction(2 * sum(a[i] * a[i + 1] for i in range(0, len(a) - 1, 2)), scale**2)
+    g = Fraction(p[-1] if len(a) % 2 else 0, scale**2)
+    c2 = Fraction(2 * (t * t - q), scale**4)
+    with decimal.localcontext(EXACT):
+        def dec(f):
+            return Decimal(f.numerator) / f.denominator
+
+        h = dec(1 + c2).sqrt()
+        return (dec(c2).sqrt(), dec(k), dec(g), 2 * dec((1 - g) ** 2 + k * k).sqrt() + 2 * dec(g),
+                2 * h, ROOT2 * h)
+
+
+def ulps(value: float, exact: Decimal) -> float:
+    """``|value - exact|`` in units in the last place of the float nearest ``exact``; an
+    exact 0 admits only 0."""
+    if not exact:
+        return 0.0 if value == 0.0 else math.inf
+    return float(abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact))))
+
+
+def uniform(rank: int, m: int) -> np.ndarray:
+    """The one-row block of ``rank`` equal amplitudes, then zeros, at Schmidt rank m."""
+    return new_schmidt([1.0] * rank + [0.0] * (m - rank)).coeffs[None, :]
+
+
+class TestExactReference:
+    """``closed_forms`` against each column's exact value, which holds under every BLAS
+    kernel, unlike a pinned digest; and the states where the theorems are tight or closest."""
+
+    @pytest.mark.parametrize("measure", ["haar", "simplex"])
+    def test_columns_are_within_a_few_ulps(self, measure, scalar_block):
+        # at most K 2.3, B 1.6, upper 2.3 and lower 2.9 ulps and C 3.2e-15 were measured on
+        # these rows, under OpenBLAS's SkylakeX and Haswell kernels alike
+        for m in range(1, 17):
+            rows = scalar_block(measure, m, 1000 * m + 7, 200, prefix=0)
+            for row, (c, *rest) in zip(rows.tolist(), zip(*closed_forms(rows)[:6])):
+                exact_c, *exact_rest = exact_columns(row)
+                errors = [ulps(x, e) for x, e in zip(rest, exact_rest)]
+                assert abs(Decimal(c) - exact_c) <= C_BOUND, (m, row, c)
+                assert all(map(float.__le__, errors, ULP_BOUNDS)), (m, row, errors)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_product_state(self, m):
+        # C = K = 0 and B = 2: theorem 1 holds with margin 0, theorem 2 with 2 - sqrt 2
+        (c,), (k,), _, (b,), (up,), (lo,), _ = closed_forms(uniform(1, m))
+        assert (c, k, b, up - b) == (0.0, 0.0, 2.0, 0.0)
+        assert ulps(b - lo, PRODUCT_MARGIN) <= 1
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_uniform_rank_three(self, m):
+        # theorem 2's least margin found, 2 sqrt 13 / 3 - sqrt(14 / 3), within 2 ulps of B
+        _, _, _, (b,), _, (lo,), _ = closed_forms(uniform(3, m))
+        assert abs(Decimal(b - lo) - RANK3_MARGIN) <= 2 * Decimal(math.ulp(b))
+
+    @pytest.mark.parametrize("m", range(2, 17, 2))
+    def test_uniform_full_rank(self, m):
+        # K = 1, C^2 = 2 (1 - 1/m) and B = 2 sqrt 2, each within 2 ulps
+        (c,), (k,), _, (b,), *_ = closed_forms(uniform(m, m))
+        assert ulps(k, Decimal(1)) <= 2 and ulps(b, EXACT.multiply(2, ROOT2)) <= 2
+        assert ulps(c, EXACT.sqrt(EXACT.divide(2 * (m - 1), m))) <= 2

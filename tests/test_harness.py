@@ -1101,21 +1101,24 @@ class TestScatterCb:
     ], ids=["text", "array", "null", "empty", "not-utf8", "no-columns", "string-value",
             "bool-m", "int-value"])
     def test_malformed_line_names_its_number(self, tmp_path, bad):
-        # the fifth of six records is replaced; the conversion stops there and leaves no file
+        # the fifth of six records is replaced; the conversion stops there and leaves no file,
+        # and names a path given as bytes as text
         sweep = write_sweep(tmp_path, dims=(2, 3), samples=3, seed=3)
         lines = sweep.read_bytes().splitlines(keepends=True)
         lines[4] = bad + b"\n"
         sweep.write_bytes(b"".join(lines))
-        with pytest.raises(InvariantError, match=f"^{re.escape(str(sweep))} line 5: "
-                                                 "not a sweep record$"):
-            scatter_cb(sweep, tmp_path / "cloud.csv")
-        assert list(tmp_path.iterdir()) == [sweep]
+        for path in (sweep, os.fsencode(sweep)):
+            with pytest.raises(InvariantError, match=f"^{re.escape(str(sweep))} line 5: "
+                                                     "not a sweep record$"):
+                scatter_cb(path, tmp_path / "cloud.csv")
+            assert list(tmp_path.iterdir()) == [sweep]
 
     @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
     def test_unreadable_input_is_an_io_failure(self, tmp_path, is_dir):
         sweep = tmp_path / "sweep.jsonl"
         if is_dir:
             sweep.mkdir()
-        with pytest.raises(IoFailureError, match=f"^cannot read {re.escape(str(sweep))}: "):
-            scatter_cb(sweep, tmp_path / "cloud.csv")
-        assert list(tmp_path.iterdir()) == ([sweep] if is_dir else [])
+        for path in (sweep, os.fsencode(sweep)):  # a bytes path is named as text
+            with pytest.raises(IoFailureError, match=f"^cannot read {re.escape(str(sweep))}: "):
+                scatter_cb(path, tmp_path / "cloud.csv")
+            assert list(tmp_path.iterdir()) == ([sweep] if is_dir else [])
