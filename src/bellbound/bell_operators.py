@@ -198,7 +198,7 @@ def expectation(op: BellOperator, s: SchmidtVector) -> float:
         )
     psi = np.zeros(op.dim_a * op.dim_b, dtype=complex)
     psi[np.arange(s.m) * (op.dim_b + 1)] = s.coeffs
-    return float(_real_part(np.vdot(psi, op.entries @ psi)))
+    return float(_real_part(np.vecdot(psi, op.entries @ psi)))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -350,7 +350,7 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     best, top = np.zeros(count, dtype=int), np.full(count, -np.inf)
     for lo in range(0, grid_points, _BLOCK):
         ops = _scatter(_grid(m, dim_b, grid_points, lo), at, side)
-        values = _real_part(np.array([(ops @ psi) @ psi.conj() for psi in psis]))
+        values = _real_part(np.array([np.vecdot(psi, ops @ psi) for psi in psis]))
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]

@@ -93,6 +93,11 @@ def _report(**values) -> None:
         print(f"{name} = {value}")
 
 
+def _fields(summary) -> str:
+    """A per-m summary's dataclass fields (its ``vars``), in order, as ``name=repr(value)``."""
+    return " ".join(f"{name}={value!r}" for name, value in vars(summary).items())
+
+
 def _cmd_concurrence(args) -> int:
     s = schmidt_state.new_schmidt(args.coeffs)
     _report(coeffs=s.to_json(), concurrence=schmidt_state.concurrence(s))
@@ -145,13 +150,7 @@ def _cmd_sweep(args) -> int:
     _report(measure=config.measure, seed=config.seed, samples_per_dim=config.samples,
             records_written=summary.records_written)
     for d in summary.per_dim:
-        print(
-            f"m={d.m} n={d.n} samples={d.samples}"
-            f" min_theorem1_margin={d.min_theorem1_margin!r}"
-            f" min_theorem2_margin={d.min_theorem2_margin!r}"
-            f" max_concurrence={d.max_concurrence!r}"
-            f" violations={d.violations}"
-        )
+        print(_fields(d))
     total = sum(d.violations for d in summary.per_dim)
     _report(violations=total, out=config.output_path)
     for v in summary.violations:
@@ -176,11 +175,11 @@ def _cmd_verify(args) -> int:
     _report(measure=config.measure, seed=config.seed, samples_per_dim=config.samples,
             grid_points=args.grid)
     for d in summary.per_dim:
-        print(f"m={d.m} n={d.n} samples={d.samples} max_gap={d.max_gap!r}")
+        print(_fields(d))
     _report(max_gap=summary.max_gap)
     gaps = [d for d in summary.per_dim if not d.max_gap <= ORACLE_TOL]
     for d in gaps:
-        print(f"error: OracleGap: m={d.m} n={d.n} max_gap={d.max_gap!r}", file=sys.stderr)
+        print(f"error: OracleGap: {_fields(d)}", file=sys.stderr)
     return 1 if gaps else 0
 
 

@@ -252,7 +252,7 @@ def _sweep_chunk(task: tuple) -> tuple[str, DimensionSummary, list[Violation]]:
         t1, t2 = np.subtract(up, b), np.subtract(b, lo)
         pass1, pass2 = t1 >= -THEOREM_TOL, t2 >= -THEOREM_TOL
         ok1, ok2, margins = pass1.tolist(), pass2.tolist(), (float(t1.min()), float(t2.min()))
-        count = np.count_nonzero(~pass1) + np.count_nonzero(~pass2)
+        count = int(np.count_nonzero(~pass1) + np.count_nonzero(~pass2))
         found = (Violation(m, start + i, key, float(t[i]))
                  for i in np.flatnonzero(~(pass1 & pass2)).tolist()
                  for key, t, ok in (("theorem1", t1, ok1), ("theorem2", t2, ok2)) if not ok[i])

@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellbound
+
+
+def blas_kernel() -> str:
+    """The name of the OpenBLAS kernel that numpy runs (``OPENBLAS_CORETYPE`` picks it),
+    read through ``ctypes`` from ``scipy_openblas_get_corename64_`` in numpy.libs'
+    OpenBLAS; where no library there has that symbol, a sentence saying so."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown: numpy.libs holds no OpenBLAS with scipy_openblas_get_corename64_"
+
+
+def kernel_note() -> str:
+    """A failing golden pin's message: the kernel that ran, and the one its digest needs."""
+    return f"BLAS kernel {blas_kernel()}; the golden digests were taken under SkylakeX"
 
 
 def package_env():

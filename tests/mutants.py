@@ -77,6 +77,9 @@ MUTANTS = [
            " @ psi))\n            for i in range(0, len(angles), _BLOCK * MAX_ORACLE_DIM**2"
            " // side**2)]),",
            (f"{BELL}::TestBatchedEvaluator::test_evaluator_calls_per_search",)),
+    Mutant("the grid contracts as (ops @ psi) @ psi.conj()", "bell_operators.py",
+           "np.vecdot(psi, ops @ psi) for psi in psis", "(ops @ psi) @ psi.conj() for psi in psis",
+           (f"{BELL}::TestBatchedEvaluator::test_grid_values_take_the_golden_rule",)),
     Mutant("a later stack wins a tie", "bell_operators.py",
            "ahead = new > top", "ahead = new >= top",
            (f"{BELL}::TestGoldenLookahead::test_flat_family_matches_sequential_search",)),

@@ -373,17 +373,24 @@ ULP_BOUNDS = (4, 1, 4, 4, 4)  # k, gamma (one libm pow), bell_value, upper, lowe
 C_BOUND = 32 * Decimal(math.ulp(1.0))  # absolute: t^2 - q cancels near product states
 
 
+def exact_sums(row) -> tuple[int, ...]:
+    """A float row's entries as integers a_i over one common power of two: that ``scale``,
+    then t = sum a_i^2, q = sum a_i^4, S = sum_k a_{2k-1} a_{2k} and the last a_i^2, exactly."""
+    scale = max(x.as_integer_ratio()[1] for x in row)
+    a = [int(Fraction(x) * scale) for x in row]
+    p = [x * x for x in a]
+    pairs = sum(a[i] * a[i + 1] for i in range(0, len(a) - 1, 2))
+    return scale, sum(p), sum(x * x for x in p), pairs, p[-1]
+
+
 def exact_columns(row) -> tuple[Decimal, ...]:
     """``closed_forms``' ``(concurrence, k, gamma, bell_value, upper, lower)`` of one float
     row, as its formulas define them on the row's exact values: Fractions, then one rounding
     at 60 digits per step.  Each float is an integer over one common power of two, so the
     sums t = sum p, q = sum p^2 and K, and C^2 = 2 (t^2 - q), are exact integers over it."""
-    scale = max(x.as_integer_ratio()[1] for x in row)
-    a = [int(Fraction(x) * scale) for x in row]
-    p = [x * x for x in a]
-    t, q = sum(p), sum(x * x for x in p)
-    k = Fraction(2 * sum(a[i] * a[i + 1] for i in range(0, len(a) - 1, 2)), scale**2)
-    g = Fraction(p[-1] if len(a) % 2 else 0, scale**2)
+    scale, t, q, pairs, last = exact_sums(row)
+    k = Fraction(2 * pairs, scale**2)
+    g = Fraction(last if len(row) % 2 else 0, scale**2)
     c2 = Fraction(2 * (t * t - q), scale**4)
     with decimal.localcontext(EXACT):
         def dec(f):
@@ -435,6 +442,19 @@ class TestExactReference:
         # theorem 2's least margin found, 2 sqrt 13 / 3 - sqrt(14 / 3), within 2 ulps of B
         _, _, _, (b,), _, (lo,), _ = closed_forms(uniform(3, m))
         assert abs(Decimal(b - lo) - RANK3_MARGIN) <= 2 * Decimal(math.ulp(b))
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_rank_two_rows(self, m):
+        # two nonzero coefficients, whose ratio spans 36 binary exponents: theorem 1 is an
+        # identity there (K = C = 2 c1 c2), D1 = 2 (t^2 - q) - 4 S^2 is exactly 0, and
+        # upper - bell_value is rounding alone (at most 2 ulps of upper measured)
+        ratios = np.exp(np.random.default_rng(m).uniform(-25.0, 0.0, 200))
+        rows = np.array([new_schmidt([1.0, r] + [0.0] * (m - 2)).coeffs for r in ratios])
+        _, _, _, bell, upper, _, _ = closed_forms(rows)
+        for row, b, up in zip(rows.tolist(), bell, upper):
+            _, t, q, pairs, _ = exact_sums(row)
+            assert 2 * (t * t - q) - 4 * pairs**2 == 0, row
+            assert abs(up - b) <= 4 * math.ulp(up), row
 
     @pytest.mark.parametrize("m", range(2, 17, 2))
     def test_uniform_full_rank(self, m):

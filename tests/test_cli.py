@@ -232,7 +232,7 @@ class TestVerify:
         assert code == 1
         pairs = parsed_lines(out)
         assert float(pairs["max_gap"]) > ORACLE_TOL
-        assert err == f"error: OracleGap: m=3 n=4 max_gap={pairs['max_gap']}\n"
+        assert err == f"error: OracleGap: m=3 n=4 samples=5 max_gap={pairs['max_gap']}\n"
 
 
 class TestWorkerSetUp:

@@ -2,18 +2,23 @@
 paths behind them: ``verify``, ``sweep`` and ``sample`` stdout, the file that ``sweep``
 writes, the CSV that ``scatter_cb`` converts from a sweep file, ``bounds`` JSON and ``jn``
 values.  Each digest is a sha256 of the exact bytes, and each pinned output is a row of its
-table.
+table.  The digests hold for the OpenBLAS kernel they were taken under, SkylakeX: the Haar
+draws' SVD and the closed forms' dot products round by kernel, so a failing pin names the
+kernel that ran.
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellbound import ExperimentConfig, harness, scatter_cb
 from bellbound.cli import main
+
+from conftest import blas_kernel, kernel_note
 
 
 def digest(data: str | bytes) -> str:
@@ -94,7 +99,7 @@ GOLDEN_VERIFY = [
 def test_verify_stdout_is_pinned(capsys, set_workers, fork_spy, threads, argv, expected):
     set_workers(threads)
     out = cli_stdout(capsys, "verify", "--grid", "64", "--seed", "19", *argv)
-    assert digest(out) == expected
+    assert digest(out) == expected, kernel_note()
     # a state pays for a fork
     assert len(fork_spy) == forks(threads, (int(flag(argv, "--m")),), int(flag(argv, "--samples")))
 
@@ -196,8 +201,8 @@ def test_sweep_file_and_stdout_are_pinned(capsys, monkeypatch, tmp_path, set_wor
     set_workers(workers)
     argv = flags.split()
     out = cli_stdout(capsys, "sweep", *argv, "--out", "out.jsonl")
-    assert digest((tmp_path / "out.jsonl").read_bytes()) == file_sha
-    assert digest(out) == stdout_sha
+    assert digest((tmp_path / "out.jsonl").read_bytes()) == file_sha, kernel_note()
+    assert digest(out) == stdout_sha, kernel_note()
     dims = tuple(map(int, flag(argv, "--dims").split(",")))
     assert len(fork_spy) == forks(workers, dims, int(flag(argv, "--samples")))
 
@@ -228,7 +233,7 @@ def test_scatter_csv_is_pinned(tmp_path, set_workers, any_work_forks, fork_spy, 
     harness.run_sweep(ExperimentConfig(output_path=str(sweep), **config))
     assert len(fork_spy) == forks(workers, config["dims"], config["samples"])
     assert scatter_cb(sweep, out) == out
-    assert digest(out.read_bytes()) == expected
+    assert digest(out.read_bytes()) == expected, kernel_note()
 
 
 GOLDEN_BOUNDS = [
@@ -255,7 +260,7 @@ GOLDEN_BOUNDS = [
 
 @pytest.mark.parametrize("coeffs,expected", GOLDEN_BOUNDS)
 def test_bounds_json_is_pinned(capsys, coeffs, expected):
-    assert digest(cli_stdout(capsys, "bounds", f"--coeffs={coeffs}")) == expected
+    assert digest(cli_stdout(capsys, "bounds", f"--coeffs={coeffs}")) == expected, kernel_note()
 
 
 def seeded_matrix(kind: str, n: int) -> str:
@@ -275,7 +280,7 @@ def seeded_matrix(kind: str, n: int) -> str:
 def test_jn_values_are_pinned(capsys, kind, expected):
     out = "".join(cli_stdout(capsys, "jn", f"--matrix={seeded_matrix(kind, n)}")
                   for n in range(2, 21))
-    assert digest(out) == expected
+    assert digest(out) == expected, kernel_note()
 
 
 # without --index, sample draws from default_rng(seed); with it, from the sweep's
@@ -307,4 +312,18 @@ def test_sample_stdout_is_pinned(capsys, measure, index, expected):
     out = "".join(cli_stdout(capsys, "sample", "--seed", "29", "--measure", measure,
                              "--m", str(m), "--n", str(n), *index)
                   for m in (1, 2, 3, 8) for n in (m, m + 2))
-    assert digest(out) == expected
+    assert digest(out) == expected, kernel_note()
+
+
+# OPENBLAS_CORETYPE=Haswell makes OpenBLAS run kernels that need AVX2 and FMA3
+CPU = np._core._multiarray_umath.__cpu_features__
+
+
+@pytest.mark.skipif(not (CPU["AVX2"] and CPU["FMA3"]),
+                    reason="this CPU cannot run OpenBLAS's Haswell kernel")
+@pytest.mark.skipif(blas_kernel().startswith("unknown"), reason=blas_kernel())
+def test_kernel_note_names_the_kernel_that_runs(fresh):
+    run = fresh("-c", f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                "import conftest; print(conftest.kernel_note())", OPENBLAS_CORETYPE="Haswell")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "BLAS kernel Haswell; the golden digests were taken under SkylakeX\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -526,6 +527,18 @@ class TestFoldedSummaries:
         summaries = [self.folded(monkeypatch, set_workers, run, *split) for split in self.SPLITS]
         assert [d.samples for d in summaries[0].per_dim] == [150, 150]
         assert all(summary == summaries[-1] for summary in summaries)
+
+    def test_fields_are_python_scalars(self, tmp_path, monkeypatch, set_workers):
+        # folded over two chunks per m: a NumPy scalar would print as np.int64(0) in an m=
+        # line and make json.dumps raise
+        set_workers(1)
+        monkeypatch.setattr(harness, "MAX_CHUNK", 64)
+        config = dict(dims=(2, 3), samples=100, seed=1)
+        sweep = run_sweep(ExperimentConfig(**config, output_path=str(tmp_path / "out.jsonl")))
+        oracle = verify_oracle(ExperimentConfig(**config), grid_points=8)
+        for d in (*sweep.per_dim, *oracle.per_dim):
+            assert {type(value) for value in vars(d).values()} <= {int, float, type(None)}, d
+            json.dumps(dataclasses.asdict(d))
 
 
 class TestForkedRunner:
