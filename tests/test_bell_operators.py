@@ -483,11 +483,14 @@ class TestBatchedEvaluator:
         assert max_expectation_grid(s, n, 64) == cold
         assert events == ["golden", *cold_events[5:]] and len(events) - 1 <= most - 4
 
-    def test_reused_buffers_leak_no_rows(self):
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_reused_buffers_leak_no_rows(self, strided):
+        # the angles as their own array, or as every other entry of a longer one
         rng = np.random.default_rng(91)
         s = sample_haar(5, 6, rng)
         for size in (16, 3, 1, 16):
-            thetas = rng.uniform(0.0, math.pi, size)
+            angles = rng.uniform(0.0, math.pi, 2 * size if strided else size)
+            thetas = angles[::2] if strided else angles
             with ThreadPoolExecutor(1) as pool:  # a new thread allocates fresh buffers
                 fresh = pool.submit(stack_values, s, 6, thetas).result(timeout=60)
             assert np.array_equal(stack_values(s, 6, thetas), fresh)
