@@ -123,8 +123,8 @@ def pauli(k: int) -> HermitianObservable:
 
 
 def _block_repeat(block: np.ndarray, dim: int, tail: float = 1.0) -> np.ndarray:
-    """Tile a 2x2 block down the diagonal; odd dims end in the scalar ``tail``."""
-    out = np.zeros((dim, dim), dtype=complex)
+    """Tile a 2x2 block down the diagonal, in its dtype; odd dims end in the scalar ``tail``."""
+    out = np.zeros((dim, dim), dtype=block.dtype)
     even = dim - dim % 2
     out[:even, :even] = np.kron(np.eye(dim // 2), block)
     if dim % 2:
@@ -204,56 +204,45 @@ def expectation(op: BellOperator, s: SchmidtVector) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, width: float, depth: int) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float, width: float, depth: int,
+                peak: float) -> tuple[float, float]:
     """Golden-section maximum of a unimodal f on [lo, hi] to absolute width.  ``f`` maps a
     list of angles to their values.  The loop keeps a one-angle search's arithmetic, so at
-    any ``depth`` it asks for the same angles, but evaluates each new one with all that the
-    next ``depth - 1`` steps can ask for either way (the oracle's ``_GOLDEN_DEPTH``), and
+    any ``depth`` it asks for the same angles, but evaluates each new one (the first two at
+    once) with all that the next ``depth - 1`` steps can ask for either way (the oracle's ``_GOLDEN_DEPTH``), and
     with the path down to width 1.5e-8 (~sqrt(eps): f1 - f2 meets rounding) if each goes
-    toward the peak ``mid + atan2(b, a)`` of the family's form ``f(mid + t) = a cos t +
-    b sin t + c`` through x1, x2 and mid."""
+    toward ``peak``, the caller's guess at the maximum.  Every angle comes from ``step``."""
     known = {}
 
-    def ahead(lo, hi, x1, x2, steps):
+    def step(lo, hi, x1, x2, up):  # the bracket after one comparison, toward hi if up
+        return ((x1, hi, x2, x1 + _INVPHI * (hi - x1)) if up
+                else (lo, x2, x2 - _INVPHI * (x2 - lo), x1))
+
+    def ahead(bracket, steps):
         if steps <= 0:
             return []
-        if hi - lo <= width:
-            return [0.5 * (lo + hi)]
-        up, down = x1 + _INVPHI * (hi - x1), x2 - _INVPHI * (x2 - lo)  # lo to x1, hi to x2
-        return [up, down, *ahead(x1, hi, x2, up, steps - 1), *ahead(lo, x2, down, x1, steps - 1)]
+        if bracket[1] - bracket[0] <= width:
+            return [0.5 * (bracket[0] + bracket[1])]
+        up, down = step(*bracket, True), step(*bracket, False)
+        return [up[3], down[2], *ahead(up, steps - 1), *ahead(down, steps - 1)]
 
-    def path(lo, hi, x1, x2):  # a wrong guess costs an evaluation, never a bit
-        while hi - lo > max(width, 1.5e-8):
-            lo, hi, x1, x2 = ((x1, hi, x2, x1 + _INVPHI * (hi - x1)) if x1 + x2 < 2.0 * peak
-                              else (lo, x2, x2 - _INVPHI * (x2 - lo), x1))
-            yield from (x1, x2)
+    def path(bracket):  # a wrong guess costs an evaluation, never a bit
+        while bracket[1] - bracket[0] > max(width, 1.5e-8):
+            bracket = step(*bracket, bracket[2] + bracket[3] < 2.0 * peak)
+            yield from bracket[2:]
 
-    def evaluate(*thetas):
-        thetas = [t for t in dict.fromkeys(thetas) if t not in known]
-        known.update(zip(thetas, f(thetas).tolist()))
-
-    def value(x, *bracket):
+    def value(x, bracket):
         if x not in known:
-            evaluate(x, *ahead(*bracket, depth - 1), *path(*bracket))
+            thetas = [t for t in dict.fromkeys((*bracket[2:], x, *ahead(bracket, depth - 1),
+                                                *path(bracket))) if t not in known]
+            known.update(zip(thetas, f(thetas).tolist()))
         return known[x]
 
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    evaluate(x1, x2, mid := 0.5 * (lo + hi))
-    f1, f2 = known[x1], known[x2]
-    # b and a of f(mid + t) from t = -d, 0, d, both times 2 (1 - cos d) > 0, d = (x2 - x1) / 2
-    peak = mid + math.atan2((f2 - f1) * math.tan((x2 - x1) / 4), 2.0 * known[mid] - f1 - f2)
-    while hi - lo > width:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = value(x2, lo, hi, x1, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = value(x1, lo, hi, x1, x2)
-    mid = 0.5 * (lo + hi)
-    return mid, value(mid, lo, hi, x1, x2)
+    bracket = (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+    while bracket[1] - bracket[0] > width:
+        bracket = step(*bracket, value(bracket[2], bracket) < value(bracket[3], bracket))
+    mid = 0.5 * (bracket[0] + bracket[1])
+    return mid, value(mid, bracket)
 
 
 _BLOCK = 16  # angles per grid stack: at most 1 MB of operators at m*n = 64
@@ -263,15 +252,15 @@ _LOCAL = threading.local()  # this thread's operator buffer (_scatter)
 
 @functools.lru_cache(maxsize=None)
 def _family(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """The state-independent parts of the family at (m, n), read-only: the tiled ``s3``/``s1``
-    blocks of the first party and its odd-m scalar slot; at each operator position (flat) where
-    their nonzero entries meet those of the side ``sum_j N_ij B_j`` (CHSH matrix, checked
-    :func:`build_b`) in a Kronecker product or its transpose, the flat first-party index, the
-    side's two entries and the index of the transposed position; and those positions.  Callers
-    pass the dense-oracle guards first: <= 144 shapes."""
+    """The state-independent parts of the family at (m, n), read-only: the real tiled
+    ``s3``/``s1`` blocks of the first party and its odd-m scalar slot; at each operator position
+    (flat) where their nonzero entries meet those of the side ``sum_j N_ij B_j`` (CHSH matrix,
+    checked :func:`build_b`) in a Kronecker product or its transpose, the flat first-party
+    index, the side's two entries and the index of the transposed position; and those
+    positions.  Callers pass the dense-oracle guards first: <= 144 shapes."""
     b_side = np.einsum("ij,jkl->ikl", CHSH_MATRIX.entries, [build_b(n, w).entries for w in (0, 1)])
-    parts = [_block_repeat(_SIGMA[3], m, tail=0.0),
-             np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1], m, tail=0.0),
+    parts = [_block_repeat(_SIGMA[3].real, m, tail=0.0),
+             np.array([1.0, -1.0])[:, None, None] * _block_repeat(_SIGMA[1].real, m, tail=0.0),
              _block_repeat(np.zeros((2, 2)), m)]
     mask = np.kron(np.any([parts[0], *parts[1], parts[2]], 0), np.any(b_side, 0))
     at = np.flatnonzero(mask | mask.T)
@@ -300,7 +289,7 @@ def _scatter(entries: np.ndarray, at: np.ndarray, side: int) -> np.ndarray:
 def _operators(m: int, n: int, thetas) -> np.ndarray:
     """The read-only ``(G, P)`` entries at :func:`_family`'s ``P`` positions of the operators
     ``sum_i A_i(theta) (x) sum_j N_ij B_j`` at ``G`` angles (zero elsewhere), each ``a_0 b_0 +
-    a_1 b_1``.  The ``(G, 2, m, m)`` first-party stack passes :class:`HermitianObservable`'s
+    a_1 b_1``.  The real ``(G, 2, m, m)`` first-party stack passes :class:`HermitianObservable`'s
     checker, and each entry :class:`BellOperator`'s against its transpose, as the dense check."""
     cos_part, sin_parts, odd_slot, a_at, b_side, mirror, _ = _family(m, n)
     cos, sin = (f(thetas)[:, None, None, None] for f in (np.cos, np.sin))
@@ -339,7 +328,8 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     """:func:`max_expectation_grid`'s ``(theta, value)`` for each row of an ``(S, m)``
     block that passed ``validate_rows``, with the bits of one call per row: each grid
     stack serves the whole block, and a state keeps only its best grid index and value
-    (the first maximum, as ``np.argmax``) before its own golden search.  Each grid stack
+    (the first maximum, as ``np.argmax``) before its own golden search, which speculates
+    toward the peak of the sinusoid through its first three grid values.  Each grid stack
     is built and checked once while :func:`_grid` caches it, then scattered into the
     zeroed buffer on each call."""
     count, m = rows.shape
@@ -351,14 +341,18 @@ def max_expectation_block(rows: np.ndarray, dim_b: int, grid_points: int) -> lis
     for lo in range(0, grid_points, _BLOCK):
         ops = _scatter(_grid(m, dim_b, grid_points, lo), at, side)
         values = _real_part(np.array([np.vecdot(psi, ops @ psi) for psi in psis]))
+        if not lo:  # the peak of f(step + t) = a cos t + b sin t + c through t = -step, 0, step
+            f0, f1, f2 = values[:, :3].T  # from b and a, both times 2 (1 - cos step) > 0
+            peaks = step + np.arctan2((f2 - f0) * math.tan(step / 2), 2.0 * f1 - f0 - f2)
         k, new = values.argmax(axis=1), values.max(axis=1)
         ahead = new > top  # strictly: an earlier stack keeps a tie
         best[ahead], top[ahead] = lo + k[ahead], new[ahead]
     out = []
-    for psi, theta, grid_value in zip(psis, (best * step).tolist(), top.tolist()):
+    for psi, theta, grid_value, peak in zip(psis, (best * step).tolist(), top.tolist(),
+                                            peaks.tolist()):
         golden = _golden_max(lambda angles, psi=psi: _real_part(np.vecdot(
             psi, _scatter(_operators(m, dim_b, angles), at, side) @ psi)),
-            theta - step, theta + step, GOLDEN_WIDTH, _GOLDEN_DEPTH)
+            theta - step, theta + step, GOLDEN_WIDTH, _GOLDEN_DEPTH, peak)
         # the better of the two bests seen; max keeps the first, the grid's, on a tie
         out.append(max((theta, grid_value), golden, key=lambda pair: pair[1]))
     return out

@@ -69,6 +69,11 @@ MUTANTS = [
     Mutant("golden lookahead at depth 1", "bell_operators.py",
            "_GOLDEN_DEPTH = 3", "_GOLDEN_DEPTH = 1",
            (f"{BELL}::TestBatchedEvaluator::test_evaluator_calls_per_search",)),
+    Mutant("the first golden stack asks only x1 and x2", "bell_operators.py",
+           "    bracket = (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))\n",
+           "    bracket = (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))\n"
+           "    known.update(zip(bracket[2:], f(list(bracket[2:])).tolist()))\n",
+           (f"{BELL}::TestBatchedEvaluator::test_evaluator_calls_per_search",)),
     Mutant("golden requests cut into stacks of at most 1 MB", "bell_operators.py",
            "_real_part(np.vecdot(\n            psi, _scatter(_operators(m, dim_b, angles), at, side)"
            " @ psi)),",

@@ -447,9 +447,9 @@ class TestBatchedEvaluator:
         brackets = []
         golden = bell_operators._golden_max
 
-        def spy(f, lo, hi, width, depth):
+        def spy(f, lo, hi, width, depth, peak):
             brackets.append((lo, hi))
-            return golden(f, lo, hi, width, depth)
+            return golden(f, lo, hi, width, depth, peak)
 
         monkeypatch.setattr(bell_operators, "_golden_max", spy)
         rng = np.random.default_rng(grid_points)
@@ -464,15 +464,16 @@ class TestBatchedEvaluator:
             assert lo <= theta <= hi
             assert value >= scalar[best] - 1e-12
 
-    @pytest.mark.parametrize("shape, most", [((2, 2), 12), ((4, 5), 11), ((8, 8), 10)])
+    @pytest.mark.parametrize("shape, most", [((2, 2), 11), ((4, 5), 10), ((8, 8), 9)])
     def test_evaluator_calls_per_search(self, monkeypatch, shape, most):
-        # at grid 64, with the golden path at depth 3 and one build per golden request, these
-        # states take 12 / 11 / 10 builds on a cold grid cache and 8 / 7 / 6 on a warm one,
-        # which leaves the golden stacks, under OpenBLAS's SkylakeX, Haswell and Sandybridge
-        # kernels alike: the simplex draw runs no LAPACK, where the Haar 8x8 state drawn
-        # through its SVD took 10 / 6 under SkylakeX and 11 / 7 under the others.  Over 40
-        # Haar states the warm searches took 6-9 / 6-9 / 6-8 builds; at 8x8 depth 1 took
-        # 16-19, and golden requests cut into stacks of at most 1 MB 8-10 (12 cold on one state)
+        # at grid 64, with the golden path at depth 3, one build per golden request and the
+        # first golden stack speculating from the grid's fit, these states take 11 / 10 / 9
+        # builds on a cold grid cache and 7 / 6 / 5 on a warm one, which leaves the golden
+        # stacks, under OpenBLAS's SkylakeX, Haswell and Sandybridge kernels alike: the
+        # simplex draw runs no LAPACK.  Before the fit moved to the grid, a first stack of
+        # x1, x2 and the midpoint made each count one more.  Over 40 Haar states the warm
+        # searches took 6-9 / 6-9 / 6-8 builds with that stack; at 8x8 depth 1 took 16-19,
+        # and golden requests cut into stacks of at most 1 MB 8-10 (12 cold on one state)
         events = spy_builds(monkeypatch)
         m, n = shape
         s = sample_simplex(m, np.random.default_rng(m * n))
@@ -498,10 +499,10 @@ class TestBatchedEvaluator:
     @pytest.mark.parametrize("shape", [(2, 3), (5, 6), (8, 8)])
     def test_grid_values_take_the_golden_rule(self, monkeypatch, shape):
         # a grid value has the bits that a one-angle stack gives its angle, as the golden
-        # search takes it, so the better of the two bests compares one rounding per angle
-        # (a golden search's first midpoint is the grid's best angle)
+        # search's stacks give theirs, so the better of the two bests compares values taken
+        # by one rule
         monkeypatch.setattr(bell_operators, "_golden_max",
-                            lambda f, lo, hi, width, depth: (lo, -math.inf))
+                            lambda f, lo, hi, width, depth, peak: (lo, -math.inf))
         m, n = shape
         rng = np.random.default_rng(m * n + 1)
         states = [sample_haar(m, n, rng) for _ in range(30)]
@@ -756,8 +757,8 @@ def sinusoid(peak, calls, amplitude=1.0):
 
 class TestGoldenPath:
     """Each golden stack also holds the path the comparisons take if each goes toward
-    the peak fitted through x1, x2 and the midpoint.  A guess only chooses what is
-    evaluated: the search asks for the same angles, with the same bits."""
+    the peak its caller gives, which the oracle fits from the grid.  A guess only chooses
+    what is evaluated: the search asks for the same angles, with the same bits."""
 
     @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
     @pytest.mark.parametrize("measure", ["haar", "simplex"])
@@ -773,29 +774,32 @@ class TestGoldenPath:
     @pytest.mark.parametrize("turns", [-1, 0, 1])
     def test_edge_brackets(self, grid_points, index, where, turns):
         # the brackets of grid index 0 and grid - 1, around 0 and pi, with the peak
-        # inside, on the edge or outside, and given as each of three 2 pi images
+        # inside, on the edge or outside, and the sinusoid built on each of three 2 pi
+        # images of it; the search is given the peak in the bracket's period, as the
+        # oracle's fit from the grid gives it
         step = math.pi / grid_points
         centre = 0.0 if index == "first" else (grid_points - 1) * step
-        peak = centre + where * step + 2 * math.pi * turns
+        peak = centre + where * step
         calls, reference = [], []
-        got = bell_operators._golden_max(sinusoid(peak, calls), centre - step, centre + step,
-                                         GOLDEN_WIDTH, 3)
-        f = sinusoid(peak, reference)
+        f = sinusoid(peak + 2 * math.pi * turns, calls)
+        got = bell_operators._golden_max(f, centre - step, centre + step, GOLDEN_WIDTH, 3, peak)
+        f = sinusoid(peak + 2 * math.pi * turns, reference)
         assert got == sequential_golden_max(lambda t: f([t])[0], centre - step,
                                             centre + step, GOLDEN_WIDTH)
-        # one stack for x1, x2 and the midpoint, one for the path, then the noise steps
-        # (a peak on the midpoint leaves the first comparisons to rounding); the sign
-        # of the fitted peak flipped makes 14 to 18 stacks
-        assert len(calls) <= 9 < len(reference)
+        # one stack for x1, x2, the lookahead and the path, then the noise steps (a peak on
+        # the midpoint leaves the first comparisons to rounding); the peak given in another
+        # 2 pi image makes 13 to 17 stacks
+        assert len(calls) <= 8 < len(reference)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("amplitude", [0.0, 1e-300, 1e-17])
     def test_flat_fit(self, depth, amplitude):
-        # f flat or below rounding: the fitted peak means nothing, the bits still hold
+        # f flat or below rounding: rounding, not the peak, decides the comparisons, and
+        # the bits still hold
         step = math.pi / 64
         calls, reference = [], []
         got = bell_operators._golden_max(sinusoid(0.3, calls, amplitude), 0.3 - step,
-                                         0.3 + step, GOLDEN_WIDTH, depth)
+                                         0.3 + step, GOLDEN_WIDTH, depth, 0.3)
         f = sinusoid(0.3, reference, amplitude)
         assert got == sequential_golden_max(lambda t: f([t])[0], 0.3 - step, 0.3 + step,
                                             GOLDEN_WIDTH)
@@ -861,6 +865,15 @@ class TestBlockOracle:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[(0,) * part.ndim] = 2.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_first_party_parts_are_real(self, m):
+        # the golden builds check a real symmetric first-party stack; the observables of
+        # the public API stay complex
+        for part in bell_operators._family(m, m + 1)[:3]:
+            assert part.dtype == np.float64 and not part.flags.writeable
+        assert build_a(0.4, m, 1).entries.dtype == complex
+        assert build_b(m, 1).entries.dtype == complex
 
     @pytest.mark.parametrize("grid_points", [8, 17, 64, 65])
     @pytest.mark.parametrize("measure", ["haar", "simplex"])
