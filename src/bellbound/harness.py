@@ -410,8 +410,8 @@ def _atomic_output(path: str | bytes | os.PathLike | None):
         raise IoFailureError("no output file: the output path is None")
     path = os.fsdecode(path)  # a str, bytes or path object, named as text in every message
     target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."
-                       f"{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    tmp = os.path.join(os.path.dirname(target),  # not the target's name, which may fill NAME_MAX
+                       f".bellbound.{os.getpid()}.{os.urandom(6).hex()}.tmp")
     try:
         if os.path.exists(target) and not os.path.isfile(target):
             raise IoFailureError(f"cannot write {path}: not a regular file")

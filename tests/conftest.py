@@ -27,11 +27,6 @@ def blas_kernel() -> str:
     return "unknown: numpy.libs holds no OpenBLAS with scipy_openblas_get_corename64_"
 
 
-def kernel_note() -> str:
-    """A failing golden pin's message: the kernel that ran, and the one its digest needs."""
-    return f"BLAS kernel {blas_kernel()}; the golden digests were taken under SkylakeX"
-
-
 def package_env():
     """Environment for a fresh interpreter that imports this bellbound."""
     src = str(Path(bellbound.__file__).resolve().parent.parent)

@@ -2,14 +2,14 @@
 
     python3 tests/golden_digests.py TABLE [ROW ...] [--coretype NAME ...]
 
-TABLE is one of that module's ``KEYED`` tables: GOLDEN_VERIFY, GOLDEN_SWEEPS, GOLDEN_SCATTER
-or GOLDEN_SAMPLE.  For each named row, or every row of TABLE if none is named, it prints one
-line ``ROW KERNEL DIGEST ...``: the OpenBLAS kernel that ran (``conftest.blas_kernel``) and
-the sha256 of each output the row pins, in the row's order.  Each row runs serially in its
-own temporary directory.  Without --coretype the rows run in this interpreter; with it, in one
-fresh interpreter per NAME, with ``OPENBLAS_CORETYPE=NAME`` (OpenBLAS may map a NAME to
-another kernel: this build runs Zen as Haswell).  pytest does not collect this file (no
-``test_`` prefix).
+TABLE is one of that module's ``KEYED`` tables: GOLDEN_VERIFY, GOLDEN_SWEEPS, GOLDEN_SCATTER,
+GOLDEN_BOUNDS, GOLDEN_JN or GOLDEN_SAMPLE.  For each named row, or every row of TABLE if none
+is named, it prints one line ``ROW KERNEL DIGEST ...``: the OpenBLAS kernel that ran
+(``conftest.blas_kernel``) and the sha256 of each output the row pins, in the row's order.
+Each row runs serially in its own temporary directory.  Without --coretype the rows run in
+this interpreter; with it, in one fresh interpreter per NAME, with ``OPENBLAS_CORETYPE=NAME``
+(OpenBLAS may map a NAME to another kernel: this build runs Zen as Haswell).  pytest does not
+collect this file (no ``test_`` prefix).
 """
 
 from __future__ import annotations

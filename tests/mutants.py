@@ -10,7 +10,7 @@ it, ``SURVIVED`` (all its tests passed), ``BROKEN`` (pytest crashed, could not c
 the tests or ran past ``TIMEOUT``, so no test failed on the mutant) or ``STALE`` (its
 text does not occur exactly once, so the mutant no longer fits the source).  Exits 1
 on any survivor, broken or stale mutant.  The checkout is never written.  pytest does
-not collect this file (no ``test_`` prefix); a run takes one to three minutes on 2 CPUs.
+not collect this file (no ``test_`` prefix); a run takes two to four minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -98,13 +98,15 @@ MUTANTS = [
            "t1 >= -THEOREM_TOL, t2 >= -THEOREM_TOL", "t1 >= -1e-6, t2 >= -1e-6",
            (f"{HARNESS}::TestRunSweep::test_violations_match_record_flags",)),
     Mutant("_atomic_output writes the target in place", "harness.py",
-           'tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}."\n'
-           '                       f"{os.getpid()}.{os.urandom(6).hex()}.tmp")',
+           "tmp = os.path.join(os.path.dirname(target),  # not the target's name, which may "
+           "fill NAME_MAX\n"
+           '                       f".bellbound.{os.getpid()}.{os.urandom(6).hex()}.tmp")',
            "tmp = target",
            (f"{HARNESS}::TestRunSweep::test_failed_run_keeps_the_file_it_would_replace",
             f"{HARNESS}::TestRunSweep::test_two_writers_of_one_file")),
     Mutant("_atomic_output names its file by pid only", "harness.py",
-           'f"{os.getpid()}.{os.urandom(6).hex()}.tmp"', 'f"{os.getpid()}.tmp"',
+           ".bellbound.{os.getpid()}.{os.urandom(6).hex()}.tmp",
+           ".bellbound.{os.getpid()}.tmp",
            (f"{HARNESS}::TestRunSweep::test_two_writers_of_one_file",)),
     Mutant("closed_forms pairs c1 c3 + c2 c4", "bounds.py",
            "np.vecdot(rows[:, 0:paired:2], rows[:, 1:paired:2])",
@@ -197,6 +199,16 @@ MUTANTS = [
     Mutant("a MemoryError escapes main()", "cli.py",
            "except MemoryError as exc:", "except ZeroDivisionError as exc:",
            (f"{CLI}::TestSweep::test_failed_allocation_is_one_line",)),
+    Mutant("Haar draws keep only the real part", "schmidt_state.py",
+           "np.linalg.svd(z[:, 0] + 1j * z[:, 1], compute_uv=False)",
+           "np.linalg.svd(z[:, 0], compute_uv=False)",
+           (f"{HARNESS}::TestDrawKernel::test_mean_purity_matches_its_exact_value",)),
+    Mutant("_draw_block ignores the offset", "harness.py",
+           "stop - start, measure, m, m + offset)", "stop - start, measure, m, m)",
+           (f"{HARNESS}::TestDrawKernel::test_mean_purity_matches_its_exact_value",)),
+    Mutant("simplex draws uniform variates", "schmidt_state.py",
+           "rng.standard_exponential(out=p[row])", "rng.random(out=p[row])",
+           (f"{HARNESS}::TestDrawKernel::test_mean_purity_matches_its_exact_value",)),
     Mutant("validate_rows skips the descending-order check", "schmidt_state.py",
            "(rows[:, :-1] < rows[:, 1:]).any(axis=1)", "np.zeros(len(rows), bool)",
            (f"{SCHMIDT}::TestValidateRows::test_names_first_failing_index",)),

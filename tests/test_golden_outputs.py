@@ -3,10 +3,9 @@ paths behind them: ``verify``, ``sweep`` and ``sample`` stdout, the file that ``
 writes, the CSV that ``scatter_cb`` converts from a sweep file, ``bounds`` JSON and ``jn``
 values.  Each digest is a sha256 of the exact bytes, and each pinned output is a row of its
 table.  The Haar draws' SVD and the closed forms' dot products round by OpenBLAS kernel, so
-the rows of ``KEYED``'s tables hold their digests keyed by the kernel they were taken under,
-SkylakeX and Haswell, and ``tests/golden_digests.py`` takes them; a pin on a kernel with no
-digests fails, naming it and that command.  The ``bounds`` and ``jn`` digests hold under both
-kernels, and a failing pin names the kernel that ran.
+every table (``KEYED``) holds its digests keyed by the kernel they were taken under, SkylakeX
+and Haswell, and ``tests/golden_digests.py`` takes them; ``assert_pinned`` checks each pin,
+and a pin on a kernel with no digests fails, naming it and that command.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import pytest
 from bellbound import ExperimentConfig, harness, scatter_cb
 from bellbound.cli import main
 
-from conftest import blas_kernel, kernel_note
+from conftest import blas_kernel
 
 
 def digest(data: str | bytes) -> str:
@@ -324,29 +323,39 @@ def test_scatter_csv_is_pinned(monkeypatch, tmp_path, set_workers, any_work_fork
 
 GOLDEN_BOUNDS = [
     pytest.param("1",
-                 "ed2f8c1406e52e1c300bdc2af3694de64ee2436ab23bfdeeb1799ecf33bdccdc",
+                 {"SkylakeX": "ed2f8c1406e52e1c300bdc2af3694de64ee2436ab23bfdeeb1799ecf33bdccdc",
+                  "Haswell": "ed2f8c1406e52e1c300bdc2af3694de64ee2436ab23bfdeeb1799ecf33bdccdc"},
                  id="m-one"),
     pytest.param("0.8,0.6",
-                 "e6a634e5a22eb41619c6ce9c00f40f6a866c0ae230a3838f55bf4a6caf93ae94",
+                 {"SkylakeX": "e6a634e5a22eb41619c6ce9c00f40f6a866c0ae230a3838f55bf4a6caf93ae94",
+                  "Haswell": "e6a634e5a22eb41619c6ce9c00f40f6a866c0ae230a3838f55bf4a6caf93ae94"},
                  id="m-two"),
     pytest.param("3,2,1",
-                 "3bf3cddedbe4c25f7b1dc21c71f6df8340dfbd4ce2d3a6d9db8cb67090c15763",
+                 {"SkylakeX": "3bf3cddedbe4c25f7b1dc21c71f6df8340dfbd4ce2d3a6d9db8cb67090c15763",
+                  "Haswell": "3bf3cddedbe4c25f7b1dc21c71f6df8340dfbd4ce2d3a6d9db8cb67090c15763"},
                  id="m-three"),
     pytest.param("0.6,0.5,0.4,0.3,0.2",
-                 "b131aadad9d934d8ab2102fa845bfc954b7841698ae1f245993a9f442b0ae96b",
+                 {"SkylakeX": "b131aadad9d934d8ab2102fa845bfc954b7841698ae1f245993a9f442b0ae96b",
+                  "Haswell": "b131aadad9d934d8ab2102fa845bfc954b7841698ae1f245993a9f442b0ae96b"},
                  id="m-five"),
     pytest.param("0.7,0.7,0,0",
-                 "24d68f3248f1b496d00cc6d9c41c9c64a23711eccd54948958ef15b145b50d18",
+                 {"SkylakeX": "24d68f3248f1b496d00cc6d9c41c9c64a23711eccd54948958ef15b145b50d18",
+                  "Haswell": "24d68f3248f1b496d00cc6d9c41c9c64a23711eccd54948958ef15b145b50d18"},
                  id="trailing-zeros"),
     pytest.param("0.5,0.4,0.3,0,0",
-                 "c2fdfb2bc93ef3d77290fe3baccdca2670ab276dd455bfbe71874aa8a774670b",
+                 {"SkylakeX": "c2fdfb2bc93ef3d77290fe3baccdca2670ab276dd455bfbe71874aa8a774670b",
+                  "Haswell": "c2fdfb2bc93ef3d77290fe3baccdca2670ab276dd455bfbe71874aa8a774670b"},
                  id="odd-trailing-zeros"),
 ]
 
 
+def bounds_out(coeffs: str) -> str:
+    return cli_stdout("bounds", f"--coeffs={coeffs}")
+
+
 @pytest.mark.parametrize("coeffs,expected", GOLDEN_BOUNDS)
 def test_bounds_json_is_pinned(coeffs, expected):
-    assert digest(cli_stdout("bounds", f"--coeffs={coeffs}")) == expected, kernel_note()
+    assert_pinned("GOLDEN_BOUNDS", digest(bounds_out(coeffs)), expected)
 
 
 def seeded_matrix(kind: str, n: int) -> str:
@@ -358,15 +367,27 @@ def seeded_matrix(kind: str, n: int) -> str:
     return ";".join(",".join(map(repr, row)) for row in entries.tolist())
 
 
-# integer entries sum exactly; float entries expose the summation order
-@pytest.mark.parametrize("kind,expected", [
-    ("integer", "4e2cc446268eeb1b2913e5db0033c8fb9497c0c9c1b6560981c026f5a3d0f2d3"),
-    ("float", "e886a5250539a08e0e3c2b565567796079a35bdefd5bd6b58c9802527d64ea35"),
-])
+# the jn values of seeded n x n matrices, n = 2 to 20: integer entries sum exactly; float
+# entries expose the summation order
+GOLDEN_JN = [
+    pytest.param("integer",
+                 {"SkylakeX": "4e2cc446268eeb1b2913e5db0033c8fb9497c0c9c1b6560981c026f5a3d0f2d3",
+                  "Haswell": "4e2cc446268eeb1b2913e5db0033c8fb9497c0c9c1b6560981c026f5a3d0f2d3"},
+                 id="integer"),
+    pytest.param("float",
+                 {"SkylakeX": "e886a5250539a08e0e3c2b565567796079a35bdefd5bd6b58c9802527d64ea35",
+                  "Haswell": "e886a5250539a08e0e3c2b565567796079a35bdefd5bd6b58c9802527d64ea35"},
+                 id="float"),
+]
+
+
+def jn_out(kind: str) -> str:
+    return "".join(cli_stdout("jn", f"--matrix={seeded_matrix(kind, n)}") for n in range(2, 21))
+
+
+@pytest.mark.parametrize("kind,expected", GOLDEN_JN)
 def test_jn_values_are_pinned(kind, expected):
-    out = "".join(cli_stdout("jn", f"--matrix={seeded_matrix(kind, n)}")
-                  for n in range(2, 21))
-    assert digest(out) == expected, kernel_note()
+    assert_pinned("GOLDEN_JN", digest(jn_out(kind)), expected)
 
 
 # without --index, sample draws from default_rng(seed); with it, from the sweep's
@@ -410,10 +431,11 @@ def test_sample_stdout_is_pinned(measure, index, expected):
     assert_pinned("GOLDEN_SAMPLE", digest(sample_out(measure, index)), expected)
 
 
-# the tables whose digests are keyed by kernel, each with the function that gives a row's
-# pinned outputs from its other values, run in the working directory
+# every golden table, each with the function that gives a row's pinned outputs from its
+# other values, run in the working directory
 KEYED = {"GOLDEN_VERIFY": (GOLDEN_VERIFY, verify_out), "GOLDEN_SWEEPS": (GOLDEN_SWEEPS, sweep_out),
          "GOLDEN_SCATTER": (GOLDEN_SCATTER, scatter_out),
+         "GOLDEN_BOUNDS": (GOLDEN_BOUNDS, bounds_out), "GOLDEN_JN": (GOLDEN_JN, jn_out),
          "GOLDEN_SAMPLE": (GOLDEN_SAMPLE, sample_out)}
 
 
@@ -426,21 +448,16 @@ NAMED = pytest.mark.skipif(blas_kernel().startswith("unknown"), reason=blas_kern
 
 @AVX2
 @NAMED
-def test_kernel_note_names_the_kernel_that_runs(fresh):
-    run = fresh("-c", f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-                "import conftest; print(conftest.kernel_note())", OPENBLAS_CORETYPE="Haswell")
-    assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == "BLAS kernel Haswell; the golden digests were taken under SkylakeX\n"
-
-
-@AVX2
-@NAMED
 def test_haswell_digests_hold_under_haswell(fresh):
-    # the second column of the keyed digests, checked on this host: the benchmark's two
-    # sweep rows in a fresh interpreter that runs OpenBLAS's Haswell kernel
-    rows = ("haar-even", "simplex-odd")
-    run = fresh(str(Path(__file__).with_name("golden_digests.py")), "GOLDEN_SWEEPS", *rows,
-                OPENBLAS_CORETYPE="Haswell")
-    assert (run.returncode, run.stderr) == (0, "")
-    haswell = {row.id: row.values[-1]["Haswell"] for row in GOLDEN_SWEEPS}
-    assert run.stdout.splitlines() == [f"{row} Haswell {' '.join(haswell[row])}" for row in rows]
+    # the second column of the keyed digests, checked on this host in a fresh interpreter that
+    # runs OpenBLAS's Haswell kernel: the benchmark's two sweep rows, and the jn rows, whose
+    # float matrices expose OpenBLAS's summation order
+    for table, rows in (("GOLDEN_SWEEPS", ("haar-even", "simplex-odd")),
+                        ("GOLDEN_JN", ("integer", "float"))):
+        run = fresh(str(Path(__file__).with_name("golden_digests.py")), table, *rows,
+                    OPENBLAS_CORETYPE="Haswell")
+        assert (run.returncode, run.stderr) == (0, "")
+        haswell = {row.id: row.values[-1]["Haswell"] for row in KEYED[table][0]}
+        assert run.stdout.splitlines() == [
+            " ".join((row, "Haswell", *(d if isinstance(d := haswell[row], tuple) else (d,))))
+            for row in rows]

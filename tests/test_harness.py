@@ -823,6 +823,19 @@ class TestDrawKernel:
                 s = bb.sample_simplex(m, ours)
             assert s.coeffs.tobytes() == reference_draw(measure, m, m + offset, ref).coeffs.tobytes()
 
+    # the exact mean purity q = sum c_i^4: (m + n) / (mn + 1) for Haar states on m x n
+    # (Lubkin, J. Math. Phys. 19, 1028, 1978), 2 / (m + 1) for the flat simplex
+    @pytest.mark.parametrize("measure,m,n,mean", [
+        *(pytest.param("haar", m, n, (m + n) / (m * n + 1), id=f"haar-{m}x{n}")
+          for m, n in [(2, 2), (3, 3), (4, 4), (4, 5), (6, 6), (8, 8), (8, 11)]),
+        *(pytest.param("simplex", m, m, 2 / (m + 1), id=f"simplex-{m}") for m in (2, 3, 4, 6, 8)),
+    ])
+    def test_mean_purity_matches_its_exact_value(self, measure, m, n, mean):
+        # 20 000 rows through the sweep's own draw path, offset included
+        q = (harness._draw_block(7, measure, n - m, m, 0, 20_000) ** 4).sum(axis=1)
+        z = (q.mean() - mean) / (q.std(ddof=1) / math.sqrt(len(q)))
+        assert abs(z) <= 5, f"z = {z:+.2f}"
+
 
 class TestSweepKernel:
     @settings(max_examples=60, deadline=None)
@@ -1073,6 +1086,18 @@ def test_every_path_type_writes_the_named_file(tmp_path, monkeypatch, where, as_
     assert scatter_cb(as_path(sweep), as_path(cloud)) == cloud
     assert sorted(os.listdir(target)) == ["cloud.csv", "sweep.jsonl"]
     assert [(target / name).read_bytes() for name in ("sweep.jsonl", "cloud.csv")] == expected
+
+
+def test_longest_file_names_are_written(tmp_path, monkeypatch, capsys):
+    # a sweep and its CSV under names as long as the file system allows: each writer's
+    # temporary file beside them has a name of its own length, and none is left behind
+    monkeypatch.chdir(tmp_path)
+    longest = os.pathconf(tmp_path, "PC_NAME_MAX")
+    sweep, cloud = "s" * longest, "c" * longest
+    assert main(["sweep", "--dims", "2", "--samples", "2", "--seed", "1", "--out", sweep]) == 0
+    assert capsys.readouterr().err == ""
+    assert scatter_cb(sweep, cloud) == Path(cloud)
+    assert sorted(os.listdir(tmp_path)) == [cloud, sweep]
 
 
 class TestScatterCb:
